@@ -41,9 +41,7 @@ from .racg import (
     SemidirectElement,
     big_matrix,
     build_S,
-    cactus_equal,
     normal_form,
-    purity_consistency,
     semidirect_mul,
 )
 from .rep import (
@@ -54,7 +52,6 @@ from .rep import (
     check_relations,
     form_on_S,
     form_on_fset,
-    pi_generator,
     pi_prime,
     quotient_rep,
     reflection_in_form,
@@ -92,7 +89,6 @@ __all__ = [
     "apply_relation",
     "big_matrix",
     "build_S",
-    "cactus_equal",
     "check_relations",
     "conjugate_subset",
     "connected_subsets",
@@ -110,9 +106,7 @@ __all__ = [
     "normal_form",
     "parse_scalar",
     "parse_word",
-    "pi_generator",
     "pi_prime",
-    "purity_consistency",
     "quotient_rep",
     "reflection_in_form",
     "restrict_rep",

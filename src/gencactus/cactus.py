@@ -33,7 +33,7 @@ _TRUSTED = object()  # sentinel: letters come from an already validated word
 
 class CactusWord:
     """A finite sequence of generators gamma_I.  Equality is letterwise;
-    use racg.cactus_equal for equality in the group.
+    use RacgContext.cactus_equal for equality in the group.
 
     The default alphabet is F(S).  Passing alphabet= substitutes another
     family of subsets (it must still consist of finite-type subsets); this

@@ -22,8 +22,8 @@ from .cactus import (
     parse_word,
     type_a_dictionary,
 )
-from .coxeter import CoxeterSystem, enumerate_group, connected_subsets, longest_element
-from .errors import CactusError, InputError
+from .coxeter import CoxeterSystem, connected_subsets, is_finite_parabolic, longest_element
+from .errors import CactusError, InfiniteGroupError, InputError
 from .racg import RacgContext
 from .rep import (
     Pi_rep,
@@ -128,8 +128,10 @@ def _t_from_args(args) -> Fraction:
 def _context(system, args) -> RacgContext:
     max_len = getattr(args, "max_len", None)
     if max_len is not None:
-        # preflight: honor the enumeration bound before building tables
-        enumerate_group(system, max_length=max_len)
+        # W is exhausted within max_len iff it is finite and w0 is no longer
+        full = range(system.rank)
+        if not is_finite_parabolic(system, full) or longest_element(system, full).length > max_len:
+            raise InfiniteGroupError(f"group not exhausted within length {max_len}")
     return RacgContext(system)
 
 

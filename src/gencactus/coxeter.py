@@ -1,10 +1,11 @@
-"""Coxeter systems and exact computation in their reflection representation.
+"""Coxeter systems and exact computation with their elements.
 
 A system is a finite generating set with a Coxeter matrix (entry 0 encodes an
-infinite bond).  Group elements are represented by exact matrices of the
-reflection (Tits) representation at parameter t = 1, where the representation
-is faithful, together with a reduced word.  All equality tests reduce to exact
-matrix equality; lengths and reduced words come from descent extraction.
+infinite bond).  An element w is keyed by integer ids of the roots
+w(alpha_1), ..., w(alpha_n), which determine it, and s is a right descent of w
+iff w(alpha_s) < 0, so products, reduced words, enumeration and longest
+elements are lookups on ids.  Exact arithmetic runs only on first sight of a
+root or a pair of roots.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import weakref
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import InfiniteGroupError, InputError
-from .linalg import Matrix, determinant, is_identity, mat_mul
+from .linalg import Matrix, determinant
 from .scalar import (
     CycloReal,
     Scalar,
@@ -179,19 +181,6 @@ class CoxeterSystem:
             self._cache[key] = tuple(tuple(row) for row in rows)
         return self._cache[key]
 
-    def generator_matrices(self, t=1) -> tuple[Matrix, ...]:
-        return tuple(self.reflection_matrix(s, t) for s in range(self.rank))
-
-    def identity_matrix(self) -> Matrix:
-        key = "idmat"
-        if key not in self._cache:
-            n = self.rank
-            zero, one = self._wrap(0), self._wrap(1)
-            self._cache[key] = tuple(
-                tuple(one if i == j else zero for j in range(n)) for i in range(n)
-            )
-        return self._cache[key]
-
     # -- serialized forms ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -207,94 +196,161 @@ class CoxeterSystem:
     def from_name(cls, name: str) -> "CoxeterSystem":
         return _system_from_name(name)
 
+    def root_table(self) -> "RootTable":
+        """The root table, shared by every system with this Coxeter matrix."""
+        table = self._cache.get("roots")
+        if table is None:
+            table = _ROOT_TABLES.get(self.matrix) or RootTable(self)
+            self._cache["roots"] = _ROOT_TABLES[self.matrix] = table
+        return table
+
     def group_table(self) -> "GroupTable":
         if "table" not in self._cache:
             self._cache["table"] = GroupTable(self)
         return self._cache["table"]
 
 
-class GroupElement:
-    """Group element: reduced word plus exact matrix at t = 1.
+class RootTable:
+    """Exact root vectors of one Coxeter matrix, interned to integer ids.
 
-    Equality and hashing use the matrix (the representation is faithful at
-    t = 1), so two elements with different reduced words for the same group
-    element compare equal.
+    Ids 0..n-1 are the simple roots.  For finite W the root system is closed
+    at construction by BFS from the simple roots, generators in index order;
+    otherwise a root gets the next id when first met.  Reflections of one
+    root in another are computed once, then looked up.
     """
 
-    __slots__ = ("system", "word", "matrix", "_hash")
+    def __init__(self, system: CoxeterSystem):
+        n = system.rank
+        self._twice_gram = [[2 * g for g in row] for row in system.gram_matrix(1)]
+        self.vectors: list[tuple] = []
+        self.negative: list[bool] = []
+        self._ids: dict[tuple, int] = {}
+        self._reflections: list[dict[int, int]] = []  # b -> {r: s_b(r)}
+        zero, one = system._wrap(0), system._wrap(1)
+        for s in range(n):
+            self._intern(tuple(one if i == s else zero for i in range(n)))
+        self.identity = tuple(range(n))
+        if is_finite_parabolic(system, self.identity):
+            for r, _ in enumerate(self.vectors):  # a BFS queue: grows while walked
+                for s in range(n):
+                    self.reflect(s, r)
 
-    def __init__(self, system: CoxeterSystem, word: tuple[int, ...], matrix: Matrix):
+    def _intern(self, vector: tuple) -> int:
+        rid = self._ids.get(vector)
+        if rid is None:
+            rid = self._ids[vector] = len(self.vectors)
+            self.vectors.append(vector)
+            self.negative.append(any(scalar_sign(x) < 0 for x in vector))
+            self._reflections.append({})
+        return rid
+
+    def reflect(self, b: int, r: int, c=None) -> int:
+        """Id of s_beta(rho) = rho - c beta for root ids b, r, c = 2 B(rho, beta);
+        c may be left out when beta is the simple root alpha_b."""
+        row = self._reflections[b]
+        if r not in row:
+            rho, beta = self.vectors[r], self.vectors[b]
+            if c is None:
+                c = sum(g * x for g, x in zip(self._twice_gram[b], rho))
+            row[r] = r if c == 0 else self._intern(tuple(x - c * y for x, y in zip(rho, beta)))
+        return row[r]
+
+    def right_mul(self, key: tuple, s: int) -> tuple:
+        """Key of w*s from the key of w: (ws)(alpha_j) = s_{w(alpha_s)}(w(alpha_j)),
+        where 2 B(w(alpha_j), w(alpha_s)) = 2 B(alpha_j, alpha_s) as W preserves B."""
+        b = key[s]
+        row = self._reflections[b]
+        try:
+            return tuple([row[r] for r in key])
+        except KeyError:
+            c = self._twice_gram[s]
+            return tuple([self.reflect(b, r, c[j]) for j, r in enumerate(key)])
+
+    def apply(self, key: tuple, word: Iterable[int]) -> tuple:
+        for s in word:
+            key = self.right_mul(key, s)
+        return key
+
+    def greedy_word(self, key: tuple) -> tuple[int, ...]:
+        """Reduced word whose last letter is always the smallest right descent."""
+        rev: list[int] = []
+        negative = self.negative
+        while True:
+            for s, r in enumerate(key):
+                if negative[r]:
+                    rev.append(s)
+                    key = self.right_mul(key, s)
+                    break
+            else:
+                return tuple(reversed(rev))
+
+
+# equal matrices share one table: ids are canonical even for infinite W
+_ROOT_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class GroupElement:
+    """Element w of W, keyed by the root ids of w(alpha_1), ..., w(alpha_n),
+    which determine w; equality and hashing use the key.  `word` is the reduced
+    word the element was built with (BFS in `enumerate_group`, greedy ascent in
+    `longest_element`), else the greedy smallest-right-descent word.
+    """
+
+    __slots__ = ("system", "key", "_word")
+
+    def __init__(self, system: CoxeterSystem, key: tuple, word: Optional[tuple] = None):
         self.system = system
-        self.word = word
-        self.matrix = matrix
-        self._hash = None
+        self.key = key
+        self._word = word
 
     @classmethod
     def identity(cls, system: CoxeterSystem) -> "GroupElement":
-        return cls(system, (), system.identity_matrix())
+        return cls(system, system.root_table().identity, ())
 
     @classmethod
     def simple(cls, system: CoxeterSystem, s: int) -> "GroupElement":
-        return cls(system, (s,), system.reflection_matrix(s))
+        return cls.from_word(system, (s,))
 
     @classmethod
     def from_word(cls, system: CoxeterSystem, word: Iterable[int]) -> "GroupElement":
-        mat = system.identity_matrix()
-        for s in word:
-            mat = mat_mul(mat, system.reflection_matrix(s))
-        return cls(system, _reduced_word(system, mat), mat)
+        roots = system.root_table()
+        return cls(system, roots.apply(roots.identity, word))
+
+    @property
+    def word(self) -> tuple[int, ...]:
+        if self._word is None:
+            self._word = self.system.root_table().greedy_word(self.key)
+        return self._word
 
     @property
     def length(self) -> int:
         return len(self.word)
 
     def is_identity(self) -> bool:
-        return self.word == ()
+        return self.key == self.system.root_table().identity
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             return NotImplemented
         if self.system != other.system:
             raise InputError("elements of different systems")
-        mat = mat_mul(self.matrix, other.matrix)
-        return GroupElement(self.system, _reduced_word(self.system, mat), mat)
+        return GroupElement(self.system, self.system.root_table().apply(self.key, other.word))
 
     def inverse(self) -> "GroupElement":
         return GroupElement.from_word(self.system, tuple(reversed(self.word)))
 
     def __eq__(self, other):
         if isinstance(other, GroupElement):
-            return self.system == other.system and self.matrix == other.matrix
+            return self.system == other.system and self.key == other.key
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.matrix)
-        return self._hash
+        return hash(self.key)
 
     def __repr__(self):
         if not self.word:
             return "<e>"
         return "<" + " ".join(self.system.labels[s] for s in self.word) + ">"
-
-
-def _column_nonpositive(matrix: Matrix, s: int) -> bool:
-    return all(scalar_sign(row[s]) <= 0 for row in matrix)
-
-
-def _reduced_word(system: CoxeterSystem, matrix: Matrix) -> tuple[int, ...]:
-    """Reduced word by greedy right-descent extraction."""
-    rev: list[int] = []
-    work = matrix
-    while not is_identity(work):
-        for s in range(system.rank):
-            if _column_nonpositive(work, s):
-                rev.append(s)
-                work = mat_mul(work, system.reflection_matrix(s))
-                break
-        else:
-            raise ArithmeticError("matrix has no descent; not a group element")
-    return tuple(reversed(rev))
 
 
 def is_finite_parabolic(system: CoxeterSystem, subset: Iterable[int]) -> bool:
@@ -380,21 +436,20 @@ def longest_element(system: CoxeterSystem, subset: Iterable[int]) -> GroupElemen
     if key in system._cache:
         return system._cache[key]
     if not is_finite_parabolic(system, subset):
-        raise InfiniteGroupError(
-            f"infinite parabolic: {system.format_subset(subset)}"
-        )
+        raise InfiniteGroupError(f"infinite parabolic: {system.format_subset(subset)}")
     idx = sorted(subset)
+    roots = system.root_table()
     word: list[int] = []
-    mat = system.identity_matrix()
+    w = roots.identity
     while True:
         for s in idx:
-            if not _column_nonpositive(mat, s):
+            if not roots.negative[w[s]]:
                 word.append(s)
-                mat = mat_mul(mat, system.reflection_matrix(s))
+                w = roots.right_mul(w, s)
                 break
         else:
             break
-    elem = GroupElement(system, tuple(word), mat)
+    elem = GroupElement(system, w, tuple(word))
     system._cache[key] = elem
     return elem
 
@@ -404,18 +459,19 @@ def conjugate_subset(
 ) -> frozenset[int]:
     """Image of the inner subset under conjugation by the longest element of
     the outer subset.  Defined whenever the image consists of generators
-    again, which holds for inner subsets of the outer one."""
+    again, which holds for inner subsets of the outer one: w s w = s_v iff
+    w(alpha_s) = +-alpha_v."""
     outer = frozenset(outer)
     inner = frozenset(inner)
     if not inner <= outer:
         raise InputError("inner subset must lie inside the outer subset")
     w = longest_element(system, outer)
-    gens = system.generator_matrices()
+    roots = system.root_table()
     out = set()
     for s in inner:
-        conj = mat_mul(mat_mul(w.matrix, gens[s]), w.matrix)
+        root = w.key[s]
         for v in range(system.rank):
-            if conj == gens[v]:
+            if root in (v, roots.reflect(v, v)):
                 out.add(v)
                 break
         else:
@@ -428,27 +484,31 @@ def enumerate_group(
 ) -> list[GroupElement]:
     """All elements of the (finite) parabolic subgroup, in BFS order.
 
-    BFS over right multiplication, deduplicated by matrix; the first visit of
-    an element happens at its length, so stored words are reduced.  With
-    max_length set, raises if the group is not exhausted within that radius.
+    BFS over right multiplication, deduplicated by key; the first visit of
+    an element happens at its length, so stored words are reduced.  A right
+    descent leads back to a shorter element and is skipped.  With max_length
+    set, raises if the group is not exhausted within that radius.
     """
     subset = frozenset(subset) if subset is not None else frozenset(range(system.rank))
     if max_length is None and not is_finite_parabolic(system, subset):
         raise InfiniteGroupError(f"infinite group: {system.format_subset(subset)}")
     idx = sorted(subset)
+    roots = system.root_table()
     identity = GroupElement.identity(system)
     elements = [identity]
-    seen = {identity.matrix: 0}
+    seen = {identity.key}
     frontier = [identity]
     depth = 0
     while frontier:
         nxt = []
         for el in frontier:
             for s in idx:
-                mat = mat_mul(el.matrix, system.reflection_matrix(s))
-                if mat not in seen:
-                    new = GroupElement(system, el.word + (s,), mat)
-                    seen[mat] = len(elements)
+                if roots.negative[el.key[s]]:
+                    continue
+                key = roots.right_mul(el.key, s)
+                if key not in seen:
+                    new = GroupElement(system, key, el.word + (s,))
+                    seen.add(key)
                     elements.append(new)
                     nxt.append(new)
         depth += 1
@@ -463,35 +523,28 @@ class GroupTable:
 
     Elements are indexed in BFS order.  Left/right multiplication by a
     generator is a table lookup, so products and conjugations cost one lookup
-    per letter instead of a matrix multiplication.
+    per letter.
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self.elements = enumerate_group(system)
-        self.index = {el.matrix: i for i, el in enumerate(self.elements)}
+        self.index = {el.key: i for i, el in enumerate(self.elements)}
         n = system.rank
-        size = len(self.elements)
-        self.gen_right = [[0] * size for _ in range(n)]
-        for i, el in enumerate(self.elements):
-            for s in range(n):
-                mat = mat_mul(el.matrix, system.reflection_matrix(s))
-                self.gen_right[s][i] = self.index[mat]
+        roots = system.root_table()
+        self.gen_right = [
+            [self.index[roots.right_mul(el.key, s)] for el in self.elements]
+            for s in range(n)
+        ]
         self.simple_index = [self.gen_right[s][0] for s in range(n)]
-        # left tables from right tables: s*w follows w's word from index of s
-        self.gen_left = [[0] * size for _ in range(n)]
-        for s in range(n):
-            for i, el in enumerate(self.elements):
-                j = self.simple_index[s]
-                for letter in el.word:
-                    j = self.gen_right[letter][j]
-                self.gen_left[s][i] = j
-        self.inverse = [0] * size
-        for i, el in enumerate(self.elements):
-            j = 0
-            for letter in reversed(el.word):
-                j = self.gen_right[letter][j]
-            self.inverse[i] = j
+        # (s w)(alpha_j) is the reflection of w(alpha_j) in the simple root alpha_s
+        self.gen_left = [
+            [self.index[tuple([roots.reflect(s, r) for r in el.key])] for el in self.elements]
+            for s in range(n)
+        ]
+        self.inverse = [
+            self.index[roots.apply(roots.identity, reversed(el.word))] for el in self.elements
+        ]
 
     def __len__(self):
         return len(self.elements)
@@ -510,7 +563,7 @@ class GroupTable:
 
     def element_index(self, element: GroupElement) -> int:
         try:
-            return self.index[element.matrix]
+            return self.index[element.key]
         except KeyError:
             raise InputError("element does not belong to this group") from None
 

@@ -27,18 +27,10 @@ def _exact(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
-def freeze(rows) -> Matrix:
-    return tuple(tuple(row) for row in rows)
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(
         tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
     )
-
-
-def zero_vector(n: int) -> Vector:
-    return (_ZERO,) * n
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -56,28 +48,11 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def mat_pow(a: Matrix, k: int) -> Matrix:
     out = identity_matrix(len(a))
     for _ in range(k):
         out = mat_mul(out, a)
     return out
-
-
-def is_identity(a: Matrix) -> bool:
-    n = len(a)
-    return all(
-        (a[i][j] == 1 if i == j else a[i][j] == 0)
-        for i in range(n)
-        for j in range(n)
-    )
 
 
 def determinant(a: Matrix) -> Scalar:

@@ -67,21 +67,16 @@ def _sorted_words(table: GroupTable, elements) -> tuple:
 
 
 def build_S(
-    system: CoxeterSystem,
-    family: Optional[Iterable[frozenset]] = None,
-    table: Optional[GroupTable] = None,
+    system: CoxeterSystem, family: Optional[Iterable[frozenset]] = None
 ) -> list[ParabolicConjugate]:
     """All conjugates of the W_I, I in the family (default F(S)).
 
     Deduplicated by element set and ordered by (subgroup size, sorted tuple
     of element reduced words); the ordering is deterministic because BFS
-    enumeration of the ambient group is.
+    enumeration of the ambient group is.  The group table raises if W is
+    infinite.
     """
-    full = frozenset(range(system.rank))
-    if not is_finite_parabolic(system, full):
-        raise InfiniteGroupError(f"infinite group: {system.format_subset(full)}")
-    if table is None:
-        table = GroupTable(system)
+    table = system.group_table()
     fam = _checked_family(system, family)
     seen = {}
     queue = []
@@ -289,12 +284,9 @@ class RacgContext:
 
     def __init__(self, system: CoxeterSystem, family: Optional[Iterable[frozenset]] = None):
         self.system = system
-        full = frozenset(range(system.rank))
-        if not is_finite_parabolic(system, full):
-            raise InfiniteGroupError(f"infinite group: {system.format_subset(full)}")
-        self.table = GroupTable(system)
+        self.table = system.group_table()  # raises if W is infinite
         self.family = tuple(_checked_family(system, family))
-        self.conjugates = build_S(system, self.family, self.table)
+        self.conjugates = build_S(system, self.family)
         self.M = big_matrix(self.conjugates)
         self.set_index = {pc.elements: i for i, pc in enumerate(self.conjugates)}
         self.base_index = {
@@ -377,11 +369,3 @@ class RacgContext:
                 [" ".join(labels[i] for i in w) if w else "e" for w in pc.words]
             )
         return {"S": out_sets, "M": [list(row) for row in self.M]}
-
-
-def cactus_equal(ctx: RacgContext, u: CactusWord, v: CactusWord) -> bool:
-    return ctx.cactus_equal(u, v)
-
-
-def purity_consistency(ctx: RacgContext, w: CactusWord) -> bool:
-    return ctx.purity_consistency(w)

@@ -19,6 +19,7 @@ from .coxeter import CoxeterSystem, connected_subsets, conjugate_subset
 from .errors import DegenerateFormError, InputError, SubspaceError
 from .linalg import (
     determinant,
+    identity_matrix,
     kernel_basis,
     mat_inverse,
     mat_mul,
@@ -86,11 +87,6 @@ def reflection_in_form(form: BilinearForm, k: int):
     return tuple(tuple(r) for r in rows)
 
 
-def pi_generator(system: CoxeterSystem, s: int, t=1):
-    """Simple reflection of the geometric representation of W at parameter t."""
-    return system.reflection_matrix(s, t)
-
-
 def pi_prime(g: Union[InducedAutomorphism, Sequence[int]], dim: Optional[int] = None):
     """Permutation matrix of a diagram automorphism: e_s -> e_{g(s)}."""
     perm = g.perm if isinstance(g, InducedAutomorphism) else tuple(g)
@@ -124,7 +120,7 @@ def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
     n = len(ctx.conjugates)
     if isinstance(x, CactusWord):
         letters = Pi_rep(ctx, t)
-        acc = _identity(n)
+        acc = identity_matrix(n)
         for I in x.letters:
             if I not in letters:
                 raise InputError(
@@ -134,22 +130,11 @@ def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
         return acc
     if isinstance(x, SemidirectElement):
         form = form_on_S(ctx, t)
-        acc = _identity(n)
+        acc = identity_matrix(n)
         for i in x.racg_part:
             acc = mat_mul(acc, reflection_in_form(form, i))
         return mat_mul(acc, pi_prime(x.aut_part))
     raise InputError(f"cannot represent object of type {type(x).__name__}")
-
-
-def _identity(n):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _unit(n, k):
-    return tuple(Fraction(1) if i == k else Fraction(0) for i in range(n))
 
 
 def _bilinear(gram, a, b):
@@ -187,7 +172,7 @@ def _rho_assemble(system, I, t, form):
     n = len(fset)
     if determinant(form.gram) == 0:
         raise DegenerateFormError(f"degenerate form at t = {t}: full space")
-    cols = [_unit(n, pos[I])]
+    cols = [identity_matrix(n)[pos[I]]]
     done = set()
     for J in fset:
         if J < I and J not in done:
@@ -195,7 +180,7 @@ def _rho_assemble(system, I, t, form):
             done.add(J)
             done.add(J2)
             if J2 != J:
-                vec = list(_unit(n, pos[J]))
+                vec = list(identity_matrix(n)[pos[J]])
                 vec[pos[J2]] = Fraction(-1)
                 cols.append(tuple(vec))
     k = len(cols)
@@ -245,7 +230,7 @@ def check_relations(system: CoxeterSystem, rep: dict) -> RelationReport:
         return report
     keys = sorted(rep, key=_subset_key)
     fmt = system.format_subset
-    ident = _identity_like(rep)
+    ident = identity_matrix(len(rep[keys[0]]))
     for I in keys:
         report.checked += 1
         if mat_mul(rep[I], rep[I]) != ident:
@@ -269,15 +254,6 @@ def check_relations(system: CoxeterSystem, rep: dict) -> RelationReport:
     return report
 
 
-def _identity_like(rep: dict):
-    # identity in the entry field of a sample matrix
-    mat = next(iter(rep.values()))
-    n = len(mat)
-    zero = mat[0][0] - mat[0][0]
-    one = zero + 1
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def stable_lines(rep: dict) -> list:
     """Lines fixed by every generator, with the sign each generator acts by.
 
@@ -290,7 +266,7 @@ def stable_lines(rep: dict) -> list:
     if not keys:
         return []
     n = len(rep[keys[0]])
-    pieces = [([_unit(n, i) for i in range(n)], ())]
+    pieces = [(list(identity_matrix(n)), ())]
     for key in keys:
         mat = rep[key]
         nxt = []
@@ -360,7 +336,7 @@ def quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
     k = len(subspace)
     if k + len(keep) != n:
         raise SubspaceError("complement has the wrong dimension")
-    cols = list(subspace) + [_unit(n, i) for i in keep]
+    cols = list(subspace) + [identity_matrix(n)[i] for i in keep]
     p = tuple(zip(*cols))
     try:
         pinv = mat_inverse(p)

@@ -66,10 +66,6 @@ def _poly_int_divide(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _degree(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
 def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
     """Reduce a coefficient list modulo Phi_n to degree < deg(Phi_n)."""
     phi = cyclotomic_polynomial(n)
@@ -91,9 +87,8 @@ class CycloReal:
 
     Instances are immutable.  Arithmetic between different conductors lifts
     both operands to the least common conductor.  Hashing is consistent with
-    equality for rational values at any conductor and for irrational values
-    sharing a conductor; code in this package keeps each Coxeter system at a
-    single fixed conductor.
+    equality at any conductor: a value hashes on its mean trace down to Q,
+    which a lift does not change.
     """
 
     __slots__ = ("conductor", "coeffs", "_sign", "_hash")
@@ -263,10 +258,10 @@ class CycloReal:
 
     def __hash__(self):
         if self._hash is None:
-            if self.is_rational():
-                self._hash = hash(self.coeffs[0])
-            else:
-                self._hash = hash((self.conductor, self.coeffs))
+            # the mean trace down to Q does not change under lifts, and it is
+            # the value itself when that is rational
+            n = self.conductor
+            self._hash = hash(sum(c * _mean_trace(k, n) for k, c in enumerate(self.coeffs)))
         return self._hash
 
     # -- sign and numeric evaluation ----------------------------------------
@@ -329,6 +324,21 @@ class CycloReal:
 
     def __str__(self):
         return format_scalar(self)
+
+
+@functools.lru_cache(maxsize=None)
+def _mean_trace(k: int, n: int) -> Fraction:
+    """Mean of the Galois conjugates of x**k at conductor n: the Ramanujan sum
+    c_n(k) over phi(n), which is mu(m)/phi(m) for m = n/gcd(n, k)."""
+    m, value, p = n // math.gcd(n, k), _ONE, 2
+    while m > 1:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return _ZERO
+            value /= 1 - p
+        p += 1
+    return value
 
 
 def _poly_trim(p):

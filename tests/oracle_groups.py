@@ -3,7 +3,9 @@
 Nothing in this module imports the package under test.  Symmetric groups
 act on index tuples, dihedral groups on polygon vertices, hyperoctahedral
 groups on signed tuples; a generic BFS gives orders, word lengths, and the
-longest element straight from the definitions.
+longest element straight from the definitions.  The matrix kernel at the end
+computes in the reflection representation itself, from generator matrices
+and a sign function the caller passes in.
 """
 
 import itertools
@@ -118,3 +120,96 @@ def all_subsets(rank):
     for r in range(1, rank + 1):
         for combo in itertools.combinations(items, r):
             yield frozenset(combo)
+
+
+# -- matrix kernel: elements as exact reflection-representation matrices ------
+
+
+def mat_mul(a, b):
+    # reflection-representation matrices have many zero entries; skipping
+    # zero factors keeps exact cyclotomic products affordable
+    zero = a[0][0] * 0
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col) if x != 0 and y != 0), zero) for col in bt)
+        for row in a
+    )
+
+
+def is_identity_matrix(a):
+    n = len(a)
+    return all((a[i][j] == 1 if i == j else a[i][j] == 0) for i in range(n) for j in range(n))
+
+
+def identity_like(gens):
+    one, zero = gens[0][0][0] * 0 + 1, gens[0][0][0] * 0
+    n = len(gens[0])
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def column_nonpositive(matrix, s, sign):
+    """Whether w(alpha_s), column s of the matrix of w, is a negative root."""
+    return all(sign(row[s]) <= 0 for row in matrix)
+
+
+def matrix_of_word(gens, word):
+    mat = identity_like(gens)
+    for s in word:
+        mat = mat_mul(mat, gens[s])
+    return mat
+
+
+def matrix_reduced_word(gens, matrix, sign):
+    """Greedy right-descent extraction: the last letter is always the
+    smallest s with w(alpha_s) < 0."""
+    rev = []
+    while not is_identity_matrix(matrix):
+        for s in range(len(gens)):
+            if column_nonpositive(matrix, s, sign):
+                rev.append(s)
+                matrix = mat_mul(matrix, gens[s])
+                break
+        else:
+            raise ArithmeticError("matrix has no descent; not a group element")
+    return tuple(reversed(rev))
+
+
+def matrix_bfs_words(gens):
+    """Words of a finite group in BFS order, generators in index order,
+    deduplicated by matrix."""
+    ident = identity_like(gens)
+    words, seen, frontier = [()], {ident}, [((), ident)]
+    while frontier:
+        nxt = []
+        for word, mat in frontier:
+            for s, g in enumerate(gens):
+                prod = mat_mul(mat, g)
+                if prod not in seen:
+                    seen.add(prod)
+                    words.append(word + (s,))
+                    nxt.append((word + (s,), prod))
+        frontier = nxt
+    return words
+
+
+def matrix_longest(gens, subset, sign):
+    """Greedy ascent in the parabolic on the subset: (word, matrix)."""
+    word, mat = [], identity_like(gens)
+    while True:
+        for s in sorted(subset):
+            if not column_nonpositive(mat, s, sign):
+                word.append(s)
+                mat = mat_mul(mat, gens[s])
+                break
+        else:
+            return tuple(word), mat
+
+
+def matrix_conjugate_subset(gens, outer, inner, sign):
+    """{v : w s w = s_v for s in inner}, w the longest element of the outer subset."""
+    _, w = matrix_longest(gens, outer, sign)
+    out = set()
+    for s in inner:
+        conj = mat_mul(mat_mul(w, gens[s]), w)
+        out.add(next(v for v, g in enumerate(gens) if g == conj))
+    return frozenset(out)

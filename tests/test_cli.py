@@ -180,6 +180,14 @@ def test_max_len_allows_exact_closure(capsys):
     assert code == 0
 
 
+def test_max_len_on_infinite_system_file(capsys, tmp_path):
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({"labels": ["a", "b", "c"], "matrix": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]}))
+    code, out, err = invoke(capsys, "sset", "--system", str(path), "--max-len", "50")
+    assert code == 1 and out == ""
+    assert "group not exhausted within length 50" in err
+
+
 def test_argparse_exits(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["--help"]) == 0

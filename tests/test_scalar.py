@@ -73,6 +73,13 @@ def test_sign_against_mpmath_intervals():
         assert v.sign() == expect
 
 
+def test_hash_agrees_with_equality_across_conductors():
+    c = cos_pi_over(4)
+    lifted = c.lift(16)
+    assert c == lifted and hash(c) == hash(lifted)
+    assert len({c, lifted}) == 1
+
+
 def test_lift_and_mixed_conductors():
     a = cos_pi_over(5)
     b = cos_pi_over(5, 20)
@@ -127,6 +134,21 @@ def test_ring_axioms_conductor5(a_coeffs, b_coeffs):
     assert (a - a).is_zero()
     if not a.is_zero():
         assert a * a.inverse() == 1
+
+
+@given(
+    st.lists(coeff, min_size=1, max_size=6),
+    st.sampled_from([5, 7, 8, 9, 10, 12]),
+    st.integers(min_value=2, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_hash_is_conductor_invariant(coeffs, conductor, factor):
+    x = CycloReal(conductor, coeffs)
+    lifted = x.lift(conductor * factor)
+    assert x == lifted and hash(x) == hash(lifted)
+    # a rational value hashes like the Fraction it equals
+    q = CycloReal(conductor * factor, [coeffs[0]])
+    assert hash(q) == hash(coeffs[0])
 
 
 def test_power_and_conjugate():
