@@ -145,12 +145,8 @@ def _parse_vector(text: str, dim: int):
         raise InputError(f"bad rational in vector {text!r}") from None
 
 
-def _format_entry(x) -> str:
-    return format_scalar(x)
-
-
 def _matrix_rows(mat) -> list:
-    return [[_format_entry(x) for x in row] for row in mat]
+    return [[format_scalar(x) for x in row] for row in mat]
 
 
 def _emit(args, payload: dict, text: str) -> int:
@@ -284,7 +280,7 @@ def _cmd_stable_lines(args) -> int:
     payload = {
         "lines": [
             {
-                "vector": [_format_entry(x) for x in vec],
+                "vector": [format_scalar(x) for x in vec],
                 "signs": {name: sign for name, sign in signs.items()},
             }
             for vec, signs in lines
@@ -292,7 +288,7 @@ def _cmd_stable_lines(args) -> int:
     }
     text_lines = []
     for vec, signs in lines:
-        coords = ",".join(_format_entry(x) for x in vec)
+        coords = ",".join(format_scalar(x) for x in vec)
         sig = " ".join(f"{name}:{'+1' if s > 0 else '-1'}" for name, s in signs.items())
         text_lines.append(f"{coords}  {sig}")
     return _emit(args, payload, "\n".join(text_lines) if text_lines else "none")

@@ -19,8 +19,6 @@ import math
 from fractions import Fraction
 from typing import Union
 
-import mpmath
-
 __all__ = [
     "Rational",
     "Scalar",
@@ -190,13 +188,7 @@ class CycloReal:
         if b.is_rational():
             q = b.coeffs[0]
             return CycloReal(a.conductor, [q * c for c in a.coeffs])
-        out = [_ZERO] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[i + j] += x * y
-        return CycloReal(a.conductor, out)
+        return CycloReal(a.conductor, _poly_mul(a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
@@ -290,6 +282,10 @@ class CycloReal:
             prec *= 2
 
     def _interval_value(self, prec: int):
+        # imported here, not at module level: rational systems (types A, D,
+        # E) never certify a sign and should not pay for the import
+        import mpmath
+
         iv = mpmath.iv
         saved = iv.prec
         try:
@@ -306,6 +302,8 @@ class CycloReal:
 
     def to_mpf(self, prec: int = 80):
         """High-precision floating approximation (for tests and display)."""
+        import mpmath
+
         with mpmath.workprec(prec):
             n = self.conductor
             total = mpmath.mpf(0)

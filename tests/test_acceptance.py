@@ -8,12 +8,19 @@ derived has an independent route somewhere in the unit suites.
 import random
 from fractions import Fraction as F
 
-from gencactus.cactus import CactusWord, commuting_subsets, is_pure, parse_word
+from gencactus.cactus import (
+    CactusWord,
+    commuting_subsets,
+    evaluate_to_coxeter,
+    is_pure,
+    parse_word,
+)
 from gencactus.coxeter import (
     CoxeterSystem,
     GroupElement,
     connected_subsets,
     conjugate_subset,
+    longest_element,
 )
 from gencactus.linalg import identity_matrix, mat_mul, transpose
 from gencactus.racg import RacgContext, normal_form, semidirect_mul
@@ -389,6 +396,25 @@ def test_c09_purity_and_embedding():
             "see it; smallest witness is the single letter g{s1,s2})"
         )
     report(9, "purity matches the conjugation action where that is possible", failures)
+
+
+def test_c09_b2_disagreements_are_central_w0():
+    # sharpens the B2 failure recorded by criterion 09 without changing it:
+    # is_pure and a trivial conjugation action disagree exactly on the words
+    # that evaluate to the central longest element
+    for name, expected in (("A2", 0), ("I2(3)", 0), ("B2", 61)):
+        ctx = get_context(name)
+        sys_ = ctx.system
+        w0 = longest_element(sys_, range(sys_.rank))
+        bad, central = set(), set()
+        for word, emb in words_with_embeddings(ctx, 5):
+            if is_pure(word) != emb.aut_part.is_identity():
+                bad.add(word)
+            if evaluate_to_coxeter(word) == w0:
+                central.add(word)
+        assert len(bad) == expected, name
+        if expected:
+            assert bad == central
 
 
 # -- 10: t = 0 degeneration ------------------------------------------------------------

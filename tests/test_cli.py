@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +196,24 @@ def test_argparse_exits(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_rational_query_does_not_import_mpmath():
+    # mpmath only certifies signs of irrational values; a fresh interpreter
+    # keeps other tests' imports out of the picture
+    code = (
+        "import sys\n"
+        "from gencactus.cli import run\n"
+        "assert run(['--system', 'A4', 'equal', 'g{s1} g{s1,s2}', 'g{s1,s2} g{s2}']) in (0, 1)\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
