@@ -4,14 +4,18 @@ Exact computation with the generators gamma_I: evaluation to W, the word
 problem through an embedding into a right-angled Coxeter group extended by
 diagram automorphisms, and exact linear representations with invariant-line
 and quotient tooling.
+
+The package root re-exports the documented API (the "Library API" list in
+the README); everything else is reached through its submodule.
 """
 
+# these imports also bind the submodules (gencactus.cactus, .coxeter, .errors,
+# .racg, .rep, .scalar, and .linalg through them) as package attributes
 from .cactus import (
     CactusWord,
     apply_relation,
     evaluate_to_coxeter,
     format_word,
-    free_reduce,
     is_pure,
     parse_word,
     type_a_dictionary,
@@ -19,11 +23,8 @@ from .cactus import (
 from .coxeter import (
     CoxeterSystem,
     GroupElement,
-    GroupTable,
-    connected_subsets,
     conjugate_subset,
-    enumerate_group,
-    is_finite_parabolic,
+    connected_subsets,
     longest_element,
 )
 from .errors import (
@@ -34,86 +35,51 @@ from .errors import (
     RelationApplicationError,
     SubspaceError,
 )
-from .racg import (
-    InducedAutomorphism,
-    ParabolicConjugate,
-    RacgContext,
-    SemidirectElement,
-    big_matrix,
-    build_S,
-    normal_form,
-    semidirect_mul,
-)
+from .racg import RacgContext, SemidirectElement
 from .rep import (
-    BilinearForm,
     Pi_of,
     Pi_rep,
-    RelationReport,
     check_relations,
-    form_on_S,
-    form_on_fset,
-    pi_prime,
     quotient_rep,
-    reflection_in_form,
     restrict_rep,
-    rho_generator,
     rho_rep,
     signed_permutation_check,
     stable_lines,
 )
-from .scalar import CycloReal, Rational, cos_pi_over, format_scalar, parse_scalar
+from .scalar import CycloReal, format_scalar, parse_scalar
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BilinearForm",
-    "CactusError",
-    "CactusWord",
     "CoxeterSystem",
-    "CycloReal",
-    "DegenerateFormError",
     "GroupElement",
-    "GroupTable",
-    "InducedAutomorphism",
-    "InfiniteGroupError",
-    "InputError",
-    "ParabolicConjugate",
-    "Pi_of",
-    "Pi_rep",
-    "RacgContext",
-    "Rational",
-    "RelationApplicationError",
-    "RelationReport",
-    "SemidirectElement",
-    "SubspaceError",
-    "apply_relation",
-    "big_matrix",
-    "build_S",
-    "check_relations",
-    "conjugate_subset",
     "connected_subsets",
-    "cos_pi_over",
-    "enumerate_group",
-    "evaluate_to_coxeter",
-    "form_on_S",
-    "form_on_fset",
-    "format_scalar",
-    "format_word",
-    "free_reduce",
-    "is_finite_parabolic",
-    "is_pure",
     "longest_element",
-    "normal_form",
-    "parse_scalar",
+    "conjugate_subset",
+    "CactusWord",
     "parse_word",
-    "pi_prime",
-    "quotient_rep",
-    "reflection_in_form",
-    "restrict_rep",
-    "rho_generator",
-    "rho_rep",
-    "semidirect_mul",
-    "signed_permutation_check",
-    "stable_lines",
+    "format_word",
+    "apply_relation",
+    "evaluate_to_coxeter",
+    "is_pure",
     "type_a_dictionary",
+    "RacgContext",
+    "SemidirectElement",
+    "rho_rep",
+    "Pi_rep",
+    "Pi_of",
+    "check_relations",
+    "stable_lines",
+    "restrict_rep",
+    "quotient_rep",
+    "signed_permutation_check",
+    "CycloReal",
+    "format_scalar",
+    "parse_scalar",
+    "CactusError",
+    "InputError",
+    "InfiniteGroupError",
+    "DegenerateFormError",
+    "SubspaceError",
+    "RelationApplicationError",
 ]

@@ -20,14 +20,6 @@ from .coxeter import (
 from .errors import InputError, RelationApplicationError
 
 
-def _fset_lookup(system: CoxeterSystem) -> frozenset:
-    cached = system._cache.get("fset_lookup")
-    if cached is None:
-        cached = frozenset(connected_subsets(system))
-        system._cache["fset_lookup"] = cached
-    return cached
-
-
 _TRUSTED = object()  # sentinel: letters come from an already validated word
 
 
@@ -46,7 +38,7 @@ class CactusWord:
     def __init__(self, system: CoxeterSystem, letters: Iterable[frozenset] = (), alphabet=None):
         letters = tuple(frozenset(l) for l in letters)
         if alphabet is not _TRUSTED:
-            valid = _fset_lookup(system) if alphabet is None else frozenset(
+            valid = connected_subsets(system) if alphabet is None else frozenset(
                 frozenset(a) for a in alphabet
             )
             for l in letters:

@@ -23,7 +23,7 @@ from .cactus import (
     type_a_dictionary,
 )
 from .coxeter import CoxeterSystem, connected_subsets, is_finite_parabolic, longest_element
-from .errors import CactusError, InfiniteGroupError, InputError
+from .errors import CactusError, InfiniteGroupError, InputError, SubspaceError
 from .racg import RacgContext
 from .rep import (
     Pi_rep,
@@ -31,7 +31,6 @@ from .rep import (
     quotient_rep,
     restrict_rep,
     rho_rep,
-    signed_permutation_check,
     stable_lines,
 )
 from .scalar import format_scalar
@@ -301,7 +300,11 @@ def _default_keep(subspace, dim):
         if len(basis) == dim:
             break
         unit = tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
-        if solve_in_span(basis, [unit]) is None:
+        try:
+            outside = solve_in_span(basis, [unit]) is None
+        except ValueError:
+            raise SubspaceError("subspace vectors are linearly dependent") from None
+        if outside:
             basis.append(unit)
             keep.append(i)
     return keep

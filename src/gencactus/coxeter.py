@@ -44,9 +44,11 @@ _LABEL_FORBIDDEN = set("{}, \t*")
 class CoxeterSystem:
     """Immutable Coxeter system: labels plus symmetric Coxeter matrix.
 
-    matrix[i][j] is the order of s_i s_j; 0 means infinite.  Derived data
-    (reflection matrices, group tables, subset classifications) is cached on
-    the instance.
+    matrix[i][j] is the order of s_i s_j; 0 means infinite.  `_cache` holds
+    the derived data that is reused, and only this module reads or writes
+    it.  Its five key kinds are "roots" (the root table), "table" (the group
+    table), "fset" (F(S) as a tuple), ("finite", I) (whether W_I is finite)
+    and ("longest", I) (w_I).
     """
 
     def __init__(self, labels: Sequence[str], matrix: Sequence[Sequence[int]]):
@@ -72,6 +74,11 @@ class CoxeterSystem:
                     raise InputError("off-diagonal entries must be 0 or >= 2")
         self.labels = labels
         self.matrix = matrix
+        # conductor of the cyclotomic field holding all Gram entries: None when
+        # every finite bond is 2 or 3 (all entries rational, plain Fractions),
+        # else 2*lcm of the bonds whose cosine is irrational
+        irrational = [m for row in matrix for m in row if m >= 4]
+        self.conductor: Optional[int] = 2 * math.lcm(*irrational) if irrational else None
         self._cache: dict = {}
 
     # -- identity ------------------------------------------------------------
@@ -117,27 +124,6 @@ class CoxeterSystem:
 
     # -- scalars ---------------------------------------------------------------
 
-    @property
-    def conductor(self) -> Optional[int]:
-        """Conductor of the cyclotomic field holding all Gram entries.
-
-        None when every finite bond is 2 or 3, so that all entries are
-        rational and plain Fractions are used.  Otherwise 2*lcm of the bonds
-        whose cosine is irrational; bonds 2 and 3 contribute rational cosines
-        and do not enlarge the field.
-        """
-        if "conductor" not in self._cache:
-            irrational = [
-                self.matrix[i][j]
-                for i in range(self.rank)
-                for j in range(i + 1, self.rank)
-                if self.matrix[i][j] >= 4
-            ]
-            self._cache["conductor"] = (
-                2 * math.lcm(*irrational) if irrational else None
-            )
-        return self._cache["conductor"]
-
     def _wrap(self, value) -> Scalar:
         if self.conductor is None:
             return Fraction(value)
@@ -159,27 +145,20 @@ class CoxeterSystem:
 
     def gram_matrix(self, t) -> Matrix:
         t = Fraction(t)
-        key = ("gram", t)
-        if key not in self._cache:
-            self._cache[key] = tuple(
-                tuple(self.bilinear_entry(i, j, t) for j in range(self.rank))
-                for i in range(self.rank)
-            )
-        return self._cache[key]
+        return tuple(
+            tuple(self.bilinear_entry(i, j, t) for j in range(self.rank))
+            for i in range(self.rank)
+        )
 
     def reflection_matrix(self, s: int, t=1) -> Matrix:
         """Matrix of the simple reflection s at parameter t, columns = images."""
         t = Fraction(t)
-        key = ("refl", s, t)
-        if key not in self._cache:
-            n = self.rank
-            zero, one = self._wrap(0), self._wrap(1)
-            rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-            for v in range(n):
-                b = self.bilinear_entry(v, s, t)
-                rows[s][v] = rows[s][v] - 2 * b
-            self._cache[key] = tuple(tuple(row) for row in rows)
-        return self._cache[key]
+        n = self.rank
+        zero, one = self._wrap(0), self._wrap(1)
+        rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        for v in range(n):
+            rows[s][v] = rows[s][v] - 2 * self.bilinear_entry(v, s, t)
+        return tuple(tuple(row) for row in rows)
 
     # -- serialized forms ------------------------------------------------------
 
@@ -370,8 +349,7 @@ def is_finite_parabolic(system: CoxeterSystem, subset: Iterable[int]) -> bool:
         if system.m(i, j) == 0:
             result = False
     if result:
-        gram = system.gram_matrix(Fraction(1))
-        sub = [[gram[a][b] for b in idx] for a in idx]
+        sub = [[system.bilinear_entry(a, b, 1) for b in idx] for a in idx]
         for k in range(1, len(idx) + 1):
             minor = determinant(tuple(tuple(row[:k]) for row in sub[:k]))
             if scalar_sign(minor) <= 0:
@@ -401,8 +379,9 @@ def _diagram_components(system: CoxeterSystem, subset: frozenset[int]) -> list[s
     return comps
 
 
-def connected_subsets(system: CoxeterSystem) -> list[frozenset[int]]:
-    """All subsets that generate a finite parabolic with no direct-product split.
+def connected_subsets(system: CoxeterSystem) -> tuple[frozenset[int], ...]:
+    """F(S): all subsets that generate a finite parabolic with no direct-product
+    split, as one immutable tuple shared by every caller.
 
     The no-split condition is evaluated as connectivity of the induced Coxeter
     diagram.  Sorted by size, then lexicographically.
@@ -420,8 +399,8 @@ def connected_subsets(system: CoxeterSystem) -> list[frozenset[int]]:
                 continue
             out.append(subset)
     out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    system._cache["fset"] = out
-    return out
+    fset = system._cache["fset"] = tuple(out)
+    return fset
 
 
 def longest_element(system: CoxeterSystem, subset: Iterable[int]) -> GroupElement:
@@ -479,20 +458,17 @@ def conjugate_subset(
     return frozenset(out)
 
 
-def enumerate_group(
-    system: CoxeterSystem, subset: Optional[Iterable[int]] = None, max_length: Optional[int] = None
-) -> list[GroupElement]:
-    """All elements of the (finite) parabolic subgroup, in BFS order.
+def enumerate_group(system: CoxeterSystem, max_length: Optional[int] = None) -> list[GroupElement]:
+    """All elements of the (finite) group W, in BFS order.
 
     BFS over right multiplication, deduplicated by key; the first visit of
     an element happens at its length, so stored words are reduced.  A right
     descent leads back to a shorter element and is skipped.  With max_length
     set, raises if the group is not exhausted within that radius.
     """
-    subset = frozenset(subset) if subset is not None else frozenset(range(system.rank))
-    if max_length is None and not is_finite_parabolic(system, subset):
-        raise InfiniteGroupError(f"infinite group: {system.format_subset(subset)}")
-    idx = sorted(subset)
+    idx = range(system.rank)
+    if max_length is None and not is_finite_parabolic(system, idx):
+        raise InfiniteGroupError(f"infinite group: {system.format_subset(idx)}")
     roots = system.root_table()
     identity = GroupElement.identity(system)
     elements = [identity]

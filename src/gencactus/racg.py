@@ -28,15 +28,13 @@ from .errors import InfiniteGroupError, InputError
 class ParabolicConjugate:
     """A subgroup w W_I w^-1 of the ambient finite group.
 
-    Identity is the element set; origin keeps one witness pair (w, I) with
-    w an element index of the ambient table and I the generating subset.
+    Identity is the element set.
     """
 
-    __slots__ = ("elements", "origin", "genset", "words", "table")
+    __slots__ = ("elements", "genset", "words", "table")
 
-    def __init__(self, elements, origin, genset, words, table):
+    def __init__(self, elements, genset, words, table):
         self.elements = frozenset(elements)
-        self.origin = origin
         self.genset = frozenset(genset)  # conjugated simple reflections
         self.words = words  # sorted tuple of reduced words (index form)
         self.table = table
@@ -66,10 +64,9 @@ def _sorted_words(table: GroupTable, elements) -> tuple:
     return tuple(sorted(table.elements[i].word for i in elements))
 
 
-def build_S(
-    system: CoxeterSystem, family: Optional[Iterable[frozenset]] = None
-) -> list[ParabolicConjugate]:
-    """All conjugates of the W_I, I in the family (default F(S)).
+def build_S(system: CoxeterSystem, family: Sequence[frozenset]) -> list[ParabolicConjugate]:
+    """All conjugates of the W_I, I in a family already checked by
+    `_checked_family`.
 
     Deduplicated by element set and ordered by (subgroup size, sorted tuple
     of element reduced words); the ordering is deterministic because BFS
@@ -77,37 +74,29 @@ def build_S(
     infinite.
     """
     table = system.group_table()
-    fam = _checked_family(system, family)
-    seen = {}
+    gensets = {}  # element set -> its conjugated simple reflections
     queue = []
-    for I in fam:
+    for I in family:
         elems = table.subgroup(I)
-        if elems in seen:
-            continue
-        genset = frozenset(table.simple_index[s] for s in I)
-        seen[elems] = (genset, (0, I))
-        queue.append(elems)
-    qi = 0
-    while qi < len(queue):
-        elems = queue[qi]
-        qi += 1
-        genset, (w_idx, I) = seen[elems]
+        if elems not in gensets:
+            gensets[elems] = frozenset(table.simple_index[s] for s in I)
+            queue.append(elems)
+    for elems in queue:  # a BFS queue: grows while walked
+        genset = gensets[elems]
         for s in range(system.rank):
             new_elems = frozenset(table.conjugate_by_gen(s, x) for x in elems)
-            if new_elems not in seen:
-                new_genset = frozenset(table.conjugate_by_gen(s, x) for x in genset)
-                seen[new_elems] = (new_genset, (table.gen_left[s][w_idx], I))
+            if new_elems not in gensets:
+                gensets[new_elems] = frozenset(table.conjugate_by_gen(s, x) for x in genset)
                 queue.append(new_elems)
-    entries = sorted(seen, key=lambda e: (len(e), _sorted_words(table, e)))
+    entries = sorted(gensets, key=lambda e: (len(e), _sorted_words(table, e)))
     return [
-        ParabolicConjugate(e, seen[e][1], seen[e][0], _sorted_words(table, e), table)
-        for e in entries
+        ParabolicConjugate(e, gensets[e], _sorted_words(table, e), table) for e in entries
     ]
 
 
-def _checked_family(system, family) -> list[frozenset]:
+def _checked_family(system, family) -> tuple[frozenset, ...]:
     if family is None:
-        return list(connected_subsets(system))
+        return connected_subsets(system)
     fam = sorted({frozenset(I) for I in family}, key=lambda I: (len(I), sorted(I)))
     full = frozenset(range(system.rank))
     for I in fam:
@@ -122,7 +111,7 @@ def _checked_family(system, family) -> list[frozenset]:
                 raise InputError(
                     "family is not closed under conjugation by longest elements"
                 )
-    return fam
+    return tuple(fam)
 
 
 def big_matrix(conjugates: Sequence[ParabolicConjugate]) -> tuple:
@@ -275,7 +264,8 @@ def semidirect_mul(a: SemidirectElement, b: SemidirectElement) -> SemidirectElem
 
 
 class RacgContext:
-    """Immutable bundle: ambient table, S, M, and embedding caches.
+    """Immutable bundle: ambient table, S, M, the letter images and the Pi
+    cache.
 
     family overrides the gamma alphabet (default: F(S)).  A custom family
     must be closed under nested conjugation I -> w_J(I) so that the defining
@@ -285,7 +275,7 @@ class RacgContext:
     def __init__(self, system: CoxeterSystem, family: Optional[Iterable[frozenset]] = None):
         self.system = system
         self.table = system.group_table()  # raises if W is infinite
-        self.family = tuple(_checked_family(system, family))
+        self.family = _checked_family(system, family)
         self.conjugates = build_S(system, self.family)
         self.M = big_matrix(self.conjugates)
         self.set_index = {pc.elements: i for i, pc in enumerate(self.conjugates)}
@@ -302,9 +292,14 @@ class RacgContext:
             for s in range(system.rank)
         ]
         self._identity_aut = InducedAutomorphism(range(len(self.conjugates)))
-        self._aut_cache: dict[int, InducedAutomorphism] = {0: self._identity_aut}
-        self._letter_cache: dict[frozenset, SemidirectElement] = {}
-        self.caches: dict = {}  # scratch space for representation layers
+        # gamma_I -> (tau_{W_I}, g_I) for every I in the family
+        self.letters = {
+            I: SemidirectElement(
+                self, (self.base_index[I],), self.induced_aut(longest_element(system, I))
+            )
+            for I in self.family
+        }
+        self.caches: dict = {}  # Pi images by ("Pi", t), filled by rep.Pi_rep
 
     def identity(self) -> SemidirectElement:
         return SemidirectElement(self, (), self._identity_aut)
@@ -315,25 +310,10 @@ class RacgContext:
             idx = self.table.element_index(w)
         else:
             idx = int(w)
-        cached = self._aut_cache.get(idx)
-        if cached is None:
-            acc = self._identity_aut
-            for s in self.table.elements[idx].word:
-                acc = acc.compose(self._gen_perms[s])
-            cached = self._aut_cache[idx] = acc
-        return cached
-
-    def _letter(self, subset: frozenset) -> SemidirectElement:
-        el = self._letter_cache.get(subset)
-        if el is None:
-            pos = self.base_index.get(subset)
-            if pos is None:
-                raise InputError(
-                    f"letter not in the generating family: {self.system.format_subset(subset)}"
-                )
-            aut = self.induced_aut(longest_element(self.system, subset))
-            el = self._letter_cache[subset] = SemidirectElement(self, (pos,), aut)
-        return el
+        acc = self._identity_aut
+        for s in self.table.elements[idx].word:
+            acc = acc.compose(self._gen_perms[s])
+        return acc
 
     def embed(self, word: CactusWord) -> SemidirectElement:
         """Image under gamma_I -> (tau_{W_I}, g_I), multiplied out left to right."""
@@ -341,11 +321,13 @@ class RacgContext:
             raise InputError("word over a different system")
         acc = self.identity()
         for letter in word.letters:
-            acc = semidirect_mul(acc, self._letter(letter))
+            el = self.letters.get(letter)
+            if el is None:
+                raise InputError(
+                    f"letter not in the generating family: {self.system.format_subset(letter)}"
+                )
+            acc = semidirect_mul(acc, el)
         return acc
-
-    def normal_form(self, word: Sequence[int]) -> tuple[int, ...]:
-        return normal_form(word, self.M)
 
     def cactus_equal(self, u: CactusWord, v: CactusWord) -> bool:
         """Word problem for C_W through the injective embedding."""

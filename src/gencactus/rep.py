@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .cactus import CactusWord, commuting_subsets
 from .coxeter import CoxeterSystem, connected_subsets, conjugate_subset
@@ -87,10 +87,10 @@ def reflection_in_form(form: BilinearForm, k: int):
     return tuple(tuple(r) for r in rows)
 
 
-def pi_prime(g: Union[InducedAutomorphism, Sequence[int]], dim: Optional[int] = None):
+def pi_prime(g: Union[InducedAutomorphism, Sequence[int]]):
     """Permutation matrix of a diagram automorphism: e_s -> e_{g(s)}."""
     perm = g.perm if isinstance(g, InducedAutomorphism) else tuple(g)
-    n = len(perm) if dim is None else dim
+    n = len(perm)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for j, p in enumerate(perm):
         rows[p][j] = Fraction(1)
@@ -105,8 +105,7 @@ def Pi_rep(ctx: RacgContext, t) -> dict:
     if cached is None:
         form = form_on_S(ctx, t)
         images = {}
-        for I in ctx.family:
-            letter = ctx._letter(I)
+        for I, letter in ctx.letters.items():
             refl = reflection_in_form(form, letter.racg_part[0])
             images[I] = mat_mul(refl, pi_prime(letter.aut_part))
         cached = ctx.caches[key] = images
@@ -269,15 +268,17 @@ def stable_lines(rep: dict) -> list:
     pieces = [(list(identity_matrix(n)), ())]
     for key in keys:
         mat = rep[key]
+        eigenspaces = []
+        for sign in (1, -1):
+            # eigenspace of sign = kernel of (M - sign*I)
+            shifted = tuple(
+                tuple(mat[i][j] - (sign if i == j else 0) for j in range(n))
+                for i in range(n)
+            )
+            eigenspaces.append((sign, kernel_basis(shifted)))
         nxt = []
         for basis, signs in pieces:
-            for sign in (1, -1):
-                # eigenspace of sign = kernel of (M - sign*I)
-                shifted = tuple(
-                    tuple(mat[i][j] - (sign if i == j else 0) for j in range(n))
-                    for i in range(n)
-                )
-                eig = kernel_basis(shifted)
+            for sign, eig in eigenspaces:
                 inter = _intersect_spans(basis, eig)
                 if inter:
                     nxt.append((inter, signs + (sign,)))
@@ -316,7 +317,10 @@ def restrict_rep(rep: dict, basis: Sequence) -> dict:
     out = {}
     for key, mat in rep.items():
         images = [mat_vec(mat, v) for v in basis]
-        coords = solve_in_span(list(basis), images)
+        try:
+            coords = solve_in_span(list(basis), images)
+        except ValueError:
+            raise SubspaceError("restriction vectors are linearly dependent") from None
         if coords is None:
             raise SubspaceError("subspace not invariant")
         out[key] = tuple(zip(*coords))
@@ -334,6 +338,9 @@ def quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
         return {}
     n = len(rep[keys[0]])
     k = len(subspace)
+    bad = [i for i in keep if not 0 <= i < n]
+    if bad:
+        raise InputError(f"keep axis {bad[0]} outside 0..{n - 1}")
     if k + len(keep) != n:
         raise SubspaceError("complement has the wrong dimension")
     cols = list(subspace) + [identity_matrix(n)[i] for i in keep]

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Union
 
 __all__ = [
-    "Rational",
     "Scalar",
     "CycloReal",
     "cyclotomic_polynomial",
@@ -30,8 +29,6 @@ __all__ = [
     "format_scalar",
     "parse_scalar",
 ]
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

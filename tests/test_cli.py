@@ -135,6 +135,31 @@ def test_quotient_default_keep(capsys):
     assert json.loads(out)["keep"] == [0, 1]
 
 
+_A2_RESTRICT = ("--restrict", "1,0,0,0", "--restrict", "0,1,0,0", "--restrict", "0,0,1,0")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # a --keep axis outside the space (the Pi space of A2 has dimension 4)
+        (("--subspace", "1,-1,1,0", "--keep", "0,1,99"), 2),
+        # a negative axis must not wrap around to the last one
+        (("--subspace", "1,-1,1", "--keep=0,-1") + _A2_RESTRICT, 2),
+        # a zero subspace vector, with the default --keep
+        (("--subspace", "0,0,0") + _A2_RESTRICT, 1),
+        # a repeated subspace vector, with the default --keep
+        (("--subspace", "1,-1,1", "--subspace", "1,-1,1") + _A2_RESTRICT, 1),
+        # dependent --restrict vectors
+        (("--restrict", "1,0,0,0", "--restrict", "2,0,0,0", "--subspace", "1,0"), 1),
+    ],
+    ids=["keep-outside", "keep-negative", "zero-subspace", "repeated-subspace", "dependent-restrict"],
+)
+def test_quotient_bad_input_is_a_clean_error(capsys, argv, want):
+    code, out, err = invoke(capsys, "quotient", "Pi", "--system", "A2", *argv)
+    assert code == want and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_diagram(capsys):
     code, out, _ = invoke(capsys, "diagram", "--system", "A2")
     assert code == 0

@@ -259,15 +259,25 @@ def test_connected_subsets_against_definition(system, name):
         if diagram_connected(sys_, I) and is_finite_parabolic(sys_, I)
     ]
     assert set(got) == set(expect)
-    assert got == sorted(got, key=lambda I: (len(I), sorted(I)))
+    assert got == tuple(sorted(got, key=lambda I: (len(I), sorted(I))))
 
 
 def test_connected_excludes_infinite_edge():
     inf = infinite_dihedral()
-    assert connected_subsets(inf) == [frozenset({0}), frozenset({1})]
+    assert connected_subsets(inf) == (frozenset({0}), frozenset({1}))
     aff = affine_triangle()
     assert frozenset({0, 1, 2}) not in connected_subsets(aff)
     assert frozenset({0, 1}) in connected_subsets(aff)
+
+
+def test_connected_subsets_is_one_shared_tuple():
+    # F(S) is cached on the system; callers must not be able to change it
+    sys_ = CoxeterSystem.from_name("B3")
+    first = connected_subsets(sys_)
+    assert isinstance(first, tuple)
+    assert connected_subsets(sys_) is first
+    with pytest.raises(AttributeError):
+        first.append(frozenset({0, 2}))
 
 
 # -- longest elements and subset conjugation ---------------------------------

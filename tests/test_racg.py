@@ -11,6 +11,7 @@ from gencactus.coxeter import (
     conjugate_subset,
     longest_element,
 )
+from gencactus import racg
 from gencactus.errors import InputError
 from gencactus.racg import (
     InducedAutomorphism,
@@ -114,6 +115,21 @@ def test_family_validation_errors(system):
         RacgContext(a2, family=[frozenset()])
     with pytest.raises(InputError):
         RacgContext(a2, family=[frozenset({0, 5})])
+
+
+@pytest.mark.parametrize("family", [None, [frozenset({0}), frozenset({1}), frozenset({0, 1})]])
+def test_family_checked_once_per_context(system, monkeypatch, family):
+    calls = []
+    checked = racg._checked_family
+
+    def counting(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(racg, "_checked_family", counting)
+    ctx = RacgContext(system("A2"), family=family)
+    assert len(calls) == 1
+    assert ctx.family == connected_subsets(ctx.system)
 
 
 def test_fiat_family_i22(system):
@@ -273,6 +289,14 @@ def test_embed_letters_are_involutions(context):
             letter = CactusWord(ctx.system, [I])
             sq = ctx.embed(letter * letter)
             assert sq.is_identity()
+
+
+@pytest.mark.parametrize("name", ["A2", "A4", "B3", "H3", "D4"])
+def test_letters_are_the_embedded_generators(name):
+    ctx = get_context(name)
+    assert list(ctx.letters) == list(ctx.family)
+    for I, letter in ctx.letters.items():
+        assert letter == ctx.embed(CactusWord(ctx.system, [I]))
 
 
 def test_embed_is_homomorphism(context):

@@ -134,7 +134,7 @@ def test_pi_intertwines_permutation_and_reflections(context):
     form = form_on_S(ctx, F(2))
     n = form.dim
     for I in ctx.family:
-        g = ctx._letter(I).aut_part
+        g = ctx.letters[I].aut_part
         p = pi_prime(g)
         pinv = pi_prime(g.inverse())
         for k in range(n):
