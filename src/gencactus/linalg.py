@@ -1,15 +1,20 @@
-"""Exact dense linear algebra over Fraction or CycloReal entries.
+"""Exact linear algebra over Fraction or CycloReal entries.
 
 Matrices are immutable tuples of row tuples.  Everything here is pivot-exact:
-zero tests reduce to exact scalar equality.  Determinants, inverses, kernels
-and span membership all read the result of one Gauss-Jordan elimination,
-`_row_reduce`.  Kernels come back as the reduced basis: one vector per free
-column, in ascending order, with 1 on its own free column and 0 on the
-other free columns.
+zero tests reduce to exact scalar equality.  Products walk only the nonzero
+entries of both factors, so the nearly monomial matrices of the Pi
+representation multiply in time proportional to their nonzeros; over
+Fractions every zero of a product is one shared object and every row whose
+only nonzero is 1 is the shared row of `identity_matrix`.  Determinants,
+inverses, kernels and span membership all read the result of one
+Gauss-Jordan elimination, `_row_reduce`.  Kernels come back as the reduced
+basis: one vector per free column, in ascending order, with 1 on its own
+free column and 0 on the other free columns.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,17 +37,46 @@ def _exact_rows(a) -> list[list]:
     return [[_exact(x) for x in row] for row in a]
 
 
+@functools.cache
 def identity_matrix(n: int) -> Matrix:
+    """The n x n identity over Fractions; one shared object per n."""
     return tuple(
         tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
     )
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """Exact product a*b that walks only the nonzero entries of a and b.
+
+    With entries of one scalar type (Fraction, or CycloReal at one
+    conductor) every entry has the value, type and conductor of the dense
+    sum.  The zeros of the result are one shared zero and, over Fractions,
+    a row whose only nonzero is 1 is the shared row of `identity_matrix`.
+    """
+    if not a or not b or not b[0]:
+        return tuple(() for _ in a)
+    m = len(b[0])
+    zero = a[0][0] * b[0][0] * 0
+    units = None
+    if type(zero) is Fraction:
+        zero, units = _ZERO, identity_matrix(m)
+    bsupport = [[(k, y) for k, y in enumerate(row) if y != 0] for row in b]
+    out = []
+    for row in a:
+        acc = {}
+        for x, support in zip(row, bsupport):
+            if x != 0:
+                for k, y in support:
+                    acc[k] = acc[k] + x * y if k in acc else x * y
+        hits = [(k, v) for k, v in acc.items() if v != 0]
+        if units is not None and len(hits) == 1 and hits[0][1] == 1:
+            out.append(units[hits[0][0]])
+            continue
+        new = [zero] * m
+        for k, v in hits:
+            new[k] = v
+        out.append(tuple(new))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v: Sequence) -> Vector:

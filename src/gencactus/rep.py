@@ -25,6 +25,7 @@ from .linalg import (
     mat_mul,
     mat_vec,
     solve_in_span,
+    transpose,
 )
 from .racg import InducedAutomorphism, RacgContext, SemidirectElement
 
@@ -153,14 +154,22 @@ def rho_generator(system: CoxeterSystem, I, t):
     the form, global or restricted, is an error since the decomposition
     stops being direct there.
     """
-    return _rho_assemble(system, frozenset(I), Fraction(t), form_on_fset(system, t))
+    t = Fraction(t)
+    return _rho_assemble(system, frozenset(I), t, _nondegenerate_form(system, t))
 
 
 def rho_rep(system: CoxeterSystem, t) -> dict:
     """All generator images I -> rho_I at parameter t."""
     t = Fraction(t)
-    form = form_on_fset(system, t)
+    form = _nondegenerate_form(system, t)
     return {I: _rho_assemble(system, I, t, form) for I in connected_subsets(system)}
+
+
+def _nondegenerate_form(system, t):
+    form = form_on_fset(system, t)
+    if determinant(form.gram) == 0:
+        raise DegenerateFormError(f"degenerate form at t = {t}: full space")
+    return form
 
 
 def _rho_assemble(system, I, t, form):
@@ -169,8 +178,6 @@ def _rho_assemble(system, I, t, form):
     if I not in pos:
         raise InputError(f"not a connected finite-type subset: {system.format_subset(I)}")
     n = len(fset)
-    if determinant(form.gram) == 0:
-        raise DegenerateFormError(f"degenerate form at t = {t}: full space")
     cols = [identity_matrix(n)[pos[I]]]
     done = set()
     for J in fset:
@@ -341,6 +348,8 @@ def quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
     bad = [i for i in keep if not 0 <= i < n]
     if bad:
         raise InputError(f"keep axis {bad[0]} outside 0..{n - 1}")
+    if kernel_basis(transpose(subspace)):
+        raise SubspaceError("subspace vectors are linearly dependent")
     if k + len(keep) != n:
         raise SubspaceError("complement has the wrong dimension")
     cols = list(subspace) + [identity_matrix(n)[i] for i in keep]

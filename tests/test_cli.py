@@ -139,25 +139,34 @@ _A2_RESTRICT = ("--restrict", "1,0,0,0", "--restrict", "0,1,0,0", "--restrict", 
 
 
 @pytest.mark.parametrize(
-    "argv, want",
+    "argv, want, says",
     [
         # a --keep axis outside the space (the Pi space of A2 has dimension 4)
-        (("--subspace", "1,-1,1,0", "--keep", "0,1,99"), 2),
+        (("--subspace", "1,-1,1,0", "--keep", "0,1,99"), 2, "keep axis 99"),
         # a negative axis must not wrap around to the last one
-        (("--subspace", "1,-1,1", "--keep=0,-1") + _A2_RESTRICT, 2),
+        (("--subspace", "1,-1,1", "--keep=0,-1") + _A2_RESTRICT, 2, "keep axis -1"),
         # a zero subspace vector, with the default --keep
-        (("--subspace", "0,0,0") + _A2_RESTRICT, 1),
+        (("--subspace", "0,0,0") + _A2_RESTRICT, 1, "subspace vectors are linearly dependent"),
         # a repeated subspace vector, with the default --keep
-        (("--subspace", "1,-1,1", "--subspace", "1,-1,1") + _A2_RESTRICT, 1),
+        (("--subspace", "1,-1,1", "--subspace", "1,-1,1") + _A2_RESTRICT, 1,
+         "subspace vectors are linearly dependent"),
         # dependent --restrict vectors
-        (("--restrict", "1,0,0,0", "--restrict", "2,0,0,0", "--subspace", "1,0"), 1),
+        (("--restrict", "1,0,0,0", "--restrict", "2,0,0,0", "--subspace", "1,0"), 1,
+         "restriction vectors are linearly dependent"),
+        # a zero subspace vector, with an explicit --keep: the subspace is at
+        # fault, not the axes
+        (("--subspace", "0,0,0,0", "--keep", "0,1,2"), 1, "subspace vectors are linearly dependent"),
     ],
-    ids=["keep-outside", "keep-negative", "zero-subspace", "repeated-subspace", "dependent-restrict"],
+    ids=[
+        "keep-outside", "keep-negative", "zero-subspace", "repeated-subspace",
+        "dependent-restrict", "zero-subspace-explicit-keep",
+    ],
 )
-def test_quotient_bad_input_is_a_clean_error(capsys, argv, want):
+def test_quotient_bad_input_is_a_clean_error(capsys, argv, want, says):
     code, out, err = invoke(capsys, "quotient", "Pi", "--system", "A2", *argv)
     assert code == want and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert says in err
 
 
 def test_diagram(capsys):

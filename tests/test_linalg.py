@@ -15,6 +15,7 @@ from gencactus.linalg import (
     solve_in_span,
     transpose,
 )
+from gencactus.rep import Pi_rep, form_on_S, pi_prime, reflection_in_form
 from gencactus.scalar import CycloReal, cos_pi_over
 
 
@@ -158,6 +159,132 @@ def test_transpose():
     assert transpose(transpose(a)) == a
 
 
+# -- products against the dense oracle --------------------------------------------
+
+
+def dense_mat_mul(a, b):
+    """The dense product `mat_mul` replaced, kept as its oracle."""
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def assert_same_product(a, b):
+    got, want = mat_mul(a, b), dense_mat_mul(a, b)
+    assert len(got) == len(want)
+    for grow, wrow in zip(got, want):
+        assert len(grow) == len(wrow)
+        for x, y in zip(grow, wrow):
+            assert x == y
+            assert type(x) is type(y)
+            assert getattr(x, "conductor", None) == getattr(y, "conductor", None)
+
+
+def _sparse_matrix(rng, n, m, density):
+    return tuple(
+        tuple(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < density
+            else Fraction(0)
+            for _ in range(m)
+        )
+        for _ in range(n)
+    )
+
+
+def _monomial_matrix(rng, n, scaled):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    eye = identity_matrix(n)
+    if not scaled:
+        return tuple(eye[p] for p in perm)
+    return tuple(
+        tuple(Fraction(rng.choice([-2, -1, 1, 3])) if j == p else Fraction(0) for j in range(n))
+        for p in perm
+    )
+
+
+def test_mat_mul_matches_dense_on_fractions():
+    rng = random.Random(3)
+    for _ in range(40):
+        n, r, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.choice([0.2, 0.5, 1.0])
+        assert_same_product(_sparse_matrix(rng, n, r, density), _sparse_matrix(rng, r, m, density))
+    for n, r, m in ((1, 1, 1), (2, 3, 4), (4, 1, 2)):
+        zeros = _sparse_matrix(rng, n, r, 0.0), _sparse_matrix(rng, r, m, 0.0)
+        assert_same_product(*zeros)
+        assert_same_product(zeros[0], _sparse_matrix(rng, r, m, 1.0))
+    for n in range(1, 7):
+        for scaled_a, scaled_b in itertools.product((False, True), repeat=2):
+            a, b = _monomial_matrix(rng, n, scaled_a), _monomial_matrix(rng, n, scaled_b)
+            assert_same_product(a, b)
+            # a monomial factor on either side of a full one, and the identity
+            full = _sparse_matrix(rng, n, n, 1.0)
+            assert_same_product(a, full)
+            assert_same_product(full, b)
+            assert_same_product(identity_matrix(n), full)
+    # entries that cancel to zero, and a row that cancels down to a unit row
+    half = Fraction(1, 2)
+    assert_same_product(((Fraction(1), Fraction(1)),), ((Fraction(1),), (Fraction(-1),)))
+    assert_same_product(
+        ((half, half),), ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1)))
+    )
+    assert mat_mul((), ((Fraction(1),),)) == dense_mat_mul((), ((Fraction(1),),))
+    assert mat_mul(((Fraction(1),),), ()) == dense_mat_mul(((Fraction(1),),), ())
+
+
+def test_mat_mul_shares_the_zero_and_the_unit_rows():
+    eye = identity_matrix(3)
+    zero = eye[0][1]
+    swap = (eye[1], eye[0], eye[2])
+    two = Fraction(2)
+    a = ((Fraction(0), two, Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)), (two, two, two))
+    prod = mat_mul(swap, a)
+    assert prod[0] is eye[0]
+    assert prod[1][1] == two and prod[1][0] is zero and prod[1][2] is zero
+    assert prod[2] == (two, two, two)
+    assert all(row is unit for row, unit in zip(mat_mul(swap, swap), eye))
+    assert identity_matrix(3) is eye
+    # entries that cancel are the shared zero too, so the row below is a unit row
+    half, one = Fraction(1, 2), Fraction(1)
+    cancelled = mat_mul(((half, half),), ((one, one), (one, -one)))
+    assert cancelled[0] is identity_matrix(2)[0]
+    assert mat_mul(((one, one),), ((one,), (-one,)))[0][0] is zero
+
+
+@pytest.mark.parametrize("name", ["H3", "B3", "I2(5)", "F4"])
+def test_mat_mul_matches_dense_on_reflection_matrices(system, name):
+    sys_ = system(name)
+    refl = [sys_.reflection_matrix(s) for s in range(sys_.rank)]
+    assert any(isinstance(x, CycloReal) for m in refl for row in m for x in row)
+    for r, s in itertools.product(refl, repeat=2):
+        assert_same_product(r, s)
+    # a product that fills up, one letter at a time
+    rng = random.Random(sys_.rank)
+    acc = refl[0]
+    for _ in range(8):
+        nxt = rng.choice(refl)
+        assert_same_product(acc, nxt)
+        acc = mat_mul(acc, nxt)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "H3", "D4", "B4"])
+def test_pi_images_match_dense(context, name):
+    ctx = context(name)
+    for t in (Fraction(2), Fraction(5, 2)):
+        images = Pi_rep(ctx, t)
+        form = form_on_S(ctx, t)
+        keys = list(images)
+        for i, (I, letter) in enumerate(ctx.letters.items()):
+            refl = reflection_in_form(form, letter.racg_part[0])
+            perm = pi_prime(letter.aut_part)
+            assert_same_product(refl, perm)
+            assert images[I] == mat_mul(refl, perm)
+            if len(refl) < 20:
+                # products of images, as the relation checks form them
+                assert_same_product(images[I], images[keys[(i + 1) % len(keys)]])
+
+
 # -- cyclotomic entries ---------------------------------------------------------
 
 
@@ -259,3 +386,11 @@ def test_cyclotomic_solve_in_span(m):
             else:
                 with pytest.raises(ValueError):
                     solve_in_span(cols + cols[:1], targets)
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_mat_mul_matches_dense_on_cyclotomic_matrices(m):
+    rng = random.Random(30 + m)
+    c = cos_pi_over(m)
+    for n, r, k in ((1, 1, 1), (2, 3, 2), (4, 4, 4), (3, 2, 4)):
+        assert_same_product(_cyclo_matrix(rng, c, n, r), _cyclo_matrix(rng, c, r, k, rank=1))

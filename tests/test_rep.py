@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gencactus import rep as rep_module
 from gencactus.cactus import CactusWord, parse_word
 from gencactus.errors import DegenerateFormError, InputError, SubspaceError
 from gencactus.linalg import determinant, identity_matrix, mat_mul, transpose
@@ -99,6 +100,25 @@ def test_rho_generator_rejects_non_family_subset(system):
         rho_generator(a3, frozenset({0, 2}), F(2))
 
 
+def test_rho_checks_the_full_form_once(system, monkeypatch):
+    sys_ = system("A4")
+    gram = form_on_fset(sys_, F(2)).gram
+    full = []
+
+    def counting(m):
+        full.append(m == gram)
+        return determinant(m)
+
+    monkeypatch.setattr(rep_module, "determinant", counting)
+    rho = rho_rep(sys_, F(2))
+    assert full.count(True) == 1 and len(full) == 1 + len(rho)
+    full.clear()
+    rho_generator(sys_, frozenset({0, 1}), F(2))
+    assert full == [True, False]
+    with pytest.raises(DegenerateFormError, match="^degenerate form at t = 1: full space$"):
+        rho_generator(sys_, frozenset({0}), F(1))
+
+
 def test_rho_preserves_its_form(system):
     sys_ = system("B2")
     t = F(3)
@@ -149,6 +169,15 @@ def test_check_relations_passes(context):
     assert report.ok
     assert report.checked == 5
     assert "all 5 relations hold" == report.summary()
+
+
+@pytest.mark.parametrize("name, count", [("D4", 45), ("F4", 40)])
+def test_check_relations_passes_on_d4_and_f4(context, name, count):
+    # one involution per letter, one relation per commuting and per nested
+    # pair; F4's diagram is a path, so it has A4's count
+    ctx = context(name)
+    report = check_relations(ctx.system, Pi_rep(ctx, F(2)))
+    assert report.ok and report.checked == count
 
 
 def test_check_relations_detects_violations(context):
@@ -223,6 +252,10 @@ def test_quotient_errors(context):
         quotient_rep(r3, [(1, 0, 0)], keep=[0, 1])  # axes not transverse
     with pytest.raises(SubspaceError):
         quotient_rep(r3, [(1, 0, 0)], keep=[1, 2])  # not invariant
+    with pytest.raises(SubspaceError, match="subspace vectors are linearly dependent"):
+        quotient_rep(r3, [(0, 0, 0)], keep=[0, 1])
+    with pytest.raises(SubspaceError, match="subspace vectors are linearly dependent"):
+        quotient_rep(r3, [(1, -1, 1), (2, -2, 2)], keep=[0])
 
 
 def test_signed_permutation_degeneration(system, context):
