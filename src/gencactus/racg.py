@@ -3,13 +3,17 @@
 Everything here needs W finite.  A context enumerates the set S of parabolic
 conjugates w W_I w^-1 once, computes the big right-angled Coxeter matrix M on
 it, and exposes the embedding gamma_I -> (tau_{W_I}, g_I) into the semidirect
-product.  Words in the big group are canonicalized by deletion to a reduced
-word followed by the lexicographically least commutation shuffle, which
-solves the word problem there and, through the embedding, equality in C_W.
+product.  Words in the big group are canonicalized in two steps: letters are
+pushed one at a time onto a reduced word, each cancelling or appending after
+a back-scan over commuting letters (O(L) per letter), and the reduced word is
+then read off as its lexicographically least commutation shuffle with a heap
+(O(L log L) for a bounded alphabet).  That solves the word problem there and,
+through the embedding, equality in C_W.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Optional, Sequence
 
 from .cactus import CactusWord, is_pure
@@ -145,43 +149,72 @@ def _commute(table: GroupTable, a: ParabolicConjugate, b: ParabolicConjugate) ->
     )
 
 
+def _push(w: list, x: int, M) -> None:
+    """Multiply the reduced word w by the letter x, in place.
+
+    Scanning back from the end, x cancels the first equal letter it reaches
+    across letters that commute with it; at the first letter that does not
+    commute it stops and is appended.  This is Tits' solution of the word
+    problem, right-angled case: w stays reduced, at O(|w|) per letter.
+    """
+    row = M[x]
+    for i in range(len(w) - 1, -1, -1):
+        y = w[i]
+        if y == x:
+            del w[i]
+            return
+        if row[y] != 2:
+            break
+    w.append(x)
+
+
+def _lex(w: Sequence[int], M) -> tuple[int, ...]:
+    """The lexicographically least word commutation-equivalent to w.
+
+    Position p must follow the last earlier occurrence of each letter that
+    does not commute with w[p]; those edges generate the dependence order,
+    and two equal letters are never available together.  A heap keyed on
+    (letter, position) emits the least available letter each step, in
+    O(|w| (d + log |w|)) for d distinct letters in w.
+    """
+    waiting = [0] * len(w)  # unemitted predecessors of each position
+    after = [[] for _ in w]
+    last = {}  # letter -> its last position so far
+    for p, x in enumerate(w):
+        row = M[x]
+        for y, q in last.items():
+            if row[y] != 2:  # also y == x: the diagonal of M is 1
+                after[q].append(p)
+                waiting[p] += 1
+        last[x] = p
+    heap = [(x, p) for p, x in enumerate(w) if not waiting[p]]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        x, p = heapq.heappop(heap)
+        out.append(x)
+        for r in after[p]:
+            waiting[r] -= 1
+            if not waiting[r]:
+                heapq.heappush(heap, (w[r], r))
+    return tuple(out)
+
+
 def normal_form(word: Sequence[int], M: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Canonical form of a word in the big right-angled group.
 
-    Deletes equal pairs separated only by letters commuting with them until
-    the word is reduced, then emits the lexicographically least commutation
-    shuffle by greedy selection of the smallest available letter.  Words are
-    equal in the group iff their normal forms coincide.
+    Pushes the letters one at a time onto a reduced word (`_push`, O(L) per
+    letter), then reads off the lexicographically least commutation shuffle
+    of the result with a heap (`_lex`).  Words are equal in the group iff
+    their normal forms coincide.
     """
     n = len(M)
-    w = list(word)
-    for x in w:
+    w: list[int] = []
+    for x in word:
         if not isinstance(x, int) or not 0 <= x < n:
             raise InputError(f"letter out of range for S: {x!r}")
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(w)):
-            for j in range(i + 1, len(w)):
-                if w[j] == w[i]:
-                    del w[j]
-                    del w[i]
-                    changed = True
-                    break
-                if M[w[i]][w[j]] != 2:
-                    break
-            if changed:
-                break
-    out = []
-    while w:
-        best = None
-        for p in range(len(w)):
-            if (best is None or w[p] < w[best]) and all(
-                M[w[q]][w[p]] == 2 for q in range(p)
-            ):
-                best = p
-        out.append(w.pop(best))
-    return tuple(out)
+        _push(w, x, M)
+    return _lex(w, M)
 
 
 class InducedAutomorphism:
@@ -252,15 +285,24 @@ class SemidirectElement:
         return f"SemidirectElement(racg={list(self.racg_part)}, aut={list(self.aut_part.perm)})"
 
 
+def _times(w: list, g: InducedAutomorphism, b: SemidirectElement, M) -> InducedAutomorphism:
+    """Right-multiply (w, g) by b: push g(b.racg_part) onto the reduced word
+    w in place and return g . b.aut_part.  w is left reduced, not lex-ordered.
+    """
+    perm = g.perm
+    for i in b.racg_part:
+        _push(w, perm[i], M)
+    return g.compose(b.aut_part)
+
+
 def semidirect_mul(a: SemidirectElement, b: SemidirectElement) -> SemidirectElement:
     """(t1, g1)(t2, g2) = (t1 . g1(t2), g1 . g2), renormalized."""
     if a.context is not b.context:
         raise InputError("elements from different contexts")
     ctx = a.context
-    word = a.racg_part + tuple(a.aut_part(i) for i in b.racg_part)
-    return SemidirectElement(
-        ctx, normal_form(word, ctx.M), a.aut_part.compose(b.aut_part)
-    )
+    w = list(a.racg_part)
+    g = _times(w, a.aut_part, b, ctx.M)
+    return SemidirectElement(ctx, _lex(w, ctx.M), g)
 
 
 class RacgContext:
@@ -316,18 +358,20 @@ class RacgContext:
         return acc
 
     def embed(self, word: CactusWord) -> SemidirectElement:
-        """Image under gamma_I -> (tau_{W_I}, g_I), multiplied out left to right."""
+        """Image under gamma_I -> (tau_{W_I}, g_I), multiplied out left to
+        right on one reduced word, which is lex-ordered once at the end."""
         if word.system != self.system:
             raise InputError("word over a different system")
-        acc = self.identity()
+        w: list[int] = []
+        g = self._identity_aut
         for letter in word.letters:
             el = self.letters.get(letter)
             if el is None:
                 raise InputError(
                     f"letter not in the generating family: {self.system.format_subset(letter)}"
                 )
-            acc = semidirect_mul(acc, el)
-        return acc
+            g = _times(w, g, el, self.M)
+        return SemidirectElement(self, _lex(w, self.M), g)
 
     def cactus_equal(self, u: CactusWord, v: CactusWord) -> bool:
         """Word problem for C_W through the injective embedding."""

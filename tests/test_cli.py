@@ -75,6 +75,20 @@ def test_normalize(capsys):
     assert data["aut"] == [0, 1, 2, 3]
 
 
+def test_normalize_long_word_times_its_inverse(capsys):
+    letters = ["g{s1}", "g{s2,s3}", "g{s2,s4}", "g{s1,s2,s3,s4}", "g{s3}", "g{s1,s2}"]
+    half = [letters[(7 * i + i // 5) % len(letters)] for i in range(1000)]
+    code, out, _ = invoke(capsys, "--system", "D4", "normalize", " ".join(half), "--format", "json")
+    assert code == 0 and len(json.loads(out)["racg"]) > 100
+    word = " ".join(half + half[::-1])
+    code, out, _ = invoke(capsys, "--system", "D4", "normalize", word, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["racg"] == []
+    assert data["aut"] == list(range(len(data["aut"])))
+    assert len(data["aut"]) == 41
+
+
 def test_sset(capsys):
     code, out, _ = invoke(capsys, "sset", "--system", "A2", "--format", "json")
     data = json.loads(out)

@@ -21,6 +21,9 @@ from gencactus.racg import (
 )
 
 from conftest import get_context, get_system
+import oracle_racg
+
+LADDER = ["A2", "A3", "B3", "H3", "A4", "D4", "B4"]
 
 
 # -- the set of parabolic conjugates and its commutation matrix ---------------
@@ -182,7 +185,7 @@ def apply_move(word, move, M, rng):
     return tuple(w)
 
 
-@pytest.mark.parametrize("name", ["A2", "B2"])
+@pytest.mark.parametrize("name", ["A2", "B2"] + LADDER[1:])
 def test_normal_form_invariant_under_moves(name):
     ctx = get_context(name)
     M = ctx.M
@@ -206,6 +209,103 @@ def test_normal_form_is_involution_class_function(word):
     word = tuple(word)
     back = tuple(reversed(word))
     assert normal_form(word + back, A2_M) == ()
+
+
+def oracle_words(rng, n):
+    """Seeded words over 0..n-1 with L <= 60: full and small sub-alphabets
+    (many commutations, few letters) and words with squares x x inserted
+    (cancellations across the word)."""
+    words = []
+    for k in range(320):
+        size = n if k % 4 == 0 else rng.randint(1, min(n, 4 + k % 5))
+        alphabet = rng.sample(range(n), size)
+        word = [rng.choice(alphabet) for _ in range(rng.randrange(41))]
+        if k % 2:
+            for _ in range(rng.randint(1, 10)):
+                x = rng.choice(alphabet)
+                p = rng.randint(0, len(word))
+                word[p:p] = [x, x]
+        words.append(tuple(word))
+    return words
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_normal_form_matches_oracle(name):
+    M = get_context(name).M
+    rng = random.Random(sum(map(ord, name)))
+    words = oracle_words(rng, len(M))
+    assert len(words) >= 300
+    for word in words:
+        assert normal_form(word, M) == oracle_racg.normal_form(word, M), word
+
+
+def oracle_embed(ctx, word):
+    # left fold of semidirect products, each renormalized by the oracle
+    racg_part, aut = (), ctx.identity().aut_part
+    for I in word.letters:
+        el = ctx.letters[I]
+        racg_part = oracle_racg.normal_form(
+            racg_part + tuple(aut(i) for i in el.racg_part), ctx.M
+        )
+        aut = aut.compose(el.aut_part)
+    return racg_part, aut
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_embed_matches_oracle_fold(name):
+    ctx = get_context(name)
+    fam = list(ctx.family)
+    rng = random.Random(41 + len(fam))
+    lengths = [0, 1, 2, 10, 30, 60] + ([300] if name in ("A4", "D4", "H3") else [])
+    for L in lengths:
+        word = CactusWord(ctx.system, [rng.choice(fam) for _ in range(L)])
+        h = ctx.embed(word)
+        assert (h.racg_part, h.aut_part) == oracle_embed(ctx, word), L
+
+
+# -- long words -----------------------------------------------------------------
+
+
+def relation_scramble(rng, word, moves):
+    """A word equal to `word` in C_W: random defining relations, both ways.
+
+    g_I g_J -> g_J g_{w_J(I)} for I inside J, g_J g_I -> g_{w_J(I)} g_J for
+    I inside J, and g_I g_J -> g_J g_I for commuting I, J.
+    """
+    sys_ = word.system
+    w = list(word.letters)
+    for _ in range(moves):
+        p = rng.randrange(len(w) - 1)
+        a, b = w[p], w[p + 1]
+        if a < b:
+            w[p : p + 2] = [b, conjugate_subset(sys_, b, a)]
+        elif b < a:
+            w[p : p + 2] = [conjugate_subset(sys_, a, b), a]
+        elif commuting_subsets(sys_, a, b):
+            w[p : p + 2] = [b, a]
+    return CactusWord(sys_, w)
+
+
+def test_long_word_times_its_inverse_is_identity():
+    ctx = get_context("D4")
+    fam = list(ctx.family)
+    rng = random.Random(5000)
+    u = CactusWord(ctx.system, [rng.choice(fam) for _ in range(5000)])
+    assert len(ctx.embed(u).racg_part) > 1000
+    assert ctx.embed(u * u.inverse()).is_identity()
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "H3"])
+def test_long_word_equal_to_its_scramble(name):
+    ctx = get_context(name)
+    fam = list(ctx.family)
+    rng = random.Random(1000)
+    u = CactusWord(ctx.system, [rng.choice(fam) for _ in range(1000)])
+    v = relation_scramble(rng, u, 4000)
+    assert v != u
+    assert ctx.cactus_equal(u, v)
+    longer = relation_scramble(rng, u * CactusWord(ctx.system, [rng.choice(fam)]), 4000)
+    assert not ctx.cactus_equal(u, longer)
 
 
 # -- induced automorphisms -----------------------------------------------------
