@@ -9,7 +9,8 @@ only nonzero is 1 is the shared row of `identity_matrix`.  Determinants,
 inverses, kernels and span membership all read the result of one
 Gauss-Jordan elimination, `_row_reduce`.  Kernels come back as the reduced
 basis: one vector per free column, in ascending order, with 1 on its own
-free column and 0 on the other free columns.
+free column and 0 on the other free columns; `reduced_basis` puts any
+spanning set of a subspace in that form.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         return tuple(() for _ in a)
     m = len(b[0])
     zero = a[0][0] * b[0][0] * 0
-    units = None
-    if type(zero) is Fraction:
-        zero, units = _ZERO, identity_matrix(m)
     bsupport = [[(k, y) for k, y in enumerate(row) if y != 0] for row in b]
     out = []
     for row in a:
@@ -68,15 +66,25 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             if x != 0:
                 for k, y in support:
                     acc[k] = acc[k] + x * y if k in acc else x * y
-        hits = [(k, v) for k, v in acc.items() if v != 0]
-        if units is not None and len(hits) == 1 and hits[0][1] == 1:
-            out.append(units[hits[0][0]])
-            continue
-        new = [zero] * m
-        for k, v in hits:
-            new[k] = v
-        out.append(tuple(new))
+        out.append(_sparse_row([(k, v) for k, v in acc.items() if v != 0], m, zero))
     return tuple(out)
+
+
+def _sparse_row(hits, m: int, zero) -> Vector:
+    """The row of width m whose nonzero entries are the (column, value) hits.
+
+    zero is a zero of the entries' type.  Over Fractions every zero is the
+    shared `_ZERO` and a row whose only nonzero is 1 is the shared row of
+    `identity_matrix(m)`.
+    """
+    if type(zero) is Fraction:
+        if len(hits) == 1 and hits[0][1] == 1:
+            return identity_matrix(m)[hits[0][0]]
+        zero = _ZERO
+    row = [zero] * m
+    for k, v in hits:
+        row[k] = v
+    return tuple(row)
 
 
 def mat_vec(a: Matrix, v: Sequence) -> Vector:
@@ -152,6 +160,19 @@ def kernel_basis(a: Matrix) -> list[Vector]:
             vec[col] = -row[free]
         basis.append(tuple(vec))
     return basis
+
+
+def reduced_basis(vectors: Sequence[Vector]) -> list[Vector]:
+    """The reduced basis of the span of vectors, read from the last coordinate.
+
+    Each vector is 1 on its own coordinate and 0 on the others' coordinates,
+    the coordinates are chosen greedily from the last one, and the vectors
+    run in ascending order of their own coordinate.  It depends on the span
+    alone; for the kernel of a matrix it is `kernel_basis`.
+    """
+    rows = [row[::-1] for row in _exact_rows(vectors)]
+    rank = len(_row_reduce(rows, len(rows[0]) if rows else 0)[0])
+    return [tuple(row[::-1]) for row in reversed(rows[:rank])]
 
 
 def solve_in_span(columns: Sequence[Vector], targets: Sequence[Vector]):

@@ -1,11 +1,15 @@
 """Exact linear representations on the F(S)-indexed and S-indexed spaces.
 
 rho acts on E = R^F(S) through the orthogonal decomposition
-R e_I + E_I + F_I; Pi acts on the span of the parabolic conjugates through
-reflections of the big right-angled form composed with relabeling
-permutations.  All arithmetic is exact: entries are Fractions here (the
-geometric representation of W itself, with its cyclotomic entries, lives in
-the coxeter module).
+R e_I + E_I + F_I, in the closed form rho_I = 1 - 2 C G^-1 (BC)^T of the
+reflection in the span C of R e_I + E_I (one k x k solve, k = dim C); Pi
+acts on the span of the parabolic conjugates through reflections of the big
+right-angled form composed with relabeling permutations.  Stable lines split
+the space into simultaneous eigenspaces piece by piece, with one small
+kernel per piece and sign.  All arithmetic is exact: entries are Fractions
+here (the geometric representation of W itself, with its cyclotomic
+entries, lives in the coxeter module), and image rows share the zero and
+the unit rows of `identity_matrix` as `mat_mul` does.
 """
 
 from __future__ import annotations
@@ -18,12 +22,14 @@ from .cactus import CactusWord, commuting_subsets
 from .coxeter import CoxeterSystem, connected_subsets, conjugate_subset
 from .errors import DegenerateFormError, InputError, SubspaceError
 from .linalg import (
+    _sparse_row,
     determinant,
     identity_matrix,
     kernel_basis,
     mat_inverse,
     mat_mul,
     mat_vec,
+    reduced_basis,
     solve_in_span,
     transpose,
 )
@@ -137,11 +143,6 @@ def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
     raise InputError(f"cannot represent object of type {type(x).__name__}")
 
 
-def _bilinear(gram, a, b):
-    gb = mat_vec(gram, b)
-    return sum((x * y for x, y in zip(a, gb)), Fraction(0))
-
-
 def _subset_key(I):
     return (len(I), sorted(I))
 
@@ -150,9 +151,10 @@ def rho_generator(system: CoxeterSystem, I, t):
     """Involution rho_I: -1 on R e_I + E_I, +1 on the orthocomplement F_I.
 
     E_I is spanned by the differences e_J - e_{w_I(J)} over proper
-    F(S)-subsets J of I; F_I is computed as an exact kernel.  Degeneracy of
-    the form, global or restricted, is an error since the decomposition
-    stops being direct there.
+    F(S)-subsets J of I; with C those columns and e_I, G = C^T B C the
+    restricted Gram, rho_I = 1 - 2 C G^-1 (BC)^T, so F_I is never formed.
+    Degeneracy of the form, global or restricted, is an error since the
+    decomposition stops being direct there.
     """
     t = Fraction(t)
     return _rho_assemble(system, frozenset(I), t, _nondegenerate_form(system, t))
@@ -178,7 +180,10 @@ def _rho_assemble(system, I, t, form):
     if I not in pos:
         raise InputError(f"not a connected finite-type subset: {system.format_subset(I)}")
     n = len(fset)
-    cols = [identity_matrix(n)[pos[I]]]
+    # the spanning columns of R e_I + E_I: e_I, then e_J - e_J2 for each
+    # w_I-orbit {J, J2} of proper subsets; the orbits are disjoint, so every
+    # coordinate lies in the support of at most one column
+    cols = [(pos[I], None)]
     done = set()
     for J in fset:
         if J < I and J not in done:
@@ -186,25 +191,28 @@ def _rho_assemble(system, I, t, form):
             done.add(J)
             done.add(J2)
             if J2 != J:
-                vec = list(identity_matrix(n)[pos[J]])
-                vec[pos[J2]] = Fraction(-1)
-                cols.append(tuple(vec))
-    k = len(cols)
-    restricted = [[_bilinear(form.gram, a, b) for b in cols] for a in cols]
+                cols.append((pos[J], pos[J2]))
+    gram = form.gram
+    bc = [
+        gram[a] if b is None else tuple(x - y for x, y in zip(gram[a], gram[b]))
+        for a, b in cols
+    ]
+    restricted = [[v[a] if b is None else v[a] - v[b] for a, b in cols] for v in bc]
     if determinant(restricted) == 0:
         raise DegenerateFormError(
             f"degenerate form at t = {t}: span(e_I, E_I) for I = {system.format_subset(I)}"
         )
-    pairing_rows = [mat_vec(form.gram, a) for a in cols]
-    fbasis = kernel_basis(pairing_rows)
-    if len(fbasis) != n - k:
-        raise DegenerateFormError(f"degenerate form at t = {t}: full space")
-    basis = cols + list(fbasis)
-    p = tuple(zip(*basis))
-    pd = tuple(
-        tuple(-x if j < k else x for j, x in enumerate(row)) for row in p
-    )
-    return mat_mul(pd, mat_inverse(p))
+    # rho_I = 1 - 2 C G^-1 (BC)^T: -1 on span C, +1 on its B-orthocomplement
+    x = mat_mul(mat_inverse(restricted), bc)
+    rows = list(identity_matrix(n))
+    for (a, b), xrow in zip(cols, x):
+        for r, c in ((a, -2), (b, 2)):
+            if r is not None:
+                row = [c * v for v in xrow]
+                row[r] += 1
+                hits = [(j, v) for j, v in enumerate(row) if v != 0]
+                rows[r] = _sparse_row(hits, n, Fraction(0))
+    return tuple(rows)
 
 
 @dataclass
@@ -263,60 +271,38 @@ def check_relations(system: CoxeterSystem, rep: dict) -> RelationReport:
 def stable_lines(rep: dict) -> list:
     """Lines fixed by every generator, with the sign each generator acts by.
 
-    Works by intersecting +1/-1 eigenspaces generator by generator; every
-    simultaneous eigenvector spans such a line because the generators are
-    involutions.  Returns (vector, {key: sign}) pairs, one basis vector per
-    surviving sign pattern.
+    Splits the space into simultaneous +1/-1 eigenspaces generator by
+    generator: each generator M splits a piece with basis U by the kernel of
+    the n x dim U matrix (M - sI)U, so only the first generator, whose one
+    piece is the whole space, takes n x n kernels.  Every simultaneous
+    eigenvector spans such a line because the generators are involutions.
+    Returns (vector, {key: sign}) pairs: for each surviving sign pattern,
+    the `reduced_basis` of its piece, which depends on the piece alone.
     """
     keys = list(rep)
     if not keys:
         return []
-    n = len(rep[keys[0]])
-    pieces = [(list(identity_matrix(n)), ())]
+    pieces = [(identity_matrix(len(rep[keys[0]])), ())]
     for key in keys:
-        mat = rep[key]
-        eigenspaces = []
-        for sign in (1, -1):
-            # eigenspace of sign = kernel of (M - sign*I)
-            shifted = tuple(
-                tuple(mat[i][j] - (sign if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-            eigenspaces.append((sign, kernel_basis(shifted)))
         nxt = []
         for basis, signs in pieces:
-            for sign, eig in eigenspaces:
-                inter = _intersect_spans(basis, eig)
-                if inter:
-                    nxt.append((inter, signs + (sign,)))
+            columns = transpose(basis)
+            images = mat_mul(rep[key], columns)
+            for sign in (1, -1):
+                # coefficients c with (M - sI)Uc = 0 give the piece's eigenspace
+                shifted = [
+                    [m - sign * u if u else m for m, u in zip(mrow, urow)]
+                    for mrow, urow in zip(images, columns)
+                ]
+                coeffs = kernel_basis(shifted)
+                if coeffs:
+                    nxt.append((mat_mul(coeffs, basis), signs + (sign,)))
         pieces = nxt
-        if not pieces:
-            return []
     out = []
     for basis, signs in pieces:
-        for v in basis:
+        for v in reduced_basis(basis):
             out.append((v, dict(zip(keys, signs))))
     return out
-
-
-def _intersect_spans(ubasis, vbasis):
-    if not ubasis or not vbasis:
-        return []
-    n = len(ubasis[0])
-    k = len(ubasis)
-    rows = [
-        [u[i] for u in ubasis] + [-v[i] for v in vbasis] for i in range(n)
-    ]
-    coeffs = kernel_basis(rows)
-    out = []
-    for c in coeffs:
-        vec = [Fraction(0)] * n
-        for j in range(k):
-            if c[j] != 0:
-                for i in range(n):
-                    vec[i] += c[j] * ubasis[j][i]
-        out.append(tuple(vec))
-    return [v for v in out if any(x != 0 for x in v)]
 
 
 def restrict_rep(rep: dict, basis: Sequence) -> dict:
@@ -365,7 +351,11 @@ def quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
             for j in range(k):
                 if x[i][j] != 0:
                     raise SubspaceError("subspace not invariant")
-        out[key] = tuple(tuple(row[k:]) for row in x[k:])
+        zero = x[0][0] * 0
+        out[key] = tuple(
+            _sparse_row([(j, v) for j, v in enumerate(row[k:]) if v != 0], n - k, zero)
+            for row in x[k:]
+        )
     return out
 
 

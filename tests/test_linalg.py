@@ -12,6 +12,7 @@ from gencactus.linalg import (
     mat_inverse,
     mat_mul,
     mat_vec,
+    reduced_basis,
     solve_in_span,
     transpose,
 )
@@ -283,6 +284,58 @@ def test_pi_images_match_dense(context, name):
             if len(refl) < 20:
                 # products of images, as the relation checks form them
                 assert_same_product(images[I], images[keys[(i + 1) % len(keys)]])
+
+
+# -- reduced bases -----------------------------------------------------------------
+
+
+def _other_bases(rng, basis, scalar):
+    """Bases of the same span: scrambled, scaled, and padded with dependents."""
+    k = len(basis)
+
+    def combine(weights):
+        return tuple(
+            sum((w * v[i] for w, v in zip(weights, basis)), scalar(0))
+            for i in range(len(basis[0]))
+        )
+
+    while True:
+        mix = [[scalar(rng.randint(-3, 3)) for _ in range(k)] for _ in range(k)]
+        if determinant(mix) != 0:
+            break
+    scrambled = [combine(w) for w in mix]
+    weights = [scalar(rng.choice([-3, -1, 2, 5])) for _ in basis]
+    scaled = [tuple(w * x for x in v) for w, v in zip(weights, basis[::-1])]
+    padded = scrambled + [scrambled[0], combine([scalar(1)] * k), tuple(0 * x for x in basis[0])]
+    rng.shuffle(padded)
+    return scrambled, scaled, padded
+
+
+def test_reduced_basis_of_a_kernel_is_kernel_basis():
+    rng = random.Random(41)
+    for _ in range(30):
+        n, m = rng.randint(1, 5), rng.randint(2, 7)
+        rank = rng.randint(0, min(n, m - 1))
+        a = mat_mul(random_matrix(rng, n, rank), random_matrix(rng, rank, m)) if rank else (
+            (Fraction(0),) * m,
+        )
+        want = kernel_basis(a)
+        assert reduced_basis(want) == want
+        for other in _other_bases(rng, want, Fraction):
+            assert reduced_basis(other) == want
+    assert reduced_basis([]) == []
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_reduced_basis_of_a_cyclotomic_kernel_is_kernel_basis(m):
+    rng = random.Random(50 + m)
+    c = cos_pi_over(m)
+    for n in range(1, 4):
+        for cols in range(2, 5):
+            a = _cyclo_matrix(rng, c, n, cols, rng.randint(0, min(n, cols - 1)))
+            want = kernel_basis(a)
+            for other in _other_bases(rng, want, lambda x: c * 0 + x):
+                assert reduced_basis(other) == want
 
 
 # -- cyclotomic entries ---------------------------------------------------------

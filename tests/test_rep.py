@@ -2,10 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+import oracle_rep
 from gencactus import rep as rep_module
 from gencactus.cactus import CactusWord, parse_word
 from gencactus.errors import DegenerateFormError, InputError, SubspaceError
-from gencactus.linalg import determinant, identity_matrix, mat_mul, transpose
+from gencactus.linalg import (
+    _ZERO,
+    determinant,
+    identity_matrix,
+    kernel_basis,
+    mat_mul,
+    mat_vec,
+    transpose,
+)
 from gencactus.rep import (
     Pi_of,
     Pi_rep,
@@ -22,7 +31,6 @@ from gencactus.rep import (
     stable_lines,
 )
 
-from conftest import get_context
 
 F = Fraction
 S1, S2, FULL = frozenset({0}), frozenset({1}), frozenset({0, 1})
@@ -269,3 +277,116 @@ def test_rho_i25_equals_rho_a2(system):
     left = rho_rep(system("I2(5)"), t)
     right = rho_rep(system("A2"), t)
     assert left == right
+
+
+# -- closed forms against the eigenspace-intersection oracle ---------------------
+
+ORACLE_SYSTEMS = ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "I2(5)", "I2(8)", "A1*A1"]
+# 1511/1009: a parameter no cache or golden has seen, with a prime denominator
+FRESH_T = F(1511, 1009)
+ORACLE_TS = [F(2), F(5, 2), F(0), F(1, 3), FRESH_T]
+
+
+def assert_identical(got, want):
+    """Equal in value and in type, element by element and in order."""
+    assert type(got) is type(want)
+    if isinstance(got, (tuple, list)):
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert_identical(x, y)
+    elif isinstance(got, dict):
+        assert list(got) == list(want)
+        for key in got:
+            assert_identical(got[key], want[key])
+    else:
+        assert got == want
+        assert getattr(got, "conductor", None) == getattr(want, "conductor", None)
+
+
+def assert_shared(mat):
+    """Every zero is the shared zero and every unit row an identity row."""
+    units = identity_matrix(len(mat[0])) if mat else ()
+    for row in mat:
+        assert all(x is _ZERO for x in row if x == 0)
+        hits = [x for x in row if x != 0]
+        if len(hits) == 1 and hits[0] == 1:
+            assert any(row is unit for unit in units)
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_rho_matches_oracle(system, name):
+    sys_ = system(name)
+    for t in ORACLE_TS:
+        rho = rho_rep(sys_, t)
+        assert_identical(rho, oracle_rep.rho_rep(sys_, t))
+        for I, m in rho.items():
+            assert_shared(m)
+            assert_identical(rho_generator(sys_, I, t), oracle_rep.rho_generator(sys_, I, t))
+
+
+@pytest.mark.parametrize(
+    "name, t, where",
+    [("A2", -1, "full space"), ("A3", -1, "span(e_I, E_I) for I = {s1,s2}"),
+     ("A3", F(1, 2), "full space")],
+)
+def test_rho_degenerate_cases_match_oracle(system, name, t, where):
+    sys_ = system(name)
+    with pytest.raises(Exception) as got:
+        rho_rep(sys_, t)
+    with pytest.raises(Exception) as want:
+        oracle_rep.rho_rep(sys_, t)
+    assert type(got.value) is type(want.value) is DegenerateFormError
+    assert str(got.value) == str(want.value) == f"degenerate form at t = {t}: {where}"
+
+
+def _complements_of_lines(rep, gram):
+    # the form-orthocomplement of a stable line is invariant as well
+    for vec, _ in stable_lines(rep)[:2]:
+        yield restrict_rep(rep, kernel_basis((mat_vec(gram, vec),)))
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_stable_lines_match_oracle(system, context, name):
+    sys_, ctx = system(name), context(name)
+    ts = ORACLE_TS if len(ctx.conjugates) < 40 else [F(2), FRESH_T]
+    small = len(ctx.conjugates) < 20
+    for t in ts:
+        Pi = Pi_rep(ctx, t)
+        reps = [Pi, rho_rep(sys_, t)]
+        reps.append({s: sys_.reflection_matrix(s, t) for s in range(sys_.rank)})
+        if small:
+            reps.extend(_complements_of_lines(Pi, form_on_S(ctx, t).gram))
+            reps.extend(_complements_of_lines(reps[1], form_on_fset(sys_, t).gram))
+        for rep in reps:
+            assert_identical(stable_lines(rep), oracle_rep.stable_lines(rep))
+
+
+def test_stable_lines_match_oracle_on_a_two_dimensional_piece(context):
+    # D4 Pi at t = -1 keeps a piece of dimension 2: the vectors of a piece
+    # must come in the oracle's order
+    Pi = Pi_rep(context("D4"), F(-1))
+    lines = stable_lines(Pi)
+    patterns = [tuple(signs.values()) for _, signs in lines]
+    assert any(patterns.count(p) == 2 for p in patterns)
+    assert_identical(lines, oracle_rep.stable_lines(Pi))
+
+
+@pytest.mark.parametrize("name", ["H3", "I2(5)", "I2(8)"])
+def test_stable_lines_match_oracle_on_cyclotomic_pi(system, name):
+    sys_ = system(name)
+    for t in ORACLE_TS + [F(1), F(-1)]:
+        pi = {s: sys_.reflection_matrix(s, t) for s in range(sys_.rank)}
+        assert_identical(stable_lines(pi), oracle_rep.stable_lines(pi))
+
+
+def test_quotient_shares_the_zero_and_the_unit_rows(context):
+    ctx = context("A2")
+    r3 = restrict_rep(Pi_rep(ctx, F(3)), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+    q = quotient_rep(r3, [(1, -1, 1)], keep=[0, 2])
+    assert any(row in identity_matrix(2) for m in q.values() for row in m)
+    for m in q.values():
+        assert_shared(m)
+    rho = rho_rep(ctx.system, F(5, 2))
+    line = stable_lines(rho)[0][0]
+    for m in quotient_rep(rho, [line], keep=[0, 1]).values():
+        assert_shared(m)
