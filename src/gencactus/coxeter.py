@@ -518,9 +518,6 @@ class GroupTable:
             [self.index[tuple([roots.reflect(s, r) for r in el.key])] for el in self.elements]
             for s in range(n)
         ]
-        self.inverse = [
-            self.index[roots.apply(roots.identity, reversed(el.word))] for el in self.elements
-        ]
 
     def __len__(self):
         return len(self.elements)
@@ -530,9 +527,6 @@ class GroupTable:
         for letter in self.elements[j].word:
             out = self.gen_right[letter][out]
         return out
-
-    def conjugate(self, w: int, x: int) -> int:
-        return self.product(self.product(w, x), self.inverse[w])
 
     def conjugate_by_gen(self, s: int, x: int) -> int:
         return self.gen_left[s][self.gen_right[s][x]]

@@ -6,11 +6,13 @@ entries of both factors, so the nearly monomial matrices of the Pi
 representation multiply in time proportional to their nonzeros; over
 Fractions every zero of a product is one shared object and every row whose
 only nonzero is 1 is the shared row of `identity_matrix`.  Determinants,
-inverses, kernels and span membership all read the result of one
-Gauss-Jordan elimination, `_row_reduce`.  Kernels come back as the reduced
-basis: one vector per free column, in ascending order, with 1 on its own
-free column and 0 on the other free columns; `reduced_basis` puts any
-spanning set of a subspace in that form.
+kernels and span membership all read the result of one Gauss-Jordan
+elimination, `_row_reduce`.  There is no inverse: a change of basis, or a
+solve against a square matrix, is one `solve_in_span` over all the targets
+at once.  Kernels come back as the reduced basis: one vector per free
+column, in ascending order, with 1 on its own free column and 0 on the
+other free columns; `reduced_basis` puts any spanning set of a subspace in
+that form.
 """
 
 from __future__ import annotations
@@ -87,10 +89,6 @@ def _sparse_row(hits, m: int, zero) -> Vector:
     return tuple(row)
 
 
-def mat_vec(a: Matrix, v: Sequence) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
@@ -136,15 +134,6 @@ def _row_reduce(rows: list[list], ncols: int):
 def determinant(a: Matrix) -> Scalar:
     """Exact determinant; a zero of the entries' type when a is singular."""
     return _row_reduce(_exact_rows(a), len(a))[1]
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse; ValueError when a is singular."""
-    n = len(a)
-    rows = [row + list(e) for row, e in zip(_exact_rows(a), identity_matrix(n))]
-    if len(_row_reduce(rows, n)[0]) < n:
-        raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in rows)
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:

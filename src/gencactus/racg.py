@@ -68,34 +68,47 @@ def _sorted_words(table: GroupTable, elements) -> tuple:
     return tuple(sorted(table.elements[i].word for i in elements))
 
 
-def build_S(system: CoxeterSystem, family: Sequence[frozenset]) -> list[ParabolicConjugate]:
+def build_S(system: CoxeterSystem, family: Sequence[frozenset]):
     """All conjugates of the W_I, I in a family already checked by
-    `_checked_family`.
+    `_checked_family`, from one BFS under conjugation by the simple
+    reflections.
 
     Deduplicated by element set and ordered by (subgroup size, sorted tuple
     of element reduced words); the ordering is deterministic because BFS
-    enumeration of the ambient group is.  The group table raises if W is
-    infinite.
+    enumeration of the ambient group is.  Returns S, the index in S of each
+    element set, the index of each W_I, and for each simple reflection s the
+    permutation of S by conjugation with s, read off the BFS edges.  The
+    group table raises if W is infinite.
     """
     table = system.group_table()
-    gensets = {}  # element set -> its conjugated simple reflections
-    queue = []
+    found = {}  # element set -> its position in the BFS queue
+    queue = []  # (element set, its conjugated simple reflections)
     for I in family:
         elems = table.subgroup(I)
-        if elems not in gensets:
-            gensets[elems] = frozenset(table.simple_index[s] for s in I)
-            queue.append(elems)
-    for elems in queue:  # a BFS queue: grows while walked
-        genset = gensets[elems]
+        found[elems] = len(queue)
+        queue.append((elems, frozenset(table.simple_index[s] for s in I)))
+    edges = []  # per queue position: the position of its conjugate by each s
+    for elems, genset in queue:  # a BFS queue: grows while walked
+        row = []
         for s in range(system.rank):
             new_elems = frozenset(table.conjugate_by_gen(s, x) for x in elems)
-            if new_elems not in gensets:
-                gensets[new_elems] = frozenset(table.conjugate_by_gen(s, x) for x in genset)
-                queue.append(new_elems)
-    entries = sorted(gensets, key=lambda e: (len(e), _sorted_words(table, e)))
-    return [
-        ParabolicConjugate(e, gensets[e], _sorted_words(table, e), table) for e in entries
+            if new_elems not in found:
+                found[new_elems] = len(queue)
+                queue.append((new_elems, frozenset(table.conjugate_by_gen(s, x) for x in genset)))
+            row.append(found[new_elems])
+        edges.append(row)
+    words = [_sorted_words(table, elems) for elems, _ in queue]
+    order = sorted(range(len(queue)), key=lambda p: (len(queue[p][0]), words[p]))
+    index = [0] * len(queue)  # queue position -> index in S
+    for i, p in enumerate(order):
+        index[p] = i
+    conjugates = [ParabolicConjugate(*queue[p], words[p], table) for p in order]
+    set_index = {pc.elements: i for i, pc in enumerate(conjugates)}
+    base_index = {I: index[p] for p, I in enumerate(family)}
+    perms = [
+        InducedAutomorphism(index[edges[p][s]] for p in order) for s in range(system.rank)
     ]
+    return conjugates, set_index, base_index, perms
 
 
 def _checked_family(system, family) -> tuple[frozenset, ...]:
@@ -318,21 +331,10 @@ class RacgContext:
         self.system = system
         self.table = system.group_table()  # raises if W is infinite
         self.family = _checked_family(system, family)
-        self.conjugates = build_S(system, self.family)
+        self.conjugates, self.set_index, self.base_index, self._gen_perms = build_S(
+            system, self.family
+        )
         self.M = big_matrix(self.conjugates)
-        self.set_index = {pc.elements: i for i, pc in enumerate(self.conjugates)}
-        self.base_index = {
-            I: self.set_index[self.table.subgroup(I)] for I in self.family
-        }
-        self._gen_perms = [
-            InducedAutomorphism(
-                self.set_index[
-                    frozenset(self.table.conjugate_by_gen(s, x) for x in pc.elements)
-                ]
-                for pc in self.conjugates
-            )
-            for s in range(system.rank)
-        ]
         self._identity_aut = InducedAutomorphism(range(len(self.conjugates)))
         # gamma_I -> (tau_{W_I}, g_I) for every I in the family
         self.letters = {

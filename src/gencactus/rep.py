@@ -6,10 +6,12 @@ reflection in the span C of R e_I + E_I (one k x k solve, k = dim C); Pi
 acts on the span of the parabolic conjugates through reflections of the big
 right-angled form composed with relabeling permutations.  Stable lines split
 the space into simultaneous eigenspaces piece by piece, with one small
-kernel per piece and sign.  All arithmetic is exact: entries are Fractions
-here (the geometric representation of W itself, with its cyclotomic
-entries, lives in the coxeter module), and image rows share the zero and
-the unit rows of `identity_matrix` as `mat_mul` does.
+kernel per piece and sign.  Restriction and quotient are one change of
+basis: the basis is eliminated once against the images of all generators.
+All arithmetic is exact: entries are Fractions here (the geometric
+representation of W itself, with its cyclotomic entries, lives in the
+coxeter module), and image rows share the zero and the unit rows of
+`identity_matrix` as `mat_mul` does.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from .linalg import (
     determinant,
     identity_matrix,
     kernel_basis,
-    mat_inverse,
     mat_mul,
-    mat_vec,
     reduced_basis,
     solve_in_span,
     transpose,
@@ -36,19 +36,8 @@ from .linalg import (
 from .racg import InducedAutomorphism, RacgContext, SemidirectElement
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    labels: tuple
-    gram: tuple
-    t: Fraction
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-
-def form_on_fset(system: CoxeterSystem, t) -> BilinearForm:
-    """Symmetric form on R^F(S): 1 on the diagonal, 0 on containment or
+def form_on_fset(system: CoxeterSystem, t) -> tuple:
+    """Gram matrix on R^F(S): 1 on the diagonal, 0 on containment or
     product pairs, -t on every other pair."""
     t = Fraction(t)
     fset = connected_subsets(system)
@@ -63,34 +52,30 @@ def form_on_fset(system: CoxeterSystem, t) -> BilinearForm:
             else:
                 entry = -t
             rows[i][j] = rows[j][i] = entry
-    labels = tuple(system.format_subset(I) for I in fset)
-    return BilinearForm(labels, tuple(tuple(r) for r in rows), t)
+    return tuple(tuple(r) for r in rows)
 
 
-def form_on_S(ctx: RacgContext, t) -> BilinearForm:
-    """Form on the span of the parabolic conjugates, read off the big
+def form_on_S(ctx: RacgContext, t) -> tuple:
+    """Gram matrix on the span of the parabolic conjugates, read off the big
     right-angled matrix: 0 where the entry is 2, -t where it is infinite."""
     t = Fraction(t)
     n = len(ctx.conjugates)
-    rows = [
+    return tuple(
         tuple(
             Fraction(1) if i == j else (Fraction(0) if ctx.M[i][j] == 2 else -t)
             for j in range(n)
         )
         for i in range(n)
-    ]
-    labels = tuple(pc.label() for pc in ctx.conjugates)
-    return BilinearForm(labels, tuple(rows), t)
+    )
 
 
-def reflection_in_form(form: BilinearForm, k: int):
+def reflection_in_form(gram, k: int):
     """sigma_k(x) = x - 2 B(x, e_k) e_k as a matrix (columns are images)."""
-    g = form.gram
-    n = len(g)
-    one, zero = g[k][k], g[k][k] - g[k][k]
+    n = len(gram)
+    one, zero = gram[k][k], gram[k][k] - gram[k][k]
     rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for j in range(n):
-        rows[k][j] = rows[k][j] - 2 * g[j][k]
+        rows[k][j] = rows[k][j] - 2 * gram[j][k]
     return tuple(tuple(r) for r in rows)
 
 
@@ -110,10 +95,10 @@ def Pi_rep(ctx: RacgContext, t) -> dict:
     key = ("Pi", t)
     cached = ctx.caches.get(key)
     if cached is None:
-        form = form_on_S(ctx, t)
+        gram = form_on_S(ctx, t)
         images = {}
         for I, letter in ctx.letters.items():
-            refl = reflection_in_form(form, letter.racg_part[0])
+            refl = reflection_in_form(gram, letter.racg_part[0])
             images[I] = mat_mul(refl, pi_prime(letter.aut_part))
         cached = ctx.caches[key] = images
     return cached
@@ -135,10 +120,10 @@ def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
             acc = mat_mul(acc, letters[I])
         return acc
     if isinstance(x, SemidirectElement):
-        form = form_on_S(ctx, t)
+        gram = form_on_S(ctx, t)
         acc = identity_matrix(n)
         for i in x.racg_part:
-            acc = mat_mul(acc, reflection_in_form(form, i))
+            acc = mat_mul(acc, reflection_in_form(gram, i))
         return mat_mul(acc, pi_prime(x.aut_part))
     raise InputError(f"cannot represent object of type {type(x).__name__}")
 
@@ -163,18 +148,18 @@ def rho_generator(system: CoxeterSystem, I, t):
 def rho_rep(system: CoxeterSystem, t) -> dict:
     """All generator images I -> rho_I at parameter t."""
     t = Fraction(t)
-    form = _nondegenerate_form(system, t)
-    return {I: _rho_assemble(system, I, t, form) for I in connected_subsets(system)}
+    gram = _nondegenerate_form(system, t)
+    return {I: _rho_assemble(system, I, t, gram) for I in connected_subsets(system)}
 
 
 def _nondegenerate_form(system, t):
-    form = form_on_fset(system, t)
-    if determinant(form.gram) == 0:
+    gram = form_on_fset(system, t)
+    if determinant(gram) == 0:
         raise DegenerateFormError(f"degenerate form at t = {t}: full space")
-    return form
+    return gram
 
 
-def _rho_assemble(system, I, t, form):
+def _rho_assemble(system, I, t, gram):
     fset = connected_subsets(system)
     pos = {S: i for i, S in enumerate(fset)}
     if I not in pos:
@@ -192,18 +177,19 @@ def _rho_assemble(system, I, t, form):
             done.add(J2)
             if J2 != J:
                 cols.append((pos[J], pos[J2]))
-    gram = form.gram
     bc = [
         gram[a] if b is None else tuple(x - y for x, y in zip(gram[a], gram[b]))
         for a, b in cols
     ]
     restricted = [[v[a] if b is None else v[a] - v[b] for a, b in cols] for v in bc]
-    if determinant(restricted) == 0:
+    # rho_I = 1 - 2 C X with G X = (BC)^T: -1 on span C, +1 on its
+    # B-orthocomplement; G is symmetric, so its rows are its columns
+    try:
+        x = zip(*solve_in_span(restricted, transpose(bc)))
+    except ValueError:
         raise DegenerateFormError(
             f"degenerate form at t = {t}: span(e_I, E_I) for I = {system.format_subset(I)}"
-        )
-    # rho_I = 1 - 2 C G^-1 (BC)^T: -1 on span C, +1 on its B-orthocomplement
-    x = mat_mul(mat_inverse(restricted), bc)
+        ) from None
     rows = list(identity_matrix(n))
     for (a, b), xrow in zip(cols, x):
         for r, c in ((a, -2), (b, 2)):
@@ -305,19 +291,44 @@ def stable_lines(rep: dict) -> list:
     return out
 
 
+def _in_basis(rep: dict, basis: Sequence, dependent: str, skip: int = 0) -> dict:
+    """Each generator's matrix in a basis of an invariant subspace.
+
+    One elimination of the basis columns U against the images M U of every
+    generator gives the coordinates X with M U = U X.  The first skip basis
+    vectors must span an invariant subspace of their own, and the blocks
+    returned act on the quotient by it: X without its first skip rows and
+    columns.  SubspaceError(dependent) when the basis is dependent.
+    """
+    keys = list(rep)
+    if not keys:
+        return {}
+    k = len(basis)
+    columns = transpose(basis)
+    images = [col for key in keys for col in zip(*mat_mul(rep[key], columns))]
+    try:
+        coords = solve_in_span(basis, images)
+    except ValueError:
+        raise SubspaceError(dependent) from None
+    if coords is None:
+        raise SubspaceError("subspace not invariant")
+    blocks = [coords[q * k : (q + 1) * k] for q in range(len(keys))]
+    if any(x != 0 for b in blocks for col in b[:skip] for x in col[skip:]):
+        raise SubspaceError("subspace not invariant")
+    zero = coords[0][0] * 0 if k else None
+    out = {}
+    for key, b in zip(keys, blocks):
+        kept = b[skip:]
+        out[key] = tuple(
+            _sparse_row([(j, col[i]) for j, col in enumerate(kept) if col[i] != 0], k - skip, zero)
+            for i in range(skip, k)
+        )
+    return out
+
+
 def restrict_rep(rep: dict, basis: Sequence) -> dict:
     """Matrices of the action on an invariant subspace, in the given basis."""
-    out = {}
-    for key, mat in rep.items():
-        images = [mat_vec(mat, v) for v in basis]
-        try:
-            coords = solve_in_span(list(basis), images)
-        except ValueError:
-            raise SubspaceError("restriction vectors are linearly dependent") from None
-        if coords is None:
-            raise SubspaceError("subspace not invariant")
-        out[key] = tuple(zip(*coords))
-    return out
+    return _in_basis(rep, basis, "restriction vectors are linearly dependent")
 
 
 def quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
@@ -338,25 +349,8 @@ def quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
         raise SubspaceError("subspace vectors are linearly dependent")
     if k + len(keep) != n:
         raise SubspaceError("complement has the wrong dimension")
-    cols = list(subspace) + [identity_matrix(n)[i] for i in keep]
-    p = tuple(zip(*cols))
-    try:
-        pinv = mat_inverse(p)
-    except ValueError:
-        raise SubspaceError("chosen axes are not transverse to the subspace") from None
-    out = {}
-    for key, mat in rep.items():
-        x = mat_mul(pinv, mat_mul(mat, p))
-        for i in range(k, n):
-            for j in range(k):
-                if x[i][j] != 0:
-                    raise SubspaceError("subspace not invariant")
-        zero = x[0][0] * 0
-        out[key] = tuple(
-            _sparse_row([(j, v) for j, v in enumerate(row[k:]) if v != 0], n - k, zero)
-            for row in x[k:]
-        )
-    return out
+    basis = list(subspace) + [identity_matrix(n)[i] for i in keep]
+    return _in_basis(rep, basis, "chosen axes are not transverse to the subspace", skip=k)
 
 
 def signed_permutation_check(rep: dict) -> bool:

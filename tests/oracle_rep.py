@@ -1,33 +1,52 @@
-"""The eigenspace-intersection rho assembly and stable lines, as an oracle.
+"""The bodies the rep module used before its closed forms, as an oracle.
 
-These are the bodies the library used before the closed forms: rho_I is
-assembled from an exact kernel F_I and an n x n basis change (P D P^-1), and
-stable lines intersect the +1/-1 eigenspaces of every generator with every
-surviving piece.  They build on the package's exact linear algebra
-(`kernel_basis`, `mat_inverse`, `mat_mul`), which has oracles of its own in
-tests/test_linalg.py.  They are slow (n x n inverses and kernels per
-generator) and plain.
+rho_I is assembled from an exact kernel F_I and an n x n basis change
+(P D P^-1); stable lines intersect the +1/-1 eigenspaces of every generator
+with every surviving piece; restriction solves the dense images of each
+generator against the basis, one generator at a time; and the quotient
+conjugates each generator by an inverse.  They build on the package's
+exact linear algebra (`kernel_basis`, `mat_mul`, `solve_in_span`), which
+has oracles of its own in tests/test_linalg.py, plus a plain inverse and
+matrix-vector product of their own.  They are slow (n x n inverses and
+kernels per generator) and plain.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 from gencactus.coxeter import connected_subsets, conjugate_subset
-from gencactus.errors import DegenerateFormError, InputError
+from gencactus.errors import DegenerateFormError, InputError, SubspaceError
 from gencactus.linalg import (
+    _exact_rows,
+    _row_reduce,
+    _sparse_row,
     determinant,
     identity_matrix,
     kernel_basis,
-    mat_inverse,
     mat_mul,
-    mat_vec,
+    solve_in_span,
+    transpose,
 )
 from gencactus.rep import form_on_fset
 
 
+def mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def mat_inverse(a):
+    """Exact inverse; ValueError when a is singular."""
+    n = len(a)
+    rows = [row + list(e) for row, e in zip(_exact_rows(a), identity_matrix(n))]
+    if len(_row_reduce(rows, n)[0]) < n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in rows)
+
+
 def rho_rep(system, t):
     t = Fraction(t)
-    form = _nondegenerate_form(system, t)
-    return {I: _rho_assemble(system, I, t, form) for I in connected_subsets(system)}
+    gram = _nondegenerate_form(system, t)
+    return {I: _rho_assemble(system, I, t, gram) for I in connected_subsets(system)}
 
 
 def rho_generator(system, I, t):
@@ -36,10 +55,10 @@ def rho_generator(system, I, t):
 
 
 def _nondegenerate_form(system, t):
-    form = form_on_fset(system, t)
-    if determinant(form.gram) == 0:
+    gram = form_on_fset(system, t)
+    if determinant(gram) == 0:
         raise DegenerateFormError(f"degenerate form at t = {t}: full space")
-    return form
+    return gram
 
 
 def _bilinear(gram, a, b):
@@ -47,7 +66,7 @@ def _bilinear(gram, a, b):
     return sum((x * y for x, y in zip(a, gb)), Fraction(0))
 
 
-def _rho_assemble(system, I, t, form):
+def _rho_assemble(system, I, t, gram):
     fset = connected_subsets(system)
     pos = {S: i for i, S in enumerate(fset)}
     if I not in pos:
@@ -65,12 +84,12 @@ def _rho_assemble(system, I, t, form):
                 vec[pos[J2]] = Fraction(-1)
                 cols.append(tuple(vec))
     k = len(cols)
-    restricted = [[_bilinear(form.gram, a, b) for b in cols] for a in cols]
+    restricted = [[_bilinear(gram, a, b) for b in cols] for a in cols]
     if determinant(restricted) == 0:
         raise DegenerateFormError(
             f"degenerate form at t = {t}: span(e_I, E_I) for I = {system.format_subset(I)}"
         )
-    pairing_rows = [mat_vec(form.gram, a) for a in cols]
+    pairing_rows = [mat_vec(gram, a) for a in cols]
     fbasis = kernel_basis(pairing_rows)
     if len(fbasis) != n - k:
         raise DegenerateFormError(f"degenerate form at t = {t}: full space")
@@ -132,3 +151,57 @@ def _intersect_spans(ubasis, vbasis):
                     vec[i] += c[j] * ubasis[j][i]
         out.append(tuple(vec))
     return [v for v in out if any(x != 0 for x in v)]
+
+
+def restrict_rep(rep: dict, basis: Sequence) -> dict:
+    """Matrices of the action on an invariant subspace, in the given basis."""
+    out = {}
+    for key, mat in rep.items():
+        images = [mat_vec(mat, v) for v in basis]
+        try:
+            coords = solve_in_span(list(basis), images)
+        except ValueError:
+            raise SubspaceError("restriction vectors are linearly dependent") from None
+        if coords is None:
+            raise SubspaceError("subspace not invariant")
+        out[key] = tuple(zip(*coords))
+    return out
+
+
+def quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
+    """Induced action on the quotient by an invariant subspace.
+
+    keep lists the coordinate axes representing the quotient; together with
+    the subspace they must form a basis of the whole space.
+    """
+    keys = list(rep)
+    if not keys:
+        return {}
+    n = len(rep[keys[0]])
+    k = len(subspace)
+    bad = [i for i in keep if not 0 <= i < n]
+    if bad:
+        raise InputError(f"keep axis {bad[0]} outside 0..{n - 1}")
+    if kernel_basis(transpose(subspace)):
+        raise SubspaceError("subspace vectors are linearly dependent")
+    if k + len(keep) != n:
+        raise SubspaceError("complement has the wrong dimension")
+    cols = list(subspace) + [identity_matrix(n)[i] for i in keep]
+    p = tuple(zip(*cols))
+    try:
+        pinv = mat_inverse(p)
+    except ValueError:
+        raise SubspaceError("chosen axes are not transverse to the subspace") from None
+    out = {}
+    for key, mat in rep.items():
+        x = mat_mul(pinv, mat_mul(mat, p))
+        for i in range(k, n):
+            for j in range(k):
+                if x[i][j] != 0:
+                    raise SubspaceError("subspace not invariant")
+        zero = x[0][0] * 0
+        out[key] = tuple(
+            _sparse_row([(j, v) for j, v in enumerate(row[k:]) if v != 0], n - k, zero)
+            for row in x[k:]
+        )
+    return out

@@ -499,8 +499,8 @@ def test_c12_exactness_suite():
 
         rho = rho_rep(sys_, t)
         Pi = Pi_rep(ctx, t)
-        gram_f = form_on_fset(sys_, t).gram
-        gram_s = form_on_S(ctx, t).gram
+        gram_f = form_on_fset(sys_, t)
+        gram_s = form_on_S(ctx, t)
         for m in rho.values():
             if mat_mul(m, m) != identity_matrix(len(m)):
                 failures.append(f"{name}: rho image not an involution")

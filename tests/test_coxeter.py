@@ -343,20 +343,20 @@ def test_group_table_consistency(system):
         i, j = rng.randrange(n), rng.randrange(n)
         prod = table.elements[table.product(i, j)]
         assert prod == table.elements[i] * table.elements[j]
+    identity = table.element_index(GroupElement.identity(sys_))
     for i in range(n):
-        assert table.product(i, table.inverse[i]) == table.element_index(
-            GroupElement.identity(sys_)
-        )
+        inverse = table.element_index(table.elements[i].inverse())
+        assert table.product(i, inverse) == identity
 
 
 def test_group_table_conjugation(system):
     sys_ = system("B2")
     table = sys_.group_table()
-    n = len(table)
-    for w in range(n):
-        for x in range(n):
-            expect = table.elements[w] * table.elements[x] * table.elements[w].inverse()
-            assert table.elements[table.conjugate(w, x)] == expect
+    for s in range(sys_.rank):
+        gen = table.elements[table.simple_index[s]]
+        for x, el in enumerate(table.elements):
+            expect = table.element_index(gen * el * gen.inverse())
+            assert table.conjugate_by_gen(s, x) == expect
 
 
 def test_group_table_subgroup(system):

@@ -91,7 +91,7 @@ def test_conjugates_are_subgroups(context):
     table = ctx.table
     for pc in ctx.conjugates:
         for x in pc.elements:
-            assert table.inverse[x] in pc.elements
+            assert table.element_index(table.elements[x].inverse()) in pc.elements
             for y in pc.elements:
                 assert table.product(x, y) in pc.elements
 
@@ -343,10 +343,12 @@ def test_induced_aut_tracks_conjugation(context):
     # g_w sends the conjugate <A> to <wAw^-1>
     ctx = context("B2")
     table = ctx.table
-    for w_idx in range(len(table.elements)):
+    for w_idx, w in enumerate(table.elements):
         perm = ctx.induced_aut(w_idx).perm
         for i, pc in enumerate(ctx.conjugates):
-            conjugated = frozenset(table.conjugate(w_idx, x) for x in pc.elements)
+            conjugated = frozenset(
+                table.element_index(w * table.elements[x] * w.inverse()) for x in pc.elements
+            )
             assert ctx.conjugates[perm[i]].elements == conjugated
 
 

@@ -5,6 +5,7 @@ import pytest
 import oracle_rep
 from gencactus import rep as rep_module
 from gencactus.cactus import CactusWord, parse_word
+from gencactus.coxeter import connected_subsets
 from gencactus.errors import DegenerateFormError, InputError, SubspaceError
 from gencactus.linalg import (
     _ZERO,
@@ -12,7 +13,6 @@ from gencactus.linalg import (
     identity_matrix,
     kernel_basis,
     mat_mul,
-    mat_vec,
     transpose,
 )
 from gencactus.rep import (
@@ -38,31 +38,31 @@ S1, S2, FULL = frozenset({0}), frozenset({1}), frozenset({0, 1})
 
 def test_form_on_fset_a2(system):
     t = F(2)
-    form = form_on_fset(system("A2"), t)
-    assert form.gram == (
+    a2 = system("A2")
+    gram = form_on_fset(a2, t)
+    assert gram == (
         (F(1), -t, F(0)),
         (-t, F(1), F(0)),
         (F(0), F(0), F(1)),
     )
-    assert determinant(form.gram) == 1 - t * t
-    assert form.labels == ("{s1}", "{s2}", "{s1,s2}")
+    assert determinant(gram) == 1 - t * t
+    assert [a2.format_subset(I) for I in connected_subsets(a2)] == ["{s1}", "{s2}", "{s1,s2}"]
 
 
 def test_form_on_s_a2_determinant(context):
     ctx = context("A2")
     for t in (F(0), F(2), F(5, 2), F(7, 3)):
-        form = form_on_S(ctx, t)
-        assert determinant(form.gram) == (1 + t) ** 2 * (1 - 2 * t)
+        assert determinant(form_on_S(ctx, t)) == (1 + t) ** 2 * (1 - 2 * t)
 
 
 def test_reflection_in_form_properties(context):
     ctx = context("B2")
-    form = form_on_S(ctx, F(2))
-    n = form.dim
+    gram = form_on_S(ctx, F(2))
+    n = len(gram)
     for k in range(n):
-        m = reflection_in_form(form, k)
+        m = reflection_in_form(gram, k)
         assert mat_mul(m, m) == identity_matrix(n)
-        assert mat_mul(transpose(m), mat_mul(form.gram, m)) == form.gram
+        assert mat_mul(transpose(m), mat_mul(gram, m)) == gram
 
 
 def test_pi_prime_shape():
@@ -110,7 +110,7 @@ def test_rho_generator_rejects_non_family_subset(system):
 
 def test_rho_checks_the_full_form_once(system, monkeypatch):
     sys_ = system("A4")
-    gram = form_on_fset(sys_, F(2)).gram
+    gram = form_on_fset(sys_, F(2))
     full = []
 
     def counting(m):
@@ -119,10 +119,10 @@ def test_rho_checks_the_full_form_once(system, monkeypatch):
 
     monkeypatch.setattr(rep_module, "determinant", counting)
     rho = rho_rep(sys_, F(2))
-    assert full.count(True) == 1 and len(full) == 1 + len(rho)
+    assert full.count(True) == 1 and len(full) == 1
     full.clear()
     rho_generator(sys_, frozenset({0, 1}), F(2))
-    assert full == [True, False]
+    assert full == [True]
     with pytest.raises(DegenerateFormError, match="^degenerate form at t = 1: full space$"):
         rho_generator(sys_, frozenset({0}), F(1))
 
@@ -130,17 +130,17 @@ def test_rho_checks_the_full_form_once(system, monkeypatch):
 def test_rho_preserves_its_form(system):
     sys_ = system("B2")
     t = F(3)
-    form = form_on_fset(sys_, t)
+    gram = form_on_fset(sys_, t)
     for m in rho_rep(sys_, t).values():
-        assert mat_mul(transpose(m), mat_mul(form.gram, m)) == form.gram
+        assert mat_mul(transpose(m), mat_mul(gram, m)) == gram
 
 
 def test_pi_preserves_its_form(context):
     ctx = context("B2")
     t = F(2)
-    form = form_on_S(ctx, t)
+    gram = form_on_S(ctx, t)
     for m in Pi_rep(ctx, t).values():
-        assert mat_mul(transpose(m), mat_mul(form.gram, m)) == form.gram
+        assert mat_mul(transpose(m), mat_mul(gram, m)) == gram
 
 
 def test_pi_of_routes_agree(context):
@@ -159,15 +159,14 @@ def test_pi_of_rejects_other_objects(context):
 def test_pi_intertwines_permutation_and_reflections(context):
     # pi'(g) sigma_k pi'(g)^-1 = sigma_{g(k)}
     ctx = context("B2")
-    form = form_on_S(ctx, F(2))
-    n = form.dim
+    gram = form_on_S(ctx, F(2))
     for I in ctx.family:
         g = ctx.letters[I].aut_part
         p = pi_prime(g)
         pinv = pi_prime(g.inverse())
-        for k in range(n):
-            lhs = mat_mul(p, mat_mul(reflection_in_form(form, k), pinv))
-            assert lhs == reflection_in_form(form, g(k))
+        for k in range(len(gram)):
+            lhs = mat_mul(p, mat_mul(reflection_in_form(gram, k), pinv))
+            assert lhs == reflection_in_form(gram, g(k))
 
 
 def test_check_relations_passes(context):
@@ -304,10 +303,15 @@ def assert_identical(got, want):
 
 
 def assert_shared(mat):
-    """Every zero is the shared zero and every unit row an identity row."""
-    units = identity_matrix(len(mat[0])) if mat else ()
+    """Every zero is one shared zero, which over Fractions is `_ZERO`, and
+    over Fractions every unit row is an identity row."""
+    zeros = [x for row in mat for x in row if x == 0]
+    assert all(x is zeros[0] for x in zeros)
+    if not zeros or type(zeros[0]) is not Fraction:
+        return
+    assert zeros[0] is _ZERO
+    units = identity_matrix(len(mat[0]))
     for row in mat:
-        assert all(x is _ZERO for x in row if x == 0)
         hits = [x for x in row if x != 0]
         if len(hits) == 1 and hits[0] == 1:
             assert any(row is unit for unit in units)
@@ -342,7 +346,7 @@ def test_rho_degenerate_cases_match_oracle(system, name, t, where):
 def _complements_of_lines(rep, gram):
     # the form-orthocomplement of a stable line is invariant as well
     for vec, _ in stable_lines(rep)[:2]:
-        yield restrict_rep(rep, kernel_basis((mat_vec(gram, vec),)))
+        yield restrict_rep(rep, kernel_basis(mat_mul((vec,), gram)))
 
 
 @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
@@ -355,8 +359,8 @@ def test_stable_lines_match_oracle(system, context, name):
         reps = [Pi, rho_rep(sys_, t)]
         reps.append({s: sys_.reflection_matrix(s, t) for s in range(sys_.rank)})
         if small:
-            reps.extend(_complements_of_lines(Pi, form_on_S(ctx, t).gram))
-            reps.extend(_complements_of_lines(reps[1], form_on_fset(sys_, t).gram))
+            reps.extend(_complements_of_lines(Pi, form_on_S(ctx, t)))
+            reps.extend(_complements_of_lines(reps[1], form_on_fset(sys_, t)))
         for rep in reps:
             assert_identical(stable_lines(rep), oracle_rep.stable_lines(rep))
 
@@ -390,3 +394,121 @@ def test_quotient_shares_the_zero_and_the_unit_rows(context):
     line = stable_lines(rho)[0][0]
     for m in quotient_rep(rho, [line], keep=[0, 1]).values():
         assert_shared(m)
+
+
+# -- restriction and quotient against the per-generator oracle ------------------
+
+CHANGE_SYSTEMS = ["A2", "A3", "B3", "H3", "A4", "I2(5)"]
+
+
+def assert_same_change(ours, theirs, *args):
+    """The same matrices as the oracle in value and type, with shared zeros
+    and unit rows, or the same error."""
+    try:
+        want = theirs(*args)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            ours(*args)
+        assert str(got.value) == str(exc)
+        return None
+    got = ours(*args)
+    assert_identical(got, want)
+    for m in got.values():
+        assert_shared(m)
+    return got
+
+
+def _reps_and_forms(sys_, ctx, t):
+    yield Pi_rep(ctx, t), form_on_S(ctx, t)
+    yield rho_rep(sys_, t), form_on_fset(sys_, t)
+    yield {s: sys_.reflection_matrix(s, t) for s in range(sys_.rank)}, sys_.gram_matrix(t)
+
+
+def _quotients_by(rep, vec):
+    # the axis dropped is the first, then the last, nonzero coordinate
+    n = len(vec)
+    support = [i for i, x in enumerate(vec) if x != 0]
+    for p in (support[0], support[-1]):
+        keep = [i for i in range(n) if i != p]
+        assert_same_change(quotient_rep, oracle_rep.quotient_rep, rep, [vec], keep)
+
+
+@pytest.mark.parametrize("name", CHANGE_SYSTEMS)
+def test_restrict_and_quotient_match_oracle(system, context, name):
+    sys_, ctx = system(name), context(name)
+    for t in (F(2), FRESH_T):
+        for rep, gram in _reps_and_forms(sys_, ctx, t):
+            for vec, _ in stable_lines(rep)[:2]:
+                _quotients_by(rep, vec)
+                # the form-orthocomplement of a stable line is invariant
+                complement = kernel_basis(mat_mul((vec,), gram))
+                if len(complement) > 25:
+                    continue
+                restricted = assert_same_change(
+                    restrict_rep, oracle_rep.restrict_rep, rep, complement
+                )
+                for inner, _ in stable_lines(restricted)[:1]:
+                    _quotients_by(restricted, inner)
+
+
+@pytest.mark.parametrize("name", ["H3", "I2(5)", "H3*A1", "I2(5)*A1"])
+def test_restrict_and_quotient_match_oracle_on_cyclotomic_pi(system, name):
+    sys_ = system(name)
+    n = sys_.rank
+    for t in (F(2), F(5, 2), F(1)):
+        pi = {s: sys_.reflection_matrix(s, t) for s in range(n)}
+        # the whole space in cyclotomic bases, and its quotient by nothing
+        for basis in (pi[0], mat_mul(pi[0], pi[n - 1]), transpose(pi[1])):
+            again = assert_same_change(restrict_rep, oracle_rep.restrict_rep, pi, basis)
+            assert_same_change(quotient_rep, oracle_rep.quotient_rep, again, [], list(range(n)))
+        if "*" in name:
+            # the A1 factor is a stable line, whose vector mixes scalar types,
+            # and the other factor's axes span an invariant block
+            block = [identity_matrix(n)[i] for i in range(n - 1)]
+            assert_same_change(restrict_rep, oracle_rep.restrict_rep, pi, block)
+            assert_same_change(quotient_rep, oracle_rep.quotient_rep, pi, block, [n - 1])
+            (vec, _), = stable_lines(pi)
+            _quotients_by(pi, vec)
+
+
+def test_restrict_and_quotient_errors_match_oracle(context):
+    ctx = context("A2")
+    Pi = Pi_rep(ctx, F(2))
+    u3 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+    for basis in ([(1, 0, 0, 0)], [(1, 0, 0, 0), (2, 0, 0, 0)], [(0, 0, 0, 0)], [], u3):
+        assert_same_change(restrict_rep, oracle_rep.restrict_rep, Pi, basis)
+    r3 = restrict_rep(Pi, u3)
+    cases = [
+        ([(1, -1, 1)], [0]),
+        ([(1, 0, 0)], [0, 1]),
+        ([(1, 0, 0)], [1, 2]),
+        ([(0, 0, 0)], [0, 1]),
+        ([(1, -1, 1), (2, -2, 2)], [0]),
+        ([(1, -1, 1)], [0, 0]),
+        ([(1, -1, 1)], [0, 3]),
+        ([(1, -1, 1)], [-1, 0]),
+        ([(1, -1, 1)], [1, 2]),
+        ([], [2, 0, 1]),
+        ([(1, -1, 1), (1, 0, 0), (0, 1, 0)], []),
+    ]
+    for subspace, keep in cases:
+        assert_same_change(quotient_rep, oracle_rep.quotient_rep, r3, subspace, keep)
+    assert restrict_rep({}, u3) == oracle_rep.restrict_rep({}, u3) == {}
+    assert quotient_rep({}, [(1, -1, 1)], [0]) == {}
+
+
+def test_restriction_of_d4_to_a_40_dimensional_complement(context):
+    # too slow for the oracle (seconds); check M U = U X directly
+    ctx = context("D4")
+    t = F(2)
+    Pi = Pi_rep(ctx, t)
+    vec = stable_lines(Pi)[0][0]
+    basis = kernel_basis(mat_mul((vec,), form_on_S(ctx, t)))
+    assert len(basis) == 40
+    columns = transpose(basis)
+    restricted = restrict_rep(Pi, basis)
+    assert list(restricted) == list(Pi)
+    for key, x in restricted.items():
+        assert len(x) == 40
+        assert mat_mul(Pi[key], columns) == mat_mul(columns, x)
+        assert_shared(x)
