@@ -4,8 +4,9 @@ A system is a finite generating set with a Coxeter matrix (entry 0 encodes an
 infinite bond).  An element w is keyed by integer ids of the roots
 w(alpha_1), ..., w(alpha_n), which determine it, and s is a right descent of w
 iff w(alpha_s) < 0, so products, reduced words, enumeration and longest
-elements are lookups on ids.  Exact arithmetic runs only on first sight of a
-root or a pair of roots.
+elements are lookups on ids.  For finite W, exact arithmetic runs only while
+the root system is closed, one simple reflection at a time, and no sign is
+ever decided; finiteness itself is read off the diagram by classification.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import InfiniteGroupError, InputError
-from .linalg import Matrix, determinant
+from .linalg import Matrix
 from .scalar import (
     CycloReal,
     Scalar,
@@ -190,60 +191,114 @@ class CoxeterSystem:
 
 
 class RootTable:
-    """Exact root vectors of one Coxeter matrix, interned to integer ids.
+    """Exact root vectors of one Coxeter matrix, interned to integer ids, and
+    the reflection of each root in each root as a lookup on ids.
 
-    Ids 0..n-1 are the simple roots.  For finite W the root system is closed
-    at construction by BFS from the simple roots, generators in index order;
-    otherwise a root gets the next id when first met.  Reflections of one
-    root in another are computed once, then looked up.
+    Ids 0..n-1 are the simple roots.  The simple reflection s_b changes only
+    coordinate b and permutes the positive roots other than alpha_b, so a
+    root it reaches first is negative iff the root it came from is negative
+    or is alpha_b: no sign is decided.  For finite W the root system is
+    closed at construction by BFS from the simple roots, generators in index
+    order, and each root keeps the parent (s, gamma) it was first reached
+    from, root = s(gamma).  The reflection in a non-simple root is then
+    s_beta = s s_gamma s, one row of lookups in rows already filled.  For
+    infinite W a root gets the next id when first met, a non-simple
+    reflection is the exact rho - 2 B(rho, beta) beta, and only a root first
+    met that way has its sign certified.
     """
 
     def __init__(self, system: CoxeterSystem):
         n = system.rank
-        self._twice_gram = [[2 * g for g in row] for row in system.gram_matrix(1)]
+        # per simple root b, {j: 2 B(alpha_j, alpha_b)} over the nonzero entries
+        self._bonds = [
+            {j: 2 * g for j, g in enumerate(row) if g != 0} for row in system.gram_matrix(1)
+        ]
         self.vectors: list[tuple] = []
         self.negative: list[bool] = []
         self._ids: dict[tuple, int] = {}
-        self._reflections: list[dict[int, int]] = []  # b -> {r: s_b(r)}
+        self._rows: list[dict[int, int]] = []  # b -> {r: s_b(r)}
+        self._parent: list[Optional[tuple[int, int]]] = []
         zero, one = system._wrap(0), system._wrap(1)
         for s in range(n):
-            self._intern(tuple(one if i == s else zero for i in range(n)))
+            self._intern(tuple(one if i == s else zero for i in range(n)), False)
         self.identity = tuple(range(n))
-        if is_finite_parabolic(system, self.identity):
+        self.finite = is_finite_parabolic(system, self.identity)
+        if self.finite:
             for r, _ in enumerate(self.vectors):  # a BFS queue: grows while walked
                 for s in range(n):
                     self.reflect(s, r)
 
-    def _intern(self, vector: tuple) -> int:
+    def _intern(self, vector: tuple, negative: Optional[bool], parent=None) -> int:
+        """Id of a root vector; a new root with `negative` None has its sign
+        certified (all its coordinates share it, so the first nonzero one)."""
         rid = self._ids.get(vector)
         if rid is None:
+            if negative is None:
+                negative = scalar_sign(next(x for x in vector if x != 0)) < 0
             rid = self._ids[vector] = len(self.vectors)
             self.vectors.append(vector)
-            self.negative.append(any(scalar_sign(x) < 0 for x in vector))
-            self._reflections.append({})
+            self.negative.append(negative)
+            self._rows.append({})
+            self._parent.append(parent)
         return rid
 
-    def reflect(self, b: int, r: int, c=None) -> int:
-        """Id of s_beta(rho) = rho - c beta for root ids b, r, c = 2 B(rho, beta);
-        c may be left out when beta is the simple root alpha_b."""
-        row = self._reflections[b]
+    def reflect(self, b: int, r: int) -> int:
+        """Id of s_b(rho) for the simple root alpha_b and the root id r."""
+        row = self._rows[b]
         if r not in row:
-            rho, beta = self.vectors[r], self.vectors[b]
-            if c is None:
-                c = sum(g * x for g, x in zip(self._twice_gram[b], rho))
-            row[r] = r if c == 0 else self._intern(tuple(x - c * y for x, y in zip(rho, beta)))
+            rho = self.vectors[r]
+            c = sum(g * rho[j] for j, g in self._bonds[b].items())
+            if c == 0:
+                row[r] = r
+            else:
+                image = list(rho)
+                image[b] -= c
+                # s_b maps -alpha_b to alpha_b, which is never new
+                row[r] = self._intern(tuple(image), self.negative[r] or r == b, (b, r))
         return row[r]
 
+    def _fill(self, b: int) -> None:
+        """Fill the row of a root of finite W by s_beta = s s_gamma s, beta =
+        s(gamma), walking down from the nearest ancestor whose row is filled
+        (simple rows always are).  A loop, not recursion: a parent chain is as
+        long as the root's height, which grows without bound on I2(m)."""
+        chain = []
+        while not self._rows[b]:
+            chain.append(b)
+            b = self._parent[b][1]
+        ids = range(len(self.vectors))
+        for beta in reversed(chain):
+            s, gamma = self._parent[beta]
+            rs, rg = self._rows[s], self._rows[gamma]
+            self._rows[beta] = {r: rs[rg[rs[r]]] for r in ids}
+
     def right_mul(self, key: tuple, s: int) -> tuple:
-        """Key of w*s from the key of w: (ws)(alpha_j) = s_{w(alpha_s)}(w(alpha_j)),
-        where 2 B(w(alpha_j), w(alpha_s)) = 2 B(alpha_j, alpha_s) as W preserves B."""
+        """Key of w*s from the key of w: (ws)(alpha_j) = s_beta(w(alpha_j)) for
+        beta = w(alpha_s)."""
         b = key[s]
-        row = self._reflections[b]
+        row = self._rows[b]
         try:
             return tuple([row[r] for r in key])
         except KeyError:
-            c = self._twice_gram[s]
-            return tuple([self.reflect(b, r, c[j]) for j, r in enumerate(key)])
+            pass
+        if b < len(key):  # a simple root, in infinite W
+            return tuple([self.reflect(b, r) for r in key])
+        if self.finite:
+            self._fill(b)
+            row = self._rows[b]
+            return tuple([row[r] for r in key])
+        # infinite W: 2 B(w(alpha_j), w(alpha_s)) = 2 B(alpha_j, alpha_s), as W
+        # preserves B; the only place a sign is certified
+        beta, bonds = self.vectors[b], self._bonds[s]
+        for j, r in enumerate(key):
+            if r not in row:
+                c = bonds.get(j, 0)
+                if c == 0:
+                    row[r] = r
+                else:
+                    image = tuple(x - c * y for x, y in zip(self.vectors[r], beta))
+                    row[r] = self._intern(image, None)
+        return tuple([row[r] for r in key])
 
     def apply(self, key: tuple, word: Iterable[int]) -> tuple:
         for s in word:
@@ -335,28 +390,51 @@ class GroupElement:
 def is_finite_parabolic(system: CoxeterSystem, subset: Iterable[int]) -> bool:
     """Whether the parabolic subgroup on the subset is finite.
 
-    Finiteness is equivalent to positive definiteness of the restricted
-    bilinear form at t = 1, decided by the signs of the leading principal
-    minors.  An infinite bond inside the subset answers immediately.
+    W_I is finite iff each connected component of its diagram is of type
+    A, B, D, E, F, H or I (the classification of finite Coxeter groups), so
+    the answer is read off the bonds with integers only.
     """
     subset = frozenset(subset)
     key = ("finite", subset)
-    if key in system._cache:
-        return system._cache[key]
-    idx = sorted(subset)
-    result = True
-    for i, j in itertools.combinations(idx, 2):
-        if system.m(i, j) == 0:
-            result = False
-    if result:
-        sub = [[system.bilinear_entry(a, b, 1) for b in idx] for a in idx]
-        for k in range(1, len(idx) + 1):
-            minor = determinant(tuple(tuple(row[:k]) for row in sub[:k]))
-            if scalar_sign(minor) <= 0:
-                result = False
-                break
-    system._cache[key] = result
-    return result
+    if key not in system._cache:
+        system._cache[key] = all(
+            _finite_component(system, comp) for comp in _diagram_components(system, subset)
+        )
+    return system._cache[key]
+
+
+def _finite_component(system: CoxeterSystem, comp: set[int]) -> bool:
+    # the bonds (order >= 3 or infinite) of one connected diagram
+    pairs = itertools.combinations(comp, 2)
+    bonds = {(i, j): system.m(i, j) for i, j in pairs if system.m(i, j) != 2}
+    if 0 in bonds.values():
+        return False
+    if len(comp) <= 2:  # A1 and I2(m)
+        return True
+    # a connected graph with |comp| - 1 edges is a tree
+    if len(bonds) != len(comp) - 1 or max(bonds.values()) > 5:
+        return False
+    degree = dict.fromkeys(comp, 0)
+    for i, j in bonds:
+        degree[i] += 1
+        degree[j] += 1
+    branches = [v for v in comp if degree[v] > 2]
+    big = [edge for edge, m in bonds.items() if m > 3]
+    if big:  # a path with one bond of 4 or 5
+        if len(big) > 1 or branches:
+            return False
+        i, j = big[0]
+        at_end = min(degree[i], degree[j]) == 1
+        if bonds[big[0]] == 4:  # B_n, or F4 with the 4 in the middle
+            return at_end or len(comp) == 4
+        return at_end and len(comp) <= 4  # H3, H4
+    if not branches:  # A_n
+        return True
+    if len(branches) > 1 or degree[branches[0]] > 3:
+        return False
+    # D_n and E6-8: arms p, q, r with 1/(p+1) + 1/(q+1) + 1/(r+1) > 1
+    p, q, r = (len(arm) + 1 for arm in _diagram_components(system, comp - set(branches)))
+    return q * r + p * r + p * q > p * q * r
 
 
 def _diagram_components(system: CoxeterSystem, subset: frozenset[int]) -> list[set[int]]:

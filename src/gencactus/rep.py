@@ -16,9 +16,8 @@ coxeter module), and image rows share the zero and the unit rows of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .cactus import CactusWord, commuting_subsets
 from .coxeter import CoxeterSystem, connected_subsets, conjugate_subset
@@ -201,10 +200,21 @@ def _rho_assemble(system, I, t, gram):
     return tuple(rows)
 
 
-@dataclass
 class RelationReport:
-    checked: int = 0
-    violations: list = field(default_factory=list)
+    """How many relations `check_relations` checked, and the (kind, detail)
+    pairs of those that fail."""
+
+    def __init__(self, checked: int = 0, violations: Optional[list] = None):
+        self.checked = checked
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.checked, self.violations) == (other.checked, other.violations)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"RelationReport(checked={self.checked!r}, violations={self.violations!r})"
 
     @property
     def ok(self) -> bool:

@@ -279,8 +279,9 @@ class CycloReal:
             prec *= 2
 
     def _interval_value(self, prec: int):
-        # imported here, not at module level: rational systems (types A, D,
-        # E) never certify a sign and should not pay for the import
+        # imported here, not at module level: only an infinite W with an
+        # irrational bond certifies signs, and no other process should pay
+        # for the import
         import mpmath
 
         iv = mpmath.iv

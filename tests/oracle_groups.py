@@ -3,9 +3,14 @@
 Nothing in this module imports the package under test.  Symmetric groups
 act on index tuples, dihedral groups on polygon vertices, hyperoctahedral
 groups on signed tuples; a generic BFS gives orders, word lengths, and the
-longest element straight from the definitions.  The matrix kernel at the end
+longest element straight from the definitions.  The matrix kernel
 computes in the reflection representation itself, from generator matrices
-and a sign function the caller passes in.
+and a sign function the caller passes in.  The last two oracles are the
+arithmetic the library used before it read finiteness off the classification
+and root signs off the simple-reflection rule: Sylvester's criterion on the
+Gram matrix, and a root table that reflects every root in every root exactly
+and certifies the sign of each new root, both from a Gram matrix and a sign
+function the caller passes in.
 """
 
 import itertools
@@ -213,3 +218,116 @@ def matrix_conjugate_subset(gens, outer, inner, sign):
         conj = mat_mul(mat_mul(w, gens[s]), w)
         out.add(next(v for v, g in enumerate(gens) if g == conj))
     return frozenset(out)
+
+
+# -- finiteness by the bilinear form ------------------------------------------
+
+
+def determinant(rows):
+    """Exact determinant by elimination on nonzero pivots."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    one = a[0][0] * 0 + 1
+    det = one
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return one * 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det = det * a[k][k]
+        inv = one / a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] * inv
+            if f != 0:
+                for j in range(k, n):
+                    a[i][j] = a[i][j] - f * a[k][j]
+    return det
+
+
+def sylvester_finite(matrix, gram, subset, sign):
+    """Whether W_I is finite: no infinite bond inside I, and every leading
+    principal minor of the Gram matrix at t = 1 restricted to I is positive."""
+    idx = sorted(subset)
+    if any(matrix[i][j] == 0 for i, j in itertools.combinations(idx, 2)):
+        return False
+    sub = [[gram[a][b] for b in idx] for a in idx]
+    return all(
+        sign(determinant([row[:k] for row in sub[:k]])) > 0 for k in range(1, len(idx) + 1)
+    )
+
+
+# -- root table with exact reflections and certified signs ------------------
+
+
+class RootTable:
+    """Roots interned to ids in order of discovery (simple roots first; for
+    finite W closed by BFS, generators in index order).  The reflection of a
+    root rho in a root beta is always rho - 2 B(rho, beta) beta, computed once,
+    and the sign of every new root is certified coordinate by coordinate."""
+
+    def __init__(self, gram, finite, sign):
+        n = len(gram)
+        self._twice_gram = [[2 * g for g in row] for row in gram]
+        self._sign = sign
+        self.vectors, self.negative, self.ids, self._rows = [], [], {}, []
+        one = gram[0][0]
+        zero = one - one
+        for s in range(n):
+            self._intern(tuple(one if i == s else zero for i in range(n)))
+        self.identity = tuple(range(n))
+        if finite:
+            for r, _ in enumerate(self.vectors):
+                for s in range(n):
+                    self.reflect(s, r)
+
+    def _intern(self, vector):
+        if vector not in self.ids:
+            self.ids[vector] = len(self.vectors)
+            self.vectors.append(vector)
+            self.negative.append(any(self._sign(x) < 0 for x in vector))
+            self._rows.append({})
+        return self.ids[vector]
+
+    def reflect(self, b, r, c=None):
+        """s_beta(rho) for root ids b, r; c = 2 B(rho, beta), computed from the
+        Gram matrix when beta is the simple root alpha_b and c is left out."""
+        row = self._rows[b]
+        if r not in row:
+            rho, beta = self.vectors[r], self.vectors[b]
+            if c is None:
+                c = sum(g * x for g, x in zip(self._twice_gram[b], rho))
+            row[r] = r if c == 0 else self._intern(tuple(x - c * y for x, y in zip(rho, beta)))
+        return row[r]
+
+    def right_mul(self, key, s):
+        # 2 B(w(alpha_j), w(alpha_s)) = 2 B(alpha_j, alpha_s)
+        c = self._twice_gram[s]
+        return tuple(self.reflect(key[s], r, c[j]) for j, r in enumerate(key))
+
+    def apply(self, key, word):
+        for s in word:
+            key = self.right_mul(key, s)
+        return key
+
+
+def root_group_tables(roots):
+    """Keys of a finite W in BFS order (right multiplication, generators in
+    index order, ascents only) and the tables of w -> ws and w -> sw."""
+    n = len(roots.identity)
+    keys, index, frontier = [roots.identity], {roots.identity: 0}, [roots.identity]
+    while frontier:
+        nxt = []
+        for key in frontier:
+            for s in range(n):
+                if not roots.negative[key[s]]:
+                    new = roots.right_mul(key, s)
+                    if new not in index:
+                        index[new] = len(keys)
+                        keys.append(new)
+                        nxt.append(new)
+        frontier = nxt
+    right = [[index[roots.right_mul(k, s)] for k in keys] for s in range(n)]
+    left = [[index[tuple(roots.reflect(s, r) for r in k)] for k in keys] for s in range(n)]
+    return keys, right, left

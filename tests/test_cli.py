@@ -265,3 +265,43 @@ def test_rational_query_does_not_import_mpmath():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--system", "H3", "sset"],
+        ["--system", "B4", "eval", "g{s1,s2} g{s3,s4} g{s2,s3,s4}"],
+        ["--system", "I2(8)", "sset"],
+        ["--system", "B2", "longest", "{s1,s2}"],
+        ["--system", "H3", "check-relations", "rho"],
+    ],
+)
+def test_finite_irrational_query_does_not_import_mpmath(argv):
+    # a finite W decides no sign: root signs follow the simple-reflection
+    # rule and finiteness the classification
+    code = (
+        "import sys\n"
+        "from gencactus.cli import run\n"
+        f"assert run({argv!r}) == 0\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    assert fresh_interpreter(code).splitlines()[-1] == "False"
+
+
+def test_cli_import_does_not_import_dataclasses():
+    code = "import sys\nimport gencactus.cli\nprint('dataclasses' in sys.modules)\n"
+    assert fresh_interpreter(code).splitlines()[-1] == "False"
+
+
+def fresh_interpreter(code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout

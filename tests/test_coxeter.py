@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from gencactus.coxeter import (
 )
 from gencactus.errors import InfiniteGroupError, InputError
 from gencactus.linalg import mat_mul, transpose
-from gencactus.scalar import CycloReal, cos_pi_over
+from gencactus.scalar import CycloReal, cos_pi_over, scalar_sign
 
 import oracle_groups as og
 
@@ -232,6 +233,114 @@ def test_finiteness_matches_positive_definiteness(builder):
     for subset in og.all_subsets(sys_.rank):
         expect = bool(sympy_gram(sys_, subset).is_positive_definite)
         assert is_finite_parabolic(sys_, subset) == expect
+
+
+LABELS = (2, 3, 4, 5, 6, 0)
+
+
+def matrix_system(rank, entries):
+    """System on s1..s<rank> with the upper-triangle entries in row order."""
+    mat = [[1] * rank for _ in range(rank)]
+    for (i, j), m in zip(itertools.combinations(range(rank), 2), entries):
+        mat[i][j] = mat[j][i] = m
+    return CoxeterSystem([f"s{i + 1}" for i in range(rank)], mat)
+
+
+def diagram(rank, bonds):
+    """System on s1..s<rank> whose bonds are given as {(i, j): m}."""
+    pairs = itertools.combinations(range(rank), 2)
+    entries = [bonds.get((i, j), bonds.get((j, i), 2)) for i, j in pairs]
+    return matrix_system(rank, entries)
+
+
+def path(*bonds):
+    return diagram(len(bonds) + 1, {(i, i + 1): m for i, m in enumerate(bonds)})
+
+
+def star(*arms):
+    """Node 0 with simply laced arms of the given lengths hanging off it."""
+    bonds, node = {}, 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            bonds[(prev, node)] = 3
+            prev, node = node, node + 1
+    return diagram(node, bonds)
+
+
+def assert_classification_matches_oracle(sys_, subsets):
+    gram = sys_.gram_matrix(1)
+    for subset in subsets:
+        expect = og.sylvester_finite(sys_.matrix, gram, subset, scalar_sign)
+        assert is_finite_parabolic(sys_, subset) == expect, (sys_.matrix, sorted(subset))
+
+
+def test_classification_every_small_matrix():
+    # every proper subset of a rank-3 matrix is itself a smaller matrix here
+    for rank in (1, 2, 3):
+        for entries in itertools.product(LABELS, repeat=rank * (rank - 1) // 2):
+            sys_ = matrix_system(rank, entries)
+            assert_classification_matches_oracle(sys_, [range(rank)])
+
+
+def test_classification_random_rank_four():
+    # uniform labels are almost never finite in rank 4; every other matrix
+    # leans towards 2 and 3 so that both answers occur often
+    rng = random.Random(404)
+    finite = 0
+    for k in range(400):
+        labels = LABELS if k % 2 else (2, 2, 2, 3, 3, 4, 5)
+        sys_ = matrix_system(4, [rng.choice(labels) for _ in range(6)])
+        assert_classification_matches_oracle(sys_, [range(4)])
+        finite += is_finite_parabolic(sys_, range(4))
+    assert 40 <= finite <= 360
+
+
+NAMED = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(2, 9)]
+    + ["E6", "E7", "E8", "F4", "H3", "H4"]
+    + [f"I2({m})" for m in (2, 3, 5, 6, 8, 12)]
+    + ["A1*A1", "B3*H4", "H3*F4", "D4*I2(5)*A1", "E6*A2", "H4*H4", "I2(7)*B3*A2"]
+)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_classification_named_systems(name):
+    sys_ = CoxeterSystem.from_name(name)
+    assert is_finite_parabolic(sys_, range(sys_.rank))
+    assert_classification_matches_oracle(sys_, [range(sys_.rank)])
+
+
+INFINITE = {
+    "A~2": lambda: diagram(3, {(0, 1): 3, (1, 2): 3, (0, 2): 3}),
+    "A~5": lambda: diagram(6, {(i, (i + 1) % 6): 3 for i in range(6)}),
+    "B~3": lambda: diagram(4, {(0, 2): 3, (1, 2): 3, (2, 3): 4}),
+    "B~5": lambda: diagram(6, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 4}),
+    "C~2": lambda: path(4, 4),
+    "C~4": lambda: path(4, 3, 3, 4),
+    "D~4": lambda: star(1, 1, 1, 1),
+    "D~6": lambda: diagram(7, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (4, 6): 3}),
+    "E~6": lambda: star(2, 2, 2),
+    "E~7": lambda: star(1, 3, 3),
+    "E~8": lambda: star(1, 2, 5),
+    "F~4": lambda: path(3, 3, 4, 3),
+    "G~2": lambda: path(3, 6),
+    "[5,3,3,3]": lambda: path(5, 3, 3, 3),
+    "[4,3,5]": lambda: path(4, 3, 5),
+    "[3,5,3]": lambda: path(3, 5, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE))
+def test_classification_affine_and_hyperbolic(name):
+    sys_ = INFINITE[name]()
+    rank = sys_.rank
+    assert not is_finite_parabolic(sys_, range(rank))
+    # every proper subset of an affine or compact hyperbolic diagram is finite
+    assert all(is_finite_parabolic(sys_, I) for I in og.all_subsets(rank) if len(I) < rank)
+    assert_classification_matches_oracle(sys_, og.all_subsets(rank))
 
 
 def diagram_connected(sys_, subset):

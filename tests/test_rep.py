@@ -17,6 +17,7 @@ from gencactus.linalg import (
 )
 from gencactus.rep import (
     Pi_of,
+    RelationReport,
     Pi_rep,
     check_relations,
     form_on_S,
@@ -204,6 +205,25 @@ def test_check_relations_missing_conjugate(context):
     del rep[S2]
     report = check_relations(ctx.system, rep)
     assert any(kind == "missing-conjugate" for kind, _ in report.violations)
+
+
+def test_relation_report_keeps_its_dataclass_behaviour():
+    # values printed by the report when it was a dataclass
+    empty = RelationReport()
+    assert repr(empty) == "RelationReport(checked=0, violations=[])"
+    assert empty.ok and empty.summary() == "all 0 relations hold"
+    bad = RelationReport(3, [("involution", "{a}")])
+    assert repr(bad) == "RelationReport(checked=3, violations=[('involution', '{a}')])"
+    assert not bad.ok and bad.summary() == "1 of 3 relations fail:\n  involution: {a}"
+    two = RelationReport(checked=2, violations=[("x", "y"), ("z", "w")])
+    assert two.summary() == "2 of 2 relations fail:\n  x: y\n  z: w"
+    assert RelationReport() == RelationReport(checked=0, violations=[])
+    assert RelationReport(1) != RelationReport() and RelationReport() != (0, [])
+    assert RelationReport().__eq__((0, [])) is NotImplemented
+    assert RelationReport.__hash__ is None
+    first, second = RelationReport(), RelationReport()
+    first.violations.append(("involution", "{a}"))
+    assert second.violations == [] and first.checked == 0
 
 
 def test_stable_lines_a2_restricted(context):

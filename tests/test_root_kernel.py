@@ -1,8 +1,10 @@
-"""The root-id kernel for W against the matrix kernel in oracle_groups.
+"""The root-id kernel for W against the matrix kernel and the sign-certified
+root table in oracle_groups.
 
 Both kernels take the generators in index order and extract the smallest
 right descent first, so words and orders must agree exactly, not only up to
-equality in W.
+equality in W.  The root table must give the same ids as the oracle, which
+reflects every root in every root exactly and certifies every sign.
 """
 
 import random
@@ -86,3 +88,43 @@ def test_elements_of_equal_systems_compare_equal(builder):
     y = GroupElement.from_word(second, (1, 0, 1, 2))
     assert x == y and hash(x) == hash(y)
     assert len({x, y}) == 1
+
+
+def oracle_roots(sys_):
+    gram = sys_.gram_matrix(1)
+    finite = og.sylvester_finite(sys_.matrix, gram, range(sys_.rank), scalar_sign)
+    return og.RootTable(gram, finite, scalar_sign)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A2", "A3", "A4", "B3", "B4", "D4", "F4", "H3", "H4", "I2(5)", "I2(8)", "I2(60)"],
+)
+def test_finite_root_table_matches_certified_oracle(name):
+    sys_ = CoxeterSystem.from_name(name)
+    table = sys_.group_table()
+    roots, oracle = sys_.root_table(), oracle_roots(sys_)
+    keys, right, left = og.root_group_tables(oracle)
+    assert [el.key for el in table.elements] == keys
+    assert table.gen_right == right and table.gen_left == left
+    # the oracle reflected every root in every root; the table still holds Phi
+    assert roots.vectors == oracle.vectors and roots.negative == oracle.negative
+    assert all(roots._ids[v] == i for i, v in enumerate(oracle.vectors))
+
+
+def mixed_bonds():
+    # an infinite bond and a bond of 4 in one infinite group
+    return CoxeterSystem(("a", "b", "c"), ((1, 0, 4), (0, 1, 2), (4, 2, 1)))
+
+
+@pytest.mark.parametrize("builder", [affine_triangle, mixed_bonds])
+def test_long_words_on_infinite_groups_match_certified_oracle(builder):
+    sys_ = builder()
+    roots, oracle = sys_.root_table(), oracle_roots(sys_)
+    rng = random.Random(3000)
+    word = [rng.randrange(3) for _ in range(3000)]
+    key = roots.apply(roots.identity, word)
+    assert key == oracle.apply(oracle.identity, word)
+    assert roots.vectors == oracle.vectors and roots.negative == oracle.negative
+    el = GroupElement(sys_, key)
+    assert GroupElement.from_word(sys_, el.word) == el
