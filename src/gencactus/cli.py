@@ -23,7 +23,7 @@ from .cactus import (
     type_a_dictionary,
 )
 from .coxeter import CoxeterSystem, connected_subsets, is_finite_parabolic, longest_element
-from .errors import CactusError, InfiniteGroupError, InputError, SubspaceError
+from .errors import CactusError, InfiniteGroupError, InputError
 from .racg import RacgContext
 from .rep import (
     Pi_rep,
@@ -34,7 +34,7 @@ from .rep import (
     stable_lines,
 )
 from .scalar import format_scalar
-from .linalg import solve_in_span
+from .linalg import reduced_basis
 
 
 def _add_common(parser, suppress: bool) -> None:
@@ -294,20 +294,10 @@ def _cmd_stable_lines(args) -> int:
 
 
 def _default_keep(subspace, dim):
-    keep = []
-    basis = list(subspace)
-    for i in range(dim):
-        if len(basis) == dim:
-            break
-        unit = tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
-        try:
-            outside = solve_in_span(basis, [unit]) is None
-        except ValueError:
-            raise SubspaceError("subspace vectors are linearly dependent") from None
-        if outside:
-            basis.append(unit)
-            keep.append(i)
-    return keep
+    # the axes that are no vector's own coordinate in the reduced basis: the
+    # first axes transverse to the subspace
+    own = {max(i for i, x in enumerate(v) if x != 0) for v in reduced_basis(subspace)}
+    return [i for i in range(dim) if i not in own]
 
 
 def _cmd_quotient(args) -> int:

@@ -18,7 +18,7 @@ import weakref
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InfiniteGroupError, InputError
+from .errors import CactusError, InfiniteGroupError, InputError
 from .linalg import Matrix
 from .scalar import (
     CycloReal,
@@ -403,17 +403,18 @@ def is_finite_parabolic(system: CoxeterSystem, subset: Iterable[int]) -> bool:
     return system._cache[key]
 
 
-def _finite_component(system: CoxeterSystem, comp: set[int]) -> bool:
-    # the bonds (order >= 3 or infinite) of one connected diagram
+def _finite_component(system: CoxeterSystem, comp: set[int]) -> int:
+    """The order of the group of one connected diagram; 0 when infinite."""
     pairs = itertools.combinations(comp, 2)
     bonds = {(i, j): system.m(i, j) for i, j in pairs if system.m(i, j) != 2}
+    n = len(comp)
     if 0 in bonds.values():
-        return False
-    if len(comp) <= 2:  # A1 and I2(m)
-        return True
+        return 0
+    if n <= 2:  # A1 and I2(m)
+        return 2 * max(bonds.values(), default=1)
     # a connected graph with |comp| - 1 edges is a tree
-    if len(bonds) != len(comp) - 1 or max(bonds.values()) > 5:
-        return False
+    if len(bonds) != n - 1 or max(bonds.values()) > 5:
+        return 0
     degree = dict.fromkeys(comp, 0)
     for i, j in bonds:
         degree[i] += 1
@@ -422,19 +423,21 @@ def _finite_component(system: CoxeterSystem, comp: set[int]) -> bool:
     big = [edge for edge, m in bonds.items() if m > 3]
     if big:  # a path with one bond of 4 or 5
         if len(big) > 1 or branches:
-            return False
+            return 0
         i, j = big[0]
         at_end = min(degree[i], degree[j]) == 1
         if bonds[big[0]] == 4:  # B_n, or F4 with the 4 in the middle
-            return at_end or len(comp) == 4
-        return at_end and len(comp) <= 4  # H3, H4
+            return 2**n * math.factorial(n) if at_end else (1152 if n == 4 else 0)
+        return {3: 120, 4: 14_400}.get(n, 0) if at_end else 0  # H3, H4
     if not branches:  # A_n
-        return True
+        return math.factorial(n + 1)
     if len(branches) > 1 or degree[branches[0]] > 3:
-        return False
-    # D_n and E6-8: arms p, q, r with 1/(p+1) + 1/(q+1) + 1/(r+1) > 1
-    p, q, r = (len(arm) + 1 for arm in _diagram_components(system, comp - set(branches)))
-    return q * r + p * r + p * q > p * q * r
+        return 0
+    # D_n and E6-8 by the arms p <= q <= r of the branch node, each counting it
+    arms = tuple(sorted(len(arm) + 1 for arm in _diagram_components(system, comp - set(branches))))
+    if arms[:2] == (2, 2):
+        return 2 ** (n - 1) * math.factorial(n)
+    return {(2, 3, 3): 51_840, (2, 3, 4): 2_903_040, (2, 3, 5): 696_729_600}.get(arms, 0)
 
 
 def _diagram_components(system: CoxeterSystem, subset: frozenset[int]) -> list[set[int]]:
@@ -536,17 +539,28 @@ def conjugate_subset(
     return frozenset(out)
 
 
+# the largest |W| listed element by element: E6 (51,840) passes, E7 does not
+_MAX_ORDER = 10**5
+
+
 def enumerate_group(system: CoxeterSystem, max_length: Optional[int] = None) -> list[GroupElement]:
     """All elements of the (finite) group W, in BFS order.
 
     BFS over right multiplication, deduplicated by key; the first visit of
     an element happens at its length, so stored words are reduced.  A right
     descent leads back to a shorter element and is skipped.  With max_length
-    set, raises if the group is not exhausted within that radius.
+    set, raises if the group is not exhausted within that radius; without
+    it, a group of more than `_MAX_ORDER` elements is refused before the
+    walk.
     """
     idx = range(system.rank)
-    if max_length is None and not is_finite_parabolic(system, idx):
-        raise InfiniteGroupError(f"infinite group: {system.format_subset(idx)}")
+    if max_length is None:
+        comps = _diagram_components(system, frozenset(idx))
+        order = math.prod(_finite_component(system, comp) for comp in comps)
+        if not order:
+            raise InfiniteGroupError(f"infinite group: {system.format_subset(idx)}")
+        if order > _MAX_ORDER:
+            raise CactusError(f"group too large: |W| = {order} exceeds the limit of {_MAX_ORDER}")
     roots = system.root_table()
     identity = GroupElement.identity(system)
     elements = [identity]
@@ -591,10 +605,10 @@ class GroupTable:
             for s in range(n)
         ]
         self.simple_index = [self.gen_right[s][0] for s in range(n)]
-        # (s w)(alpha_j) is the reflection of w(alpha_j) in the simple root alpha_s
+        # (s w)(alpha_j) = s(w(alpha_j)), read in the full row of the simple root
         self.gen_left = [
-            [self.index[tuple([roots.reflect(s, r) for r in el.key])] for el in self.elements]
-            for s in range(n)
+            [self.index[tuple([row[r] for r in el.key])] for el in self.elements]
+            for row in roots._rows[:n]
         ]
 
     def __len__(self):

@@ -4,7 +4,8 @@ rho acts on E = R^F(S) through the orthogonal decomposition
 R e_I + E_I + F_I, in the closed form rho_I = 1 - 2 C G^-1 (BC)^T of the
 reflection in the span C of R e_I + E_I (one k x k solve, k = dim C); Pi
 acts on the span of the parabolic conjugates through reflections of the big
-right-angled form composed with relabeling permutations.  Stable lines split
+right-angled form composed with relabeling permutations, each image built
+as unit rows plus the one row of the reflection.  Stable lines split
 the space into simultaneous eigenspaces piece by piece, with one small
 kernel per piece and sign.  Restriction and quotient are one change of
 basis: the basis is eliminated once against the images of all generators.
@@ -23,6 +24,7 @@ from .cactus import CactusWord, commuting_subsets
 from .coxeter import CoxeterSystem, connected_subsets, conjugate_subset
 from .errors import DegenerateFormError, InputError, SubspaceError
 from .linalg import (
+    _ZERO,
     _sparse_row,
     determinant,
     identity_matrix,
@@ -32,7 +34,7 @@ from .linalg import (
     solve_in_span,
     transpose,
 )
-from .racg import InducedAutomorphism, RacgContext, SemidirectElement
+from .racg import RacgContext, SemidirectElement
 
 
 def form_on_fset(system: CoxeterSystem, t) -> tuple:
@@ -59,33 +61,29 @@ def form_on_S(ctx: RacgContext, t) -> tuple:
     right-angled matrix: 0 where the entry is 2, -t where it is infinite."""
     t = Fraction(t)
     n = len(ctx.conjugates)
-    return tuple(
-        tuple(
-            Fraction(1) if i == j else (Fraction(0) if ctx.M[i][j] == 2 else -t)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    return tuple(_form_row(ctx, k, range(n), Fraction(1), -t) for k in range(n))
 
 
-def reflection_in_form(gram, k: int):
-    """sigma_k(x) = x - 2 B(x, e_k) e_k as a matrix (columns are images)."""
-    n = len(gram)
-    one, zero = gram[k][k], gram[k][k] - gram[k][k]
-    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for j in range(n):
-        rows[k][j] = rows[k][j] - 2 * gram[j][k]
-    return tuple(tuple(r) for r in rows)
+def _form_row(ctx: RacgContext, k: int, perm, diag, off) -> tuple:
+    """Row k of the matrix with diag on the diagonal, off where M is infinite
+    and 0 elsewhere, read through perm: column c holds column perm[c]."""
+    mrow = ctx.M[k]
+    hits = [(c, diag if p == k else off) for c, p in enumerate(perm) if p == k or mrow[p] == 0]
+    return _sparse_row([(c, v) for c, v in hits if v != 0], len(mrow), _ZERO)
 
 
-def pi_prime(g: Union[InducedAutomorphism, Sequence[int]]):
-    """Permutation matrix of a diagram automorphism: e_s -> e_{g(s)}."""
-    perm = g.perm if isinstance(g, InducedAutomorphism) else tuple(g)
-    n = len(perm)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+def _pi_image(ctx: RacgContext, k: Optional[int], perm: Sequence[int], t: Fraction) -> tuple:
+    """sigma_k P_g: the reflection x -> x - 2 B(x, e_k) e_k in the form on S
+    after the permutation e_j -> e_{g(j)}, or P_g alone when k is None.  Off
+    row k, row i is the unit row at g^-1(i); row k is e_k - 2 (row k of the
+    form) read through g."""
+    units = identity_matrix(len(perm))
+    rows = list(units)
     for j, p in enumerate(perm):
-        rows[p][j] = Fraction(1)
-    return tuple(tuple(r) for r in rows)
+        rows[p] = units[j]
+    if k is not None:
+        rows[k] = _form_row(ctx, k, perm, Fraction(-1), 2 * t)
+    return tuple(rows)
 
 
 def Pi_rep(ctx: RacgContext, t) -> dict:
@@ -94,12 +92,10 @@ def Pi_rep(ctx: RacgContext, t) -> dict:
     key = ("Pi", t)
     cached = ctx.caches.get(key)
     if cached is None:
-        gram = form_on_S(ctx, t)
-        images = {}
-        for I, letter in ctx.letters.items():
-            refl = reflection_in_form(gram, letter.racg_part[0])
-            images[I] = mat_mul(refl, pi_prime(letter.aut_part))
-        cached = ctx.caches[key] = images
+        cached = ctx.caches[key] = {
+            I: _pi_image(ctx, letter.racg_part[0], letter.aut_part.perm, t)
+            for I, letter in ctx.letters.items()
+        }
     return cached
 
 
@@ -119,11 +115,10 @@ def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
             acc = mat_mul(acc, letters[I])
         return acc
     if isinstance(x, SemidirectElement):
-        gram = form_on_S(ctx, t)
         acc = identity_matrix(n)
         for i in x.racg_part:
-            acc = mat_mul(acc, reflection_in_form(gram, i))
-        return mat_mul(acc, pi_prime(x.aut_part))
+            acc = mat_mul(acc, _pi_image(ctx, i, range(n), t))
+        return mat_mul(acc, _pi_image(ctx, None, x.aut_part.perm, t))
     raise InputError(f"cannot represent object of type {type(x).__name__}")
 
 

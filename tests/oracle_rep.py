@@ -8,11 +8,14 @@ conjugates each generator by an inverse.  They build on the package's
 exact linear algebra (`kernel_basis`, `mat_mul`, `solve_in_span`), which
 has oracles of its own in tests/test_linalg.py, plus a plain inverse and
 matrix-vector product of their own.  They are slow (n x n inverses and
-kernels per generator) and plain.
+kernels per generator) and plain.  The dense form on S and the dense
+reflection and permutation matrices, whose product the Pi images equal,
+are here too, as is the axis-by-axis default `--keep` of the quotient
+command.
 """
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
 from gencactus.coxeter import connected_subsets, conjugate_subset
 from gencactus.errors import DegenerateFormError, InputError, SubspaceError
@@ -27,6 +30,7 @@ from gencactus.linalg import (
     solve_in_span,
     transpose,
 )
+from gencactus.racg import InducedAutomorphism
 from gencactus.rep import form_on_fset
 
 
@@ -205,3 +209,54 @@ def quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
             for row in x[k:]
         )
     return out
+
+
+def form_on_S(ctx, t):
+    """The Gram matrix on S entry by entry: 1, then 0 where M is 2, else -t."""
+    t = Fraction(t)
+    n = len(ctx.conjugates)
+    return tuple(
+        tuple(
+            Fraction(1) if i == j else (Fraction(0) if ctx.M[i][j] == 2 else -t)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def reflection_in_form(gram, k: int):
+    """sigma_k(x) = x - 2 B(x, e_k) e_k as a matrix (columns are images)."""
+    n = len(gram)
+    one, zero = gram[k][k], gram[k][k] - gram[k][k]
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for j in range(n):
+        rows[k][j] = rows[k][j] - 2 * gram[j][k]
+    return tuple(tuple(r) for r in rows)
+
+
+def pi_prime(g: Union[InducedAutomorphism, Sequence[int]]):
+    """Permutation matrix of a diagram automorphism: e_s -> e_{g(s)}."""
+    perm = g.perm if isinstance(g, InducedAutomorphism) else tuple(g)
+    n = len(perm)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for j, p in enumerate(perm):
+        rows[p][j] = Fraction(1)
+    return tuple(tuple(r) for r in rows)
+
+
+def default_keep(subspace, dim):
+    """The first axes transverse to the subspace, one span test per axis."""
+    keep = []
+    basis = list(subspace)
+    for i in range(dim):
+        if len(basis) == dim:
+            break
+        unit = tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
+        try:
+            outside = solve_in_span(basis, [unit]) is None
+        except ValueError:
+            raise SubspaceError("subspace vectors are linearly dependent") from None
+        if outside:
+            basis.append(unit)
+            keep.append(i)
+    return keep

@@ -1,12 +1,19 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gencactus.cli import run
+import oracle_rep
+from gencactus.cli import _default_keep, run
+from gencactus.errors import SubspaceError
+from gencactus.linalg import identity_matrix
+from gencactus.rep import quotient_rep
 
 
 def invoke(capsys, *argv):
@@ -149,6 +156,35 @@ def test_quotient_default_keep(capsys):
     assert json.loads(out)["keep"] == [0, 1]
 
 
+
+def _keep_outcome(default_keep, subspace, dim):
+    # the axes, or the error the quotient command reports for them
+    try:
+        keep = default_keep(subspace, dim)
+        quotient_rep({"e": identity_matrix(dim)}, subspace, keep)
+    except SubspaceError as exc:
+        return str(exc)
+    return keep
+
+
+def test_default_keep_matches_the_axis_by_axis_oracle():
+    rng = random.Random(7)
+    for _ in range(400):
+        dim = rng.randint(1, 7)
+        subspace = [
+            tuple(Fraction(rng.choice([0, 0, 0, 1, -1, 2]), rng.randint(1, 2)) for _ in range(dim))
+            for _ in range(rng.randint(1, dim))
+        ]
+        extra = rng.random()
+        if extra < 0.15:
+            subspace.append(tuple(Fraction(0) for _ in range(dim)))
+        elif extra < 0.3:
+            subspace.append(tuple(x - 2 * y for x, y in zip(subspace[0], subspace[-1])))
+        rng.shuffle(subspace)
+        want = _keep_outcome(oracle_rep.default_keep, subspace, dim)
+        assert _keep_outcome(_default_keep, subspace, dim) == want, subspace
+
+
 _A2_RESTRICT = ("--restrict", "1,0,0,0", "--restrict", "0,1,0,0", "--restrict", "0,0,1,0")
 
 
@@ -225,6 +261,26 @@ def test_exit_code_domain_errors(capsys):
     assert code == 1 and "not exhausted" in err
     code, _, err = invoke(capsys, "check-relations", "rho", "--system", "A2", "--t", "1")
     assert code == 1
+
+
+
+def test_oversized_group_is_refused_within_seconds(capsys):
+    for argv in (("sset", "--system", "E8"), ("equal", "g{s1}", "g{s1}", "--system", "E7")):
+        start = time.monotonic()
+        code, out, err = invoke(capsys, *argv)
+        assert time.monotonic() - start < 10
+        assert code == 1 and out == ""
+        assert err.startswith("error: group too large: |W| = ")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [(("fset",), "{s1}"), (("longest", "{s1,s2,s3,s4,s5,s6,s7,s8}"), "s1"),
+     (("eval", "g{s1} g{s2}"), "s1 s2")],
+)
+def test_e8_commands_without_the_group_table(capsys, argv, want):
+    code, out, _ = invoke(capsys, *argv, "--system", "E8")
+    assert code == 0 and out.startswith(want)
 
 
 def test_max_len_allows_exact_closure(capsys):

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from gencactus import coxeter
 from gencactus.coxeter import (
     CoxeterSystem,
     GroupElement,
@@ -15,7 +17,8 @@ from gencactus.coxeter import (
     is_finite_parabolic,
     longest_element,
 )
-from gencactus.errors import InfiniteGroupError, InputError
+from gencactus.errors import CactusError, InfiniteGroupError, InputError
+from gencactus.racg import RacgContext
 from gencactus.linalg import mat_mul, transpose
 from gencactus.scalar import CycloReal, cos_pi_over, scalar_sign
 
@@ -139,6 +142,52 @@ def test_enumerate_max_length_semantics(system):
         enumerate_group(a2, max_length=2)
     with pytest.raises(InfiniteGroupError):
         enumerate_group(infinite_dihedral(), max_length=10)
+
+
+
+def group_order(sys_):
+    comps = coxeter._diagram_components(sys_, frozenset(range(sys_.rank)))
+    return math.prod(coxeter._finite_component(sys_, comp) for comp in comps)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "F4", "H3", "I2(5)", "I2(12)", "A1*A1"],
+)
+def test_group_order_is_the_enumerated_size(system, name):
+    sys_ = system(name)
+    assert group_order(sys_) == len(enumerate_group(sys_))
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [("E6", 51_840), ("E7", 2_903_040), ("E8", 696_729_600), ("H4", 14_400),
+     ("B8", 2**8 * math.factorial(8)), ("D8", 2**7 * math.factorial(8)),
+     ("E6*A1", 103_680)],
+)
+def test_group_order_matches_the_formula(name, order):
+    assert group_order(CoxeterSystem.from_name(name)) == order
+
+
+def test_group_order_is_zero_when_infinite():
+    assert group_order(infinite_dihedral()) == group_order(affine_triangle()) == 0
+
+
+@pytest.mark.parametrize("name", ["E6*A1", "A8", "E7", "E8"])
+def test_oversized_group_is_refused_before_enumeration(name):
+    sys_ = CoxeterSystem.from_name(name)
+    says = rf"group too large: \|W\| = {group_order(sys_)} exceeds the limit of 100000"
+    for build in (enumerate_group, CoxeterSystem.group_table, RacgContext):
+        with pytest.raises(CactusError, match=says) as err:
+            build(sys_)
+        assert type(err.value) is CactusError
+    # a bounded walk is not refused up front: it stops at its radius
+    with pytest.raises(InfiniteGroupError, match="not exhausted within length 3"):
+        enumerate_group(sys_, max_length=3)
+
+
+def test_e6_is_enumerated(system):
+    assert len(enumerate_group(system("E6"))) == 51_840
 
 
 # -- elements ---------------------------------------------------------------

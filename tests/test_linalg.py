@@ -14,7 +14,9 @@ from gencactus.linalg import (
     solve_in_span,
     transpose,
 )
-from gencactus.rep import Pi_rep, form_on_S, pi_prime, reflection_in_form
+from gencactus.rep import Pi_rep, form_on_S
+from oracle_rep import form_on_S as dense_form_on_S, pi_prime, reflection_in_form
+from test_rep import assert_identical, assert_shared
 from gencactus.scalar import CycloReal, cos_pi_over
 
 
@@ -276,18 +278,26 @@ def test_mat_mul_matches_dense_on_reflection_matrices(system, name):
         acc = mat_mul(acc, nxt)
 
 
-@pytest.mark.parametrize("name", ["A2", "A3", "B3", "H3", "D4", "B4"])
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "H3", "D4", "B4", "F4"])
 def test_pi_images_match_dense(context, name):
     ctx = context(name)
     for t in (Fraction(2), Fraction(5, 2)):
         images = Pi_rep(ctx, t)
-        gram = form_on_S(ctx, t)
+        gram = dense_form_on_S(ctx, t)
+        assert_identical(form_on_S(ctx, t), gram)
         keys = list(images)
         for i, (I, letter) in enumerate(ctx.letters.items()):
             refl = reflection_in_form(gram, letter.racg_part[0])
             perm = pi_prime(letter.aut_part)
-            assert_same_product(refl, perm)
+            if len(refl) < 60:
+                # n^3 multiply-adds per letter: F4's 99 x 99 takes the
+                # column reading below alone
+                assert_same_product(refl, perm)
             assert images[I] == mat_mul(refl, perm)
+            # column j of sigma_k P_g is column g(j) of sigma_k
+            g = letter.aut_part.perm
+            assert_identical(images[I], tuple(tuple(row[p] for p in g) for row in refl))
+            assert_shared(images[I])
             if len(refl) < 20:
                 # products of images, as the relation checks form them
                 assert_same_product(images[I], images[keys[(i + 1) % len(keys)]])

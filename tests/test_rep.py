@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracle_rep
+from oracle_rep import pi_prime, reflection_in_form
 from gencactus import rep as rep_module
 from gencactus.cactus import CactusWord, parse_word
 from gencactus.coxeter import connected_subsets
@@ -15,6 +16,7 @@ from gencactus.linalg import (
     mat_mul,
     transpose,
 )
+from gencactus.racg import SemidirectElement
 from gencactus.rep import (
     Pi_of,
     RelationReport,
@@ -22,9 +24,7 @@ from gencactus.rep import (
     check_relations,
     form_on_S,
     form_on_fset,
-    pi_prime,
     quotient_rep,
-    reflection_in_form,
     restrict_rep,
     rho_generator,
     rho_rep,
@@ -150,6 +150,26 @@ def test_pi_of_routes_agree(context):
     for t in (F(1), F(2)):
         assert Pi_of(ctx, w, t) == Pi_of(ctx, ctx.embed(w), t)
     assert Pi_of(ctx, CactusWord(ctx.system), F(1)) == identity_matrix(4)
+
+
+def test_pi_of_a_semidirect_element_matches_dense(context):
+    # an empty racg part with a nontrivial permutation is P_g alone
+    ctx = context("B3")
+    g = next(x.aut_part for x in ctx.letters.values() if not x.aut_part.is_identity())
+    w = ctx.embed(parse_word(ctx.system, "g{s1} g{s2,s3} g{s1,s2}"))
+    assert w.racg_part and not w.aut_part.is_identity()
+    for t in (F(2), F(0)):
+        gram = oracle_rep.form_on_S(ctx, t)
+        dense = identity_matrix(len(gram))
+        for i in w.racg_part:
+            dense = mat_mul(dense, reflection_in_form(gram, i))
+        for x, want in (
+            (SemidirectElement(ctx, (), g), pi_prime(g)),
+            (w, mat_mul(dense, pi_prime(w.aut_part))),
+        ):
+            got = Pi_of(ctx, x, t)
+            assert_identical(got, want)
+            assert_shared(got)
 
 
 def test_pi_of_rejects_other_objects(context):
