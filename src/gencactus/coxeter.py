@@ -551,7 +551,8 @@ def enumerate_group(system: CoxeterSystem, max_length: Optional[int] = None) -> 
     descent leads back to a shorter element and is skipped.  With max_length
     set, raises if the group is not exhausted within that radius; without
     it, a group of more than `_MAX_ORDER` elements is refused before the
-    walk.
+    walk.  A bounded walk is refused once it has listed more than
+    `_MAX_ORDER` elements.
     """
     idx = range(system.rank)
     if max_length is None:
@@ -579,6 +580,11 @@ def enumerate_group(system: CoxeterSystem, max_length: Optional[int] = None) -> 
                     seen.add(key)
                     elements.append(new)
                     nxt.append(new)
+                    if len(elements) > _MAX_ORDER:
+                        raise CactusError(
+                            f"group too large: more than {_MAX_ORDER} elements"
+                            f" within length {max_length}"
+                        )
         depth += 1
         if nxt and max_length is not None and depth > max_length:
             raise InfiniteGroupError(f"group not exhausted within length {max_length}")
@@ -600,10 +606,15 @@ class GroupTable:
         self.index = {el.key: i for i, el in enumerate(self.elements)}
         n = system.rank
         roots = system.root_table()
-        self.gen_right = [
-            [self.index[roots.right_mul(el.key, s)] for el in self.elements]
-            for s in range(n)
-        ]
+        # each ascent w < ws is one product, which also fills the descent
+        # (ws)s = w
+        self.gen_right = [[0] * len(self.elements) for _ in range(n)]
+        for key, i in self.index.items():
+            for s, row in enumerate(self.gen_right):
+                if not roots.negative[key[s]]:
+                    j = self.index[roots.right_mul(key, s)]
+                    row[i] = j
+                    row[j] = i
         self.simple_index = [self.gen_right[s][0] for s in range(n)]
         # (s w)(alpha_j) = s(w(alpha_j)), read in the full row of the simple root
         self.gen_left = [

@@ -2,17 +2,19 @@
 
 Matrices are immutable tuples of row tuples.  Everything here is pivot-exact:
 zero tests reduce to exact scalar equality.  Products walk only the nonzero
-entries of both factors, so the nearly monomial matrices of the Pi
-representation multiply in time proportional to their nonzeros; over
+entries of both factors, and a shared unit row of `identity_matrix` costs a
+lookup, not a multiplication, so the nearly monomial matrices of the Pi
+representation multiply in time proportional to their general rows; over
 Fractions every zero of a product is one shared object and every row whose
-only nonzero is 1 is the shared row of `identity_matrix`.  Determinants,
-kernels and span membership all read the result of one Gauss-Jordan
-elimination, `_row_reduce`.  There is no inverse: a change of basis, or a
-solve against a square matrix, is one `solve_in_span` over all the targets
-at once.  Kernels come back as the reduced basis: one vector per free
-column, in ascending order, with 1 on its own free column and 0 on the
-other free columns; `reduced_basis` puts any spanning set of a subspace in
-that form.
+only nonzero is 1 is the shared row of `identity_matrix`.  A zero test
+first asks whether an entry is that shared zero, which costs no scalar
+comparison.  Determinants, kernels and span membership all read the result
+of one Gauss-Jordan elimination, `_row_reduce`.  There is no inverse: a
+change of basis, or a solve against a square matrix, is one
+`solve_in_span` over all the targets at once.  Kernels come back as the
+reduced basis: one vector per free column, in ascending order, with 1 on
+its own free column and 0 on the other free columns; `reduced_basis` puts
+any spanning set of a subspace in that form.
 """
 
 from __future__ import annotations
@@ -30,45 +32,79 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _exact(x):
+def _exact_rows(a) -> list[list]:
     # ints arrive from user-facing vector inputs; true division must not
     # silently drop to float
-    return Fraction(x) if isinstance(x, int) else x
+    return [[Fraction(x) if isinstance(x, int) else x for x in row] for row in a]
 
 
-def _exact_rows(a) -> list[list]:
-    return [[_exact(x) for x in row] for row in a]
+# id of each row of every `identity_matrix` -> the column of its 1; the rows
+# live in that function's cache, which nothing clears, so an id is never reused
+_UNIT_COLUMN: dict[int, int] = {}
 
 
 @functools.cache
 def identity_matrix(n: int) -> Matrix:
     """The n x n identity over Fractions; one shared object per n."""
-    return tuple(
+    rows = tuple(
         tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
     )
+    _UNIT_COLUMN.update((id(row), j) for j, row in enumerate(rows))
+    return rows
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact product a*b that walks only the nonzero entries of a and b.
 
-    With entries of one scalar type (Fraction, or CycloReal at one
-    conductor) every entry has the value, type and conductor of the dense
-    sum.  The zeros of the result are one shared zero and, over Fractions,
-    a row whose only nonzero is 1 is the shared row of `identity_matrix`.
+    A shared unit row costs a lookup: unit row j of a is row j of b, and a
+    unit row of b adds x where a general row adds x*y.  The nonzeros of a
+    row of b are found once, when a product first reads that row, and the
+    shared zero is passed over without a scalar comparison.  With entries
+    of one scalar type (Fraction, or CycloReal at one conductor) every entry
+    has the value, type and conductor of the dense sum.  The zeros of the
+    result are one shared zero and, over Fractions, a row whose only
+    nonzero is 1 is the shared row of `identity_matrix`.  An int entry that
+    meets a unit row stays an int, as no multiplication by 1 touches it.
     """
     if not a or not b or not b[0]:
         return tuple(() for _ in a)
     m = len(b[0])
     zero = a[0][0] * b[0][0] * 0
-    bsupport = [[(k, y) for k, y in enumerate(row) if y != 0] for row in b]
+    units = [_UNIT_COLUMN.get(id(row)) for row in b]
+    found = {}
+
+    def support(k):
+        if k not in found:
+            row, u = b[k], units[k]
+            if u is not None:
+                found[k] = [(u, row[u])]
+            else:
+                found[k] = [(c, y) for c, y in enumerate(row) if y is not _ZERO and y != 0]
+        return found[k]
+
     out = []
     for row in a:
+        j = _UNIT_COLUMN.get(id(row))
+        if j is not None:
+            out.append(_sparse_row(support(j), m, zero))
+            continue
         acc = {}
-        for x, support in zip(row, bsupport):
-            if x != 0:
-                for k, y in support:
-                    acc[k] = acc[k] + x * y if k in acc else x * y
-        out.append(_sparse_row([(k, v) for k, v in acc.items() if v != 0], m, zero))
+        summed = set()
+        for k, x in enumerate(row):
+            if x is not _ZERO and x != 0:
+                u = units[k]
+                terms = [(u, x)] if u is not None else [(c, x * y) for c, y in support(k)]
+                for c, v in terms:
+                    if c in acc:
+                        acc[c] += v
+                        summed.add(c)
+                    else:
+                        acc[c] = v
+        # a product of nonzeros is nonzero: only a sum can cancel
+        for c in summed:
+            if acc[c] == 0:
+                del acc[c]
+        out.append(_sparse_row(list(acc.items()), m, zero))
     return tuple(out)
 
 
@@ -80,7 +116,7 @@ def _sparse_row(hits, m: int, zero) -> Vector:
     `identity_matrix(m)`.
     """
     if type(zero) is Fraction:
-        if len(hits) == 1 and hits[0][1] == 1:
+        if len(hits) == 1 and (hits[0][1] is _ONE or hits[0][1] == 1):
             return identity_matrix(m)[hits[0][0]]
         zero = _ZERO
     row = [zero] * m
@@ -100,7 +136,10 @@ def _row_reduce(rows: list[list], ncols: int):
     every other row, so the first ncols columns end in reduced row echelon
     form; any later columns ride along.  Returns the pivot columns and, for
     a square leading block, its determinant (a zero of the entries' type
-    when the block is singular).
+    when the block is singular).  The pivot is the first row at or below
+    the next pivot row with a nonzero in the column.  A zero test first
+    asks whether an entry is the shared zero, which costs no scalar
+    comparison.
     """
     pivots = []
     det = _ONE
@@ -108,7 +147,10 @@ def _row_reduce(rows: list[list], ncols: int):
         r = len(pivots)
         if r == len(rows):
             break
-        p = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        p = next(
+            (i for i in range(r, len(rows)) if rows[i][col] is not _ZERO and rows[i][col] != 0),
+            None,
+        )
         if p is None:
             det = rows[r][col]
             continue
@@ -119,12 +161,12 @@ def _row_reduce(rows: list[list], ncols: int):
         det = det * prow[col]
         inv = 1 / prow[col]
         # only the nonzero entries of the pivot row touch the other rows
-        nonzero = [(j, x * inv) for j, x in enumerate(prow) if x != 0]
+        nonzero = [(j, x * inv) for j, x in enumerate(prow) if x is not _ZERO and x != 0]
         for j, x in nonzero:
             prow[j] = x
         for i, row in enumerate(rows):
             f = row[col]
-            if i != r and f != 0:
+            if i != r and f is not _ZERO and f != 0:
                 for j, x in nonzero:
                     row[j] -= f * x
         pivots.append(col)

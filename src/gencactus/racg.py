@@ -147,12 +147,19 @@ def big_matrix(conjugates: Sequence[ParabolicConjugate]) -> tuple:
             a, b = conjugates[i], conjugates[j]
             if a.elements <= b.elements or b.elements <= a.elements:
                 m = 2
-            elif len(a.elements & b.elements) == 1 and _commute(table, a, b):
+            elif _meet_trivially(a.elements, b.elements) and _commute(table, a, b):
                 m = 2
             else:
                 m = 0
             rows[i][j] = rows[j][i] = m
     return tuple(tuple(r) for r in rows)
+
+
+def _meet_trivially(a: frozenset, b: frozenset) -> bool:
+    # the identity (index 0) lies in both; the scan stops at the first
+    # other element of the smaller set that the larger one holds
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    return big.isdisjoint(filter(None, small))
 
 
 def _commute(table: GroupTable, a: ParabolicConjugate, b: ParabolicConjugate) -> bool:

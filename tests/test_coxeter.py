@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,64 @@ def test_oversized_group_is_refused_before_enumeration(name):
 
 def test_e6_is_enumerated(system):
     assert len(enumerate_group(system("E6"))) == 51_840
+
+
+def test_oversized_bounded_walk_is_refused():
+    # a radius past the length of w0 (120) would list all of E8
+    start = time.perf_counter()
+    with pytest.raises(CactusError, match="group too large: more than 100000 elements") as err:
+        enumerate_group(CoxeterSystem.from_name("E8"), max_length=200)
+    assert type(err.value) is CactusError
+    assert time.perf_counter() - start < 30
+
+
+def test_bounded_walk_is_refused_just_past_the_limit(monkeypatch):
+    b4 = CoxeterSystem.from_name("B4")
+    monkeypatch.setattr(coxeter, "_MAX_ORDER", 384)
+    assert len(enumerate_group(b4, max_length=16)) == 384
+    monkeypatch.setattr(coxeter, "_MAX_ORDER", 383)
+    with pytest.raises(CactusError, match="more than 383 elements within length 16"):
+        enumerate_group(b4, max_length=16)
+
+
+@pytest.mark.parametrize("name, radius, order", [("B4", 16, 384), ("E6", 36, 51_840)])
+def test_bounded_walk_at_the_longest_length_lists_the_group(name, radius, order):
+    # 16 and 36 are the lengths of w0 in B4 and E6
+    assert len(enumerate_group(CoxeterSystem.from_name(name), max_length=radius)) == order
+    with pytest.raises(InfiniteGroupError):
+        enumerate_group(CoxeterSystem.from_name(name), max_length=radius - 1)
+
+
+@pytest.mark.parametrize("name", ["A2", "A4", "B3", "H3", "D4", "B4", "F4", "H4", "E6"])
+def test_group_table_makes_one_product_per_ascent(name, monkeypatch):
+    sys_ = CoxeterSystem.from_name(name)
+    roots = sys_.root_table()
+    calls = []
+    right_mul = type(roots).right_mul
+
+    def counted(self, key, s):
+        calls.append(s)
+        return right_mul(self, key, s)
+
+    monkeypatch.setattr(type(roots), "right_mul", counted)
+    elements = enumerate_group(sys_)
+    walk = len(calls)
+    table = GroupTable(sys_)
+    own = len(calls) - 2 * walk  # the table walks W again
+    monkeypatch.undo()
+    n = sys_.rank
+    assert own <= len(elements) * n // 2
+    # against one product per (element, generator) pair, as the table was built
+    index = {el.key: i for i, el in enumerate(elements)}
+    assert table.index == index
+    assert table.gen_right == [
+        [index[roots.right_mul(el.key, s)] for el in elements] for s in range(n)
+    ]
+    # s w read off its word, on a sample
+    for i in random.Random(name).sample(range(len(elements)), min(300, len(elements))):
+        word = elements[i].word
+        for s in range(n):
+            assert table.gen_left[s][i] == index[GroupElement.from_word(sys_, (s,) + word).key]
 
 
 # -- elements ---------------------------------------------------------------

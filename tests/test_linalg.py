@@ -6,6 +6,8 @@ import pytest
 import sympy
 
 from gencactus.linalg import (
+    _ZERO,
+    _row_reduce,
     determinant,
     identity_matrix,
     kernel_basis,
@@ -14,9 +16,10 @@ from gencactus.linalg import (
     solve_in_span,
     transpose,
 )
-from gencactus.rep import Pi_rep, form_on_S
+from gencactus.rep import Pi_rep, check_relations, form_on_S, rho_rep
+import oracle_linalg
 from oracle_rep import form_on_S as dense_form_on_S, pi_prime, reflection_in_form
-from test_rep import assert_identical, assert_shared
+from test_rep import FRESH_T, assert_identical, assert_shared
 from gencactus.scalar import CycloReal, cos_pi_over
 
 
@@ -464,3 +467,146 @@ def test_mat_mul_matches_dense_on_cyclotomic_matrices(m):
     c = cos_pi_over(m)
     for n, r, k in ((1, 1, 1), (2, 3, 2), (4, 4, 4), (3, 2, 4)):
         assert_same_product(_cyclo_matrix(rng, c, n, r), _cyclo_matrix(rng, c, r, k, rank=1))
+
+
+# -- the unit-row product and the elimination against the oracle -----------------
+
+
+def _oracle_entries(rng, kind):
+    """A draw of one entry: an integer or a Fraction, an element of Q(cos pi/5),
+    or either of the two; zero with probability 1 - density."""
+    c = cos_pi_over(5)
+
+    def draw(density):
+        if rng.random() >= density:
+            return rng.choice([Fraction(0), _ZERO])  # a computed or the shared zero
+        q = Fraction(rng.randint(-3, 3), 1 if kind == "int" else rng.randint(1, 3))
+        if kind == "cyclo" or (kind == "mixed" and rng.random() < 0.5):
+            return q * c + rng.randint(-1, 1)
+        return q
+
+    return draw
+
+
+def _oracle_matrix(rng, kind, n, m, density, rank=None):
+    """Random n x m entries; rows past rank are combinations of the first, so
+    their reduction meets computed zeros; some rows are shared unit rows."""
+    draw = _oracle_entries(rng, kind)
+    rank = n if rank is None else rank
+    rows = [tuple(draw(density) for _ in range(m)) for _ in range(rank)]
+    while len(rows) < n:
+        weights = [draw(1.0) for _ in range(rank)]
+        rows.append(tuple(sum((w * r[j] for w, r in zip(weights, rows)), Fraction(0))
+                          for j in range(m)))
+    units = identity_matrix(m)
+    rows = [units[rng.randrange(m)] if rng.random() < 0.25 else row for row in rows]
+    rng.shuffle(rows)
+    return tuple(rows)
+
+
+def assert_same_reduction(a, ncols):
+    got, want = [list(row) for row in a], [list(row) for row in a]
+    assert_identical(_row_reduce(got, ncols), oracle_linalg._row_reduce(want, ncols))
+    assert_identical(got, want)
+
+
+def assert_same_oracle_product(a, b):
+    got, want = mat_mul(a, b), oracle_linalg.mat_mul(a, b)
+    assert type(got) is tuple and len(got) == len(want)
+    for grow, wrow in zip(got, want):
+        if grow is not wrow:  # a shared row is identical by definition
+            assert_identical(grow, wrow)
+    assert_shared(got)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "cyclo", "mixed"])
+def test_row_reduce_matches_oracle(kind):
+    # pivots, determinant and every entry, in value and type; square, wide
+    # and tall, sparse and dense, full rank and rank-deficient, with columns
+    # past ncols riding along
+    rng = random.Random(f"reduce-{kind}")
+    for _ in range(150 if kind in ("int", "fraction") else 40):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.choice([None, rng.randint(0, n)])
+        a = _oracle_matrix(rng, kind, n, m, rng.choice([0.2, 0.5, 1.0]), rank)
+        assert_same_reduction(a, m)
+        assert_same_reduction(a, rng.randint(0, m))
+    assert_same_reduction([], 0)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "cyclo", "mixed"])
+def test_mat_mul_matches_oracle(kind):
+    rng = random.Random(f"product-{kind}")
+    for _ in range(150 if kind in ("int", "fraction") else 40):
+        n, r, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice([0.2, 0.5, 1.0])
+        a = _oracle_matrix(rng, kind, n, r, density, rng.choice([None, rng.randint(0, n)]))
+        b = _oracle_matrix(rng, kind, r, m, density)
+        assert_same_oracle_product(a, b)
+        assert_same_oracle_product(a, identity_matrix(r))
+        assert_same_oracle_product(identity_matrix(n), a)
+
+
+PRODUCT_SYSTEMS = ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "F4", "I2(5)", "I2(8)"]
+
+
+@pytest.mark.parametrize("name", PRODUCT_SYSTEMS)
+def test_products_of_images_match_oracle(system, context, name):
+    sys_, ctx = system(name), context(name)
+    for t in (Fraction(2), Fraction(5, 2), FRESH_T):
+        pi = {s: sys_.reflection_matrix(s, t) for s in range(sys_.rank)}
+        for rep in (rho_rep(sys_, t), Pi_rep(ctx, t), pi):
+            for a, b in itertools.product(rep.values(), repeat=2):
+                assert_same_oracle_product(a, b)
+
+
+def _count_fraction_ops(monkeypatch):
+    """From now on, count Fraction multiplications and == calls (!= included)."""
+    counts = {"mul": 0, "eq": 0}
+    mul, eq = Fraction.__mul__, Fraction.__eq__
+
+    def counted_mul(x, y):
+        counts["mul"] += 1
+        return mul(x, y)
+
+    def counted_eq(x, y):
+        counts["eq"] += 1
+        return eq(x, y)
+
+    monkeypatch.setattr(Fraction, "__mul__", counted_mul)
+    monkeypatch.setattr(Fraction, "__eq__", counted_eq)
+    return counts
+
+
+def test_a_product_of_pi_images_multiplies_no_unit_row(context, monkeypatch):
+    images = list(Pi_rep(context("F4"), Fraction(2)).values())
+    a, b = images[0], images[-1]
+    units = identity_matrix(len(a))
+    (row_a,), (row_b,) = ([row for row in m if not any(row is u for u in units)] for m in (a, b))
+    nonzeros = sum(x != 0 for x in row_a) + sum(x != 0 for x in row_b)
+    want = oracle_linalg.mat_mul(a, b)
+    counts = _count_fraction_ops(monkeypatch)
+    got = mat_mul(a, b)
+    done = dict(counts)
+    monkeypatch.undo()
+    assert_identical(got, want)
+    # two for the zero of the product, and none for the 98 unit rows of
+    # either factor: the one general row of a has a zero where it meets the
+    # general row of b.  The zero tests read each nonzero of the general
+    # rows once, as the shared zero needs none; the oracle makes 165
+    # multiplications and 19,863 zero tests
+    assert done["mul"] == 2
+    assert done["eq"] <= nonzeros + 1
+
+
+def test_relation_checks_of_pi_count_their_operations(context, monkeypatch):
+    ctx = context("F4")
+    images = Pi_rep(ctx, Fraction(2))
+    counts = _count_fraction_ops(monkeypatch)
+    report = check_relations(ctx.system, images)
+    done = dict(counts)
+    monkeypatch.undo()
+    assert report.ok
+    # the oracle products make 15,990 multiplications and 1,397,990 zero tests
+    assert done["mul"] <= 1_000
+    assert done["eq"] <= 25_000

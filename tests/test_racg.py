@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -84,6 +85,29 @@ def test_m_matrix_matches_brute_force(context):
                 assert (ctx.M[i][j] == 2) == expect2
                 assert ctx.M[i][j] == ctx.M[j][i]
                 assert ctx.M[i][j] in (0, 2)
+
+
+def _intersecting_big_matrix(conjugates, table):
+    """M as it was built before: the full intersection of every pair, then its size."""
+    n = len(conjugates)
+    rows = [[1] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        a, b = conjugates[i].elements, conjugates[j].elements
+        if a <= b or b <= a:
+            m = 2
+        elif len(a & b) == 1:
+            gens = itertools.product(conjugates[i].genset, conjugates[j].genset)
+            m = 2 if all(table.product(x, y) == table.product(y, x) for x, y in gens) else 0
+        else:
+            m = 0
+        rows[i][j] = rows[j][i] = m
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("name", LADDER + ["F4", "H4", "E6"])
+def test_m_matrix_matches_the_full_intersections(context, name):
+    ctx = context(name)
+    assert ctx.M == _intersecting_big_matrix(ctx.conjugates, ctx.table)
 
 
 def test_conjugates_are_subgroups(context):
