@@ -6,9 +6,14 @@ reflection in the span C of R e_I + E_I (one k x k solve, k = dim C); Pi
 acts on the span of the parabolic conjugates through reflections of the big
 right-angled form composed with relabeling permutations, each image built
 as unit rows plus the one row of the reflection.  Stable lines split
-the space into simultaneous eigenspaces piece by piece, with one small
-kernel per piece and sign.  Restriction and quotient are one change of
-basis: the basis is eliminated once against the images of all generators.
+the space into simultaneous eigenspaces generator by generator and read
+each image row by row: a shared unit row is an equation v_j = s v_i, so the
+first generator's eigenspaces are written down from the components these
+equations join, with only its other rows eliminated, and a later generator
+splits each piece by a small kernel assembled row by row; no step on the
+Pi or rho images takes an n x n kernel.  Restriction and quotient are one
+change of basis: the basis is eliminated once against the images of all
+generators.
 All arithmetic is exact: entries are Fractions here (the geometric
 representation of W itself, with its cyclotomic entries, lives in the
 coxeter module), and image rows share the zero and the unit rows of
@@ -24,6 +29,8 @@ from .cactus import CactusWord, commuting_subsets
 from .coxeter import CoxeterSystem, connected_subsets, conjugate_subset
 from .errors import DegenerateFormError, InputError, SubspaceError
 from .linalg import (
+    _ONE,
+    _UNIT_COLUMN,
     _ZERO,
     _sparse_row,
     determinant,
@@ -105,6 +112,8 @@ def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
     t = Fraction(t)
     n = len(ctx.conjugates)
     if isinstance(x, CactusWord):
+        if x.system != ctx.system:
+            raise InputError("word over a different system")
         letters = Pi_rep(ctx, t)
         acc = identity_matrix(n)
         for I in x.letters:
@@ -115,6 +124,8 @@ def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
             acc = mat_mul(acc, letters[I])
         return acc
     if isinstance(x, SemidirectElement):
+        if x.context is not ctx:
+            raise InputError("element from a different context")
         acc = identity_matrix(n)
         for i in x.racg_part:
             acc = mat_mul(acc, _pi_image(ctx, i, range(n), t))
@@ -263,37 +274,138 @@ def stable_lines(rep: dict) -> list:
     """Lines fixed by every generator, with the sign each generator acts by.
 
     Splits the space into simultaneous +1/-1 eigenspaces generator by
-    generator: each generator M splits a piece with basis U by the kernel of
-    the n x dim U matrix (M - sI)U, so only the first generator, whose one
-    piece is the whole space, takes n x n kernels.  Every simultaneous
-    eigenvector spans such a line because the generators are involutions.
-    Returns (vector, {key: sign}) pairs: for each surviving sign pattern,
-    the `reduced_basis` of its piece, which depends on the piece alone.
+    generator, reading each image row by row.  A shared unit row i of
+    `identity_matrix` with its 1 in column j says (Mv)_i = v_j, so an
+    s-eigenvector has v_j = s v_i.  For the first generator these equations
+    alone give one vector per component of the coordinates they join, and
+    only the other rows are eliminated, over those vectors.  Each piece U
+    is then split by the kernel of (M - sI)U, assembled row by row.  Every
+    simultaneous eigenvector spans such a line because the generators are
+    involutions.  Returns (vector, {key: sign}) pairs: for each surviving
+    sign pattern, the `reduced_basis` of its piece, which depends on the
+    piece alone, with every entry of the type and conductor of the images.
     """
     keys = list(rep)
-    if not keys:
+    first = rep[keys[0]] if keys else ()
+    if not first:
         return []
-    pieces = [(identity_matrix(len(rep[keys[0]])), ())]
+    zero = first[0][0] * 0 + _ZERO
+    pieces = None
     for key in keys:
-        nxt = []
-        for basis, signs in pieces:
-            columns = transpose(basis)
-            images = mat_mul(rep[key], columns)
-            for sign in (1, -1):
-                # coefficients c with (M - sI)Uc = 0 give the piece's eigenspace
-                shifted = [
-                    [m - sign * u if u else m for m, u in zip(mrow, urow)]
-                    for mrow, urow in zip(images, columns)
-                ]
-                coeffs = kernel_basis(shifted)
-                if coeffs:
-                    nxt.append((mat_mul(coeffs, basis), signs + (sign,)))
-        pieces = nxt
+        mat = rep[key]
+        units = [_UNIT_COLUMN.get(id(row)) for row in mat]
+        general = {i: _nonzeros(mat[i]) for i, j in enumerate(units) if j is None}
+        if pieces is None:
+            splits = [(_unit_solutions(units, s, zero), (), (s,)) for s in (1, -1)]
+        else:
+            splits = [(basis, signs, (1, -1)) for basis, signs in pieces]
+        pieces = [
+            (part, signs + (sign,))
+            for basis, signs, wanted in splits
+            for sign, part in _split_piece(basis, units, general, wanted, zero)
+            if part
+        ]
     out = []
     for basis, signs in pieces:
         for v in reduced_basis(basis):
+            if type(zero) is not Fraction:
+                v = tuple(zero + x for x in v)
             out.append((v, dict(zip(keys, signs))))
     return out
+
+
+def _unit_solutions(units: list, sign: int, zero) -> list:
+    """A basis of the v with v_j = sign * v_i for every unit row i -> j.
+
+    The rows join the coordinates into components, and each component gives
+    one vector: +-1 on its coordinates, by the parity of their distance from
+    its first one.  At sign = -1 a component with an odd cycle or a fixed
+    unit row (v_i = -v_i) gives none.
+    """
+    n = len(units)
+    links = [[] for _ in units]
+    for i, j in enumerate(units):
+        if j is not None and j != i:
+            links[i].append(j)
+            links[j].append(i)
+    parity = [None] * n
+    basis = []
+    for start in range(n):
+        if parity[start] is not None:
+            continue
+        parity[start] = 0
+        group = [start]
+        alive = True
+        for x in group:
+            alive = alive and not (sign == -1 and units[x] == x)
+            for y in links[x]:
+                if parity[y] is None:
+                    parity[y] = parity[x] ^ 1
+                    group.append(y)
+                elif sign == -1 and parity[y] == parity[x]:
+                    alive = False
+        if alive:
+            hits = [(x, -_ONE if sign == -1 and parity[x] else _ONE) for x in group]
+            basis.append(_sparse_row(hits, n, zero))
+    return basis
+
+
+def _split_piece(basis: list, units: list, general: dict, signs, zero) -> list:
+    """The s-eigenspace of an image M inside the span of basis for each s
+    in signs, as (s, basis) pairs, from the kernel of (M - sI)U.  units[i]
+    is the column of the 1 in unit row i of M, or None for a general row,
+    whose nonzeros are general[i].  Row i of (M - sI)U is U_j - s U_i for a
+    unit row i -> j (nothing at s = +1 and U_i at s = -1 when j = i), and
+    M_i U - s U_i for a general row."""
+    # U_x, coordinate x of every basis vector, as {vector index: value}
+    coords = [{} for _ in units]
+    for q, vec in enumerate(basis):
+        for x, y in _nonzeros(vec):
+            coords[x][q] = y
+    # row i of MU for the general rows, the same for both signs
+    products = {}
+    for i, hits in general.items():
+        acc = products[i] = {}
+        for x, m in hits:
+            _add(acc, coords[x], m)
+    out = []
+    for sign in signs:
+        rows = []
+        for i, j in enumerate(units):
+            if j is None:
+                acc = dict(products[i])
+                _add(acc, coords[i], -sign)
+            elif j == i:
+                if sign == 1:
+                    continue
+                acc = coords[i]
+            else:
+                acc = dict(coords[j])
+                _add(acc, coords[i], -sign)
+            hits = [(q, v) for q, v in acc.items() if v != 0]
+            if hits:
+                rows.append(hits)
+        if not rows:
+            out.append((sign, basis))
+            continue
+        # sparsest first: a sparse pivot row fills in little, and the kernel
+        # does not depend on the order of the rows
+        rows.sort(key=len)
+        coeffs = kernel_basis([_sparse_row(hits, len(basis), zero) for hits in rows])
+        out.append((sign, list(mat_mul(coeffs, basis))))
+    return out
+
+
+def _nonzeros(row) -> list:
+    return [(c, y) for c, y in enumerate(row) if y is not _ZERO and y != 0]
+
+
+def _add(acc: dict, coords: dict, c) -> None:
+    """acc += c * coords, with no multiplication when c is +-1."""
+    one, minus = c == 1, c == -1
+    for q, y in coords.items():
+        v = y if one else -y if minus else c * y
+        acc[q] = acc[q] + v if q in acc else v
 
 
 def _in_basis(rep: dict, basis: Sequence, dependent: str, skip: int = 0) -> dict:
@@ -331,8 +443,17 @@ def _in_basis(rep: dict, basis: Sequence, dependent: str, skip: int = 0) -> dict
     return out
 
 
+def _check_lengths(vectors: Sequence, n: int) -> None:
+    for v in vectors:
+        if len(v) != n:
+            text = ",".join(str(x) for x in v)
+            raise InputError(f"vector {text!r} needs {n} coordinates")
+
+
 def restrict_rep(rep: dict, basis: Sequence) -> dict:
     """Matrices of the action on an invariant subspace, in the given basis."""
+    if rep:
+        _check_lengths(basis, len(next(iter(rep.values()))))
     return _in_basis(rep, basis, "restriction vectors are linearly dependent")
 
 
@@ -346,6 +467,7 @@ def quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
     if not keys:
         return {}
     n = len(rep[keys[0]])
+    _check_lengths(subspace, n)
     k = len(subspace)
     bad = [i for i in keep if not 0 <= i < n]
     if bad:

@@ -2,7 +2,9 @@
 
 rho_I is assembled from an exact kernel F_I and an n x n basis change
 (P D P^-1); stable lines intersect the +1/-1 eigenspaces of every generator
-with every surviving piece; restriction solves the dense images of each
+with every surviving piece, or (`piece_stable_lines`) split each piece U by
+the kernel of the dense n x dim U matrix (M - sI)U, starting from the n x n
+kernels of the first generator; restriction solves the dense images of each
 generator against the basis, one generator at a time; and the quotient
 conjugates each generator by an inverse.  They build on the package's
 exact linear algebra (`kernel_basis`, `mat_mul`, `solve_in_span`), which
@@ -27,6 +29,7 @@ from gencactus.linalg import (
     identity_matrix,
     kernel_basis,
     mat_mul,
+    reduced_basis,
     solve_in_span,
     transpose,
 )
@@ -133,6 +136,43 @@ def stable_lines(rep: dict) -> list:
     out = []
     for basis, signs in pieces:
         for v in basis:
+            out.append((v, dict(zip(keys, signs))))
+    return out
+
+
+def piece_stable_lines(rep: dict) -> list:
+    """Lines fixed by every generator, with the sign each generator acts by.
+
+    Splits the space into simultaneous +1/-1 eigenspaces generator by
+    generator: each generator M splits a piece with basis U by the kernel of
+    the n x dim U matrix (M - sI)U, so only the first generator, whose one
+    piece is the whole space, takes n x n kernels.  Every simultaneous
+    eigenvector spans such a line because the generators are involutions.
+    Returns (vector, {key: sign}) pairs: for each surviving sign pattern,
+    the `reduced_basis` of its piece, which depends on the piece alone.
+    """
+    keys = list(rep)
+    if not keys:
+        return []
+    pieces = [(identity_matrix(len(rep[keys[0]])), ())]
+    for key in keys:
+        nxt = []
+        for basis, signs in pieces:
+            columns = transpose(basis)
+            images = mat_mul(rep[key], columns)
+            for sign in (1, -1):
+                # coefficients c with (M - sI)Uc = 0 give the piece's eigenspace
+                shifted = [
+                    [m - sign * u if u else m for m, u in zip(mrow, urow)]
+                    for mrow, urow in zip(images, columns)
+                ]
+                coeffs = kernel_basis(shifted)
+                if coeffs:
+                    nxt.append((mat_mul(coeffs, basis), signs + (sign,)))
+        pieces = nxt
+    out = []
+    for basis, signs in pieces:
+        for v in reduced_basis(basis):
             out.append((v, dict(zip(keys, signs))))
     return out
 

@@ -4,7 +4,7 @@ import pytest
 
 import oracle_rep
 from oracle_rep import pi_prime, reflection_in_form
-from gencactus import rep as rep_module
+from gencactus import linalg, rep as rep_module
 from gencactus.cactus import CactusWord, parse_word
 from gencactus.coxeter import connected_subsets
 from gencactus.errors import DegenerateFormError, InputError, SubspaceError
@@ -17,6 +17,7 @@ from gencactus.linalg import (
     transpose,
 )
 from gencactus.racg import SemidirectElement
+from gencactus.scalar import CycloReal
 from gencactus.rep import (
     Pi_of,
     RelationReport,
@@ -177,6 +178,21 @@ def test_pi_of_rejects_other_objects(context):
         Pi_of(context("A2"), "g{s1}", F(1))
 
 
+def test_pi_of_rejects_input_from_another_system(context):
+    a2, a3 = context("A2"), context("A3")
+    # a one-letter A3 element reads as a 4 x 4 matrix without the check, and
+    # a longer one runs out of range
+    short = a3.letters[frozenset({0})]
+    long_ = a3.embed(parse_word(a3.system, "g{s1,s2} g{s2,s3} g{s3}"))
+    for x in (short, long_):
+        with pytest.raises(InputError, match="element from a different context"):
+            Pi_of(a2, x, F(2))
+    for text in ("g{s3}", "g{s1}"):
+        with pytest.raises(InputError, match="word over a different system"):
+            Pi_of(a2, parse_word(a3.system, text), F(2))
+    assert Pi_of(a2, a2.letters[frozenset({0})], F(2)) == Pi_rep(a2, F(2))[frozenset({0})]
+
+
 def test_pi_intertwines_permutation_and_reflections(context):
     # pi'(g) sigma_k pi'(g)^-1 = sigma_{g(k)}
     ctx = context("B2")
@@ -270,6 +286,21 @@ def test_restrict_rep_rejects_noninvariant(context):
     Pi = Pi_rep(ctx, F(2))
     with pytest.raises(SubspaceError):
         restrict_rep(Pi, [(1, 0, 0, 0)])
+
+
+def test_restrict_and_quotient_check_vector_lengths(context):
+    Pi = Pi_rep(context("A2"), F(2))
+    u3 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+    for bad, text in (((0, 0, 0, 1, 9), "0,0,0,1,9"), ((0, 0, 1), "0,0,1")):
+        message = f"vector '{text}' needs 4 coordinates"
+        with pytest.raises(InputError, match=message):
+            restrict_rep(Pi, u3[:2] + [bad])
+        with pytest.raises(InputError, match=message):
+            quotient_rep(Pi, [bad], keep=[0, 1, 2])
+    r3 = restrict_rep(Pi, u3)
+    with pytest.raises(InputError, match="vector '1,-1,1,0' needs 3 coordinates"):
+        quotient_rep(r3, [(1, -1, 1, 0)], keep=[0, 2])
+    assert quotient_rep(r3, [(1, -1, 1)], keep=[0, 2]) == quotient_rep(r3, [(F(1), -1, 1)], [0, 2])
 
 
 def test_quotient_by_zero_subspace(system):
@@ -421,6 +452,90 @@ def test_stable_lines_match_oracle_on_cyclotomic_pi(system, name):
     for t in ORACLE_TS + [F(1), F(-1)]:
         pi = {s: sys_.reflection_matrix(s, t) for s in range(sys_.rank)}
         assert_identical(stable_lines(pi), oracle_rep.stable_lines(pi))
+
+
+# -- stable lines against the piece-splitting oracle ------------------------------
+
+PIECE_SYSTEMS = ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "F4", "I2(5)", "I2(8)", "A1*A1"]
+PIECE_TS = [F(2), F(5, 2), F(0), F(-1), FRESH_T]
+
+
+def _reps_with_forms(sys_, ctx, t):
+    yield Pi_rep(ctx, t), form_on_S(ctx, t)
+    try:
+        yield rho_rep(sys_, t), form_on_fset(sys_, t)
+    except DegenerateFormError:
+        pass
+    yield {s: sys_.reflection_matrix(s, t) for s in range(sys_.rank)}, sys_.gram_matrix(t)
+
+
+def assert_as_piece_oracle(rep):
+    lines = stable_lines(rep)
+    assert_identical(lines, oracle_rep.piece_stable_lines(rep))
+    return lines
+
+
+@pytest.mark.parametrize("name", PIECE_SYSTEMS)
+def test_stable_lines_match_the_piece_oracle(system, context, name):
+    sys_, ctx = system(name), context(name)
+    for t in PIECE_TS:
+        for rep, gram in _reps_with_forms(sys_, ctx, t):
+            lines = assert_as_piece_oracle(rep)
+            # restricted reps: the form-orthocomplement of the first line, and
+            # the span of all the lines, whose generators are diagonal
+            for vec, _ in lines[:1]:
+                assert_as_piece_oracle(restrict_rep(rep, kernel_basis(mat_mul((vec,), gram))))
+            if len(lines) > 1:
+                restricted = restrict_rep(rep, [vec for vec, _ in lines])
+                assert len(assert_as_piece_oracle(restricted)) == len(lines)
+
+
+def test_stable_lines_match_the_piece_oracle_on_a_two_dimensional_piece(context):
+    Pi = Pi_rep(context("D4"), F(-1))
+    patterns = [tuple(signs.values()) for _, signs in assert_as_piece_oracle(Pi)]
+    assert any(patterns.count(p) == 2 for p in patterns)
+
+
+def test_stable_lines_match_the_piece_oracle_on_h4(context):
+    assert len(assert_as_piece_oracle(Pi_rep(context("H4"), F(2)))) == 1
+
+
+def test_stable_lines_take_no_n_by_n_step(context, monkeypatch):
+    # F4 Pi: the first generator's eigenspaces come from its cycles and one
+    # general row, so no kernel sees all n columns and no product has n rows
+    Pi = Pi_rep(context("F4"), F(2))
+    n = len(Pi[next(iter(Pi))])
+    kernels, products = [], []
+
+    def kernel_basis(a):
+        kernels.append((len(a), len(a[0])))
+        return linalg.kernel_basis(a)
+
+    def mat_mul(a, b):
+        products.append(len(a))
+        return linalg.mat_mul(a, b)
+
+    monkeypatch.setattr(rep_module, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(rep_module, "mat_mul", mat_mul)
+    lines = stable_lines(Pi)
+    monkeypatch.undo()
+    assert_identical(lines, oracle_rep.piece_stable_lines(Pi))
+    assert kernels[0][0] == 1
+    assert all(cols < n for _, cols in kernels), kernels
+    assert all(rows < n for rows in products), products
+
+
+@pytest.mark.parametrize("name", ["I2(5)*A1", "H3*A1"])
+def test_stable_lines_of_a_reducible_cyclotomic_pi_take_the_images_type(system, name):
+    # the line of the A1 factor: every entry a CycloReal at the system's
+    # conductor, equal in value to the piece oracle's
+    sys_ = system(name)
+    for t in (F(2), F(5, 2)):
+        pi = {s: sys_.reflection_matrix(s, t) for s in range(sys_.rank)}
+        lines = stable_lines(pi)
+        assert len(lines) == 1 and lines == oracle_rep.piece_stable_lines(pi)
+        for x in lines[0][0]:
+            assert type(x) is CycloReal and x.conductor == sys_.conductor
 
 
 def test_quotient_shares_the_zero_and_the_unit_rows(context):
