@@ -15,7 +15,7 @@ from .coxeter import (
     GroupElement,
     connected_subsets,
     conjugate_subset,
-    longest_element,
+    longest_root_map,
 )
 from .errors import InputError, RelationApplicationError
 
@@ -135,11 +135,13 @@ def apply_relation(word: CactusWord, position: int) -> CactusWord:
 
 
 def evaluate_to_coxeter(word: CactusWord) -> GroupElement:
-    """Image under g_W: gamma_I -> w_I (longest element of W_I)."""
-    acc = GroupElement.identity(word.system)
-    for l in word.letters:
-        acc = acc * longest_element(word.system, l)
-    return acc
+    """Image under g_W: gamma_I -> w_I (longest element of W_I), right to
+    left on the key: (w_I y)(alpha_j) = w_I(y(alpha_j)), n lookups a letter."""
+    system = word.system
+    key = system.root_table().identity
+    for l in reversed(word.letters):
+        key = tuple(map(longest_root_map(system, l).__getitem__, key))
+    return GroupElement(system, key)
 
 
 def is_pure(word: CactusWord) -> bool:

@@ -47,9 +47,9 @@ class CoxeterSystem:
 
     matrix[i][j] is the order of s_i s_j; 0 means infinite.  `_cache` holds
     the derived data that is reused, and only this module reads or writes
-    it.  Its five key kinds are "roots" (the root table), "table" (the group
-    table), "fset" (F(S) as a tuple), ("finite", I) (whether W_I is finite)
-    and ("longest", I) (w_I).
+    it.  Its six key kinds are "roots" (the root table), "table" (the group
+    table), "fset" (F(S) as a tuple), ("finite", I) (whether W_I is finite),
+    ("longest", I) (w_I) and ("longest_roots", I) (`longest_root_map`).
     """
 
     def __init__(self, labels: Sequence[str], matrix: Sequence[Sequence[int]]):
@@ -512,6 +512,29 @@ def longest_element(system: CoxeterSystem, subset: Iterable[int]) -> GroupElemen
     elem = GroupElement(system, w, tuple(word))
     system._cache[key] = elem
     return elem
+
+
+class _RootMap(dict):
+    """r -> the id of w(r), filled on first use by the simple reflections of
+    a reduced word of w, last first: no sign is decided, even for infinite W."""
+
+    def __init__(self, roots: RootTable, word: tuple[int, ...]):
+        self.reflect, self.rword = roots.reflect, word[::-1]
+
+    def __missing__(self, r: int) -> int:
+        image = r
+        for s in self.rword:
+            image = self.reflect(s, image)
+        self[r] = image
+        return image
+
+
+def longest_root_map(system: CoxeterSystem, subset: frozenset[int]) -> dict:
+    """w_I as a map of root ids, r -> w_I(r)."""
+    key = ("longest_roots", subset)
+    if key not in system._cache:
+        system._cache[key] = _RootMap(system.root_table(), longest_element(system, subset).word)
+    return system._cache[key]
 
 
 def conjugate_subset(

@@ -33,9 +33,13 @@ _ONE = Fraction(1)
 
 
 def _exact_rows(a) -> list[list]:
-    # ints arrive from user-facing vector inputs; true division must not
-    # silently drop to float
-    return [[Fraction(x) if isinstance(x, int) else x for x in row] for row in a]
+    # ints (bools too) arrive from user-facing vector inputs; true division
+    # must not silently drop to float.  Only a row holding one is rebuilt.
+    return [
+        [Fraction(x) if isinstance(x, int) else x for x in row]
+        if any(issubclass(t, int) for t in set(map(type, row))) else list(row)
+        for row in a
+    ]
 
 
 # id of each row of every `identity_matrix` -> the column of its 1; the rows
@@ -188,7 +192,10 @@ def kernel_basis(a: Matrix) -> list[Vector]:
         vec = [_ZERO] * ncols
         vec[free] = _ONE
         for row, col in zip(rows, pivots):
-            vec[col] = -row[free]
+            x = row[free]
+            # a Fraction zero stays the shared zero; any other zero keeps its type
+            if x is not _ZERO and (x != 0 or type(x) is not Fraction):
+                vec[col] = -x
         basis.append(tuple(vec))
     return basis
 

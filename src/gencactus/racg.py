@@ -8,7 +8,8 @@ pushed one at a time onto a reduced word, each cancelling or appending after
 a back-scan over commuting letters (O(L) per letter), and the reduced word is
 then read off as its lexicographically least commutation shuffle with a heap
 (O(L log L) for a bounded alphabet).  That solves the word problem there and,
-through the embedding, equality in C_W.
+through the embedding, equality in C_W; `embed` carries its running aut part
+as an element of W, so a letter costs lookups along two reduced words.
 """
 
 from __future__ import annotations
@@ -105,9 +106,7 @@ def build_S(system: CoxeterSystem, family: Sequence[frozenset]):
     conjugates = [ParabolicConjugate(*queue[p], words[p], table) for p in order]
     set_index = {pc.elements: i for i, pc in enumerate(conjugates)}
     base_index = {I: index[p] for p, I in enumerate(family)}
-    perms = [
-        InducedAutomorphism(index[edges[p][s]] for p in order) for s in range(system.rank)
-    ]
+    perms = [tuple(index[edges[p][s]] for p in order) for s in range(system.rank)]
     return conjugates, set_index, base_index, perms
 
 
@@ -305,24 +304,16 @@ class SemidirectElement:
         return f"SemidirectElement(racg={list(self.racg_part)}, aut={list(self.aut_part.perm)})"
 
 
-def _times(w: list, g: InducedAutomorphism, b: SemidirectElement, M) -> InducedAutomorphism:
-    """Right-multiply (w, g) by b: push g(b.racg_part) onto the reduced word
-    w in place and return g . b.aut_part.  w is left reduced, not lex-ordered.
-    """
-    perm = g.perm
-    for i in b.racg_part:
-        _push(w, perm[i], M)
-    return g.compose(b.aut_part)
-
-
 def semidirect_mul(a: SemidirectElement, b: SemidirectElement) -> SemidirectElement:
     """(t1, g1)(t2, g2) = (t1 . g1(t2), g1 . g2), renormalized."""
     if a.context is not b.context:
         raise InputError("elements from different contexts")
     ctx = a.context
     w = list(a.racg_part)
-    g = _times(w, a.aut_part, b, ctx.M)
-    return SemidirectElement(ctx, _lex(w, ctx.M), g)
+    perm = a.aut_part.perm
+    for i in b.racg_part:
+        _push(w, perm[i], ctx.M)
+    return SemidirectElement(ctx, _lex(w, ctx.M), a.aut_part.compose(b.aut_part))
 
 
 class RacgContext:
@@ -342,45 +333,51 @@ class RacgContext:
             system, self.family
         )
         self.M = big_matrix(self.conjugates)
-        self._identity_aut = InducedAutomorphism(range(len(self.conjugates)))
-        # gamma_I -> (tau_{W_I}, g_I) for every I in the family
-        self.letters = {
-            I: SemidirectElement(
-                self, (self.base_index[I],), self.induced_aut(longest_element(system, I))
-            )
+        # per letter I: (the index of W_I in S, the table index of w_I)
+        self._steps = {
+            I: (self.base_index[I], self.table.element_index(longest_element(system, I)))
             for I in self.family
+        }
+        self.letters = {  # gamma_I -> (tau_{W_I}, g_I)
+            I: SemidirectElement(self, (k,), self.induced_aut(x))
+            for I, (k, x) in self._steps.items()
         }
         self.caches: dict = {}  # Pi images by ("Pi", t), filled by rep.Pi_rep
 
     def identity(self) -> SemidirectElement:
-        return SemidirectElement(self, (), self._identity_aut)
+        return SemidirectElement(self, (), self.induced_aut(0))
 
     def induced_aut(self, w) -> InducedAutomorphism:
-        """g_w, the permutation of S by conjugation with w."""
-        if isinstance(w, GroupElement):
-            idx = self.table.element_index(w)
-        else:
-            idx = int(w)
-        acc = self._identity_aut
-        for s in self.table.elements[idx].word:
-            acc = acc.compose(self._gen_perms[s])
-        return acc
+        """g_w, the permutation of S by conjugation with w: the simple
+        reflections' permutations of S along w's word, last letter first."""
+        idx = self.table.element_index(w) if isinstance(w, GroupElement) else int(w)
+        perm = range(len(self.conjugates))
+        for s in reversed(self.table.elements[idx].word):
+            perm = tuple(map(self._gen_perms[s].__getitem__, perm))
+        return InducedAutomorphism(perm)
 
     def embed(self, word: CactusWord) -> SemidirectElement:
         """Image under gamma_I -> (tau_{W_I}, g_I), multiplied out left to
-        right on one reduced word, which is lex-ordered once at the end."""
+        right on one reduced word, which is lex-ordered once at the end.  The
+        aut part g_x is carried as x in W: gamma_I pushes g_x(W_I), and x
+        becomes x w_I in the table; g_x is built once, at the end."""
         if word.system != self.system:
             raise InputError("word over a different system")
+        table, M, perms = self.table, self.M, self._gen_perms
         w: list[int] = []
-        g = self._identity_aut
+        x = 0
         for letter in word.letters:
-            el = self.letters.get(letter)
-            if el is None:
+            step = self._steps.get(letter)
+            if step is None:
                 raise InputError(
                     f"letter not in the generating family: {self.system.format_subset(letter)}"
                 )
-            g = _times(w, g, el, self.M)
-        return SemidirectElement(self, _lex(w, self.M), g)
+            i, w_I = step
+            for s in reversed(table.elements[x].word):  # i -> g_x(i)
+                i = perms[s][i]
+            _push(w, i, M)
+            x = table.product(x, w_I)
+        return SemidirectElement(self, _lex(w, M), self.induced_aut(x))
 
     def cactus_equal(self, u: CactusWord, v: CactusWord) -> bool:
         """Word problem for C_W through the injective embedding."""

@@ -1,14 +1,22 @@
-"""The product and the elimination the linalg module used before they read
-its unit rows and passed over the shared zero, kept as an oracle.
+"""The product, the elimination and the kernel the linalg module used before
+they read its unit rows and passed over the shared zero, kept as an oracle.
 
 `mat_mul` multiplies every nonzero of a by the nonzeros of the matching
 row of b, unit rows included, and finds the nonzeros of every row of b up
 front.  Both compare every entry with 0 by scalar equality, the shared
-zero included.  The kernels that replaced them must agree with them in
-every pivot, determinant and entry, in value and in type.
+zero included.  `_exact_rows` tests every entry for an int, and
+`kernel_basis` negates every pivot-row entry of a free column, zeros
+included.  The kernels that replaced them must agree with them in every
+pivot, determinant and entry, in value and in type.
 """
 
-from gencactus.linalg import _ONE, Matrix, _sparse_row
+from fractions import Fraction
+
+from gencactus.linalg import _ONE, _ZERO, Matrix, _sparse_row
+
+
+def _exact_rows(a) -> list[list]:
+    return [[Fraction(x) if isinstance(x, int) else x for x in row] for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -71,3 +79,17 @@ def _row_reduce(rows: list[list], ncols: int):
                     row[j] -= f * x
         pivots.append(col)
     return pivots, det
+
+
+def kernel_basis(a: Matrix) -> list:
+    rows = _exact_rows(a)
+    ncols = len(rows[0]) if rows else 0
+    pivots, _ = _row_reduce(rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [_ZERO] * ncols
+        vec[free] = _ONE
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[free]
+        basis.append(tuple(vec))
+    return basis

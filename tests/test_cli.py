@@ -10,10 +10,13 @@ from pathlib import Path
 import pytest
 
 import oracle_rep
+from gencactus.cactus import CactusWord, evaluate_to_coxeter, format_word, is_pure
 from gencactus.cli import _default_keep, run
+from gencactus.coxeter import connected_subsets
 from gencactus.errors import SubspaceError
 from gencactus.linalg import identity_matrix
 from gencactus.rep import quotient_rep
+from test_coxeter import affine_triangle
 
 
 def invoke(capsys, *argv):
@@ -294,6 +297,28 @@ def test_max_len_on_infinite_system_file(capsys, tmp_path):
     code, out, err = invoke(capsys, "sset", "--system", str(path), "--max-len", "50")
     assert code == 1 and out == ""
     assert "group not exhausted within length 50" in err
+
+
+def test_eval_and_pure_on_an_infinite_system_file(capsys, tmp_path):
+    # affine A2~ has no group table; the CLI prints what the API computes
+    sys_ = affine_triangle()
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(sys_.to_json()))
+    fset = connected_subsets(sys_)
+    rng = random.Random(23)
+    for L in (1, 2, 7, 40, 300):
+        word = CactusWord(sys_, [rng.choice(fset) for _ in range(L)])
+        for w in (word, word * word.inverse()):
+            text = format_word(w)
+            el = evaluate_to_coxeter(w)
+            want = " ".join(sys_.labels[i] for i in el.word) or "e"
+            code, out, _ = invoke(capsys, "eval", text, "--system", str(path))
+            assert code == 0 and out == want + "\n"
+            code, out, _ = invoke(capsys, "eval", text, "--system", str(path), "--format", "json")
+            assert code == 0 and json.loads(out) == {"word": want, "length": el.length}
+            code, out, _ = invoke(capsys, "pure", text, "--system", str(path))
+            assert code == 0 and out == ("true\n" if is_pure(w) else "false\n")
+        assert out == "true\n"
 
 
 def test_argparse_exits(capsys):

@@ -7,6 +7,7 @@ import sympy
 
 from gencactus.linalg import (
     _ZERO,
+    _exact_rows,
     _row_reduce,
     determinant,
     identity_matrix,
@@ -545,6 +546,50 @@ def test_mat_mul_matches_oracle(kind):
         assert_same_oracle_product(a, b)
         assert_same_oracle_product(a, identity_matrix(r))
         assert_same_oracle_product(identity_matrix(n), a)
+
+
+def _python_numbers(rng, kind, a):
+    """a with about half its integral entries as Python ints (kind "int") or
+    every entry as a bool (kind "bool"); shared unit rows stay shared."""
+    units = set(map(id, identity_matrix(len(a[0]))))
+    if kind == "bool":
+        return tuple(row if id(row) in units else tuple(x != 0 for x in row) for row in a)
+    return tuple(
+        row if id(row) in units else tuple(
+            int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in row
+        )
+        for row in a
+    )
+
+
+@pytest.mark.parametrize("kind", ["int", "bool", "fraction", "cyclo", "mixed"])
+def test_exact_rows_and_kernels_match_oracle(kind):
+    # the rows, pivots, determinants and kernels read from `_exact_rows` equal
+    # the oracle's in value and type; over Fractions, ints and bools every
+    # zero of a kernel vector is the shared zero
+    rng = random.Random(f"exact-{kind}")
+    for _ in range(150 if kind in ("int", "bool", "fraction") else 40):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.choice([None, rng.randint(0, n)])
+        base = "fraction" if kind in ("int", "bool") else kind
+        a = _oracle_matrix(rng, base, n, m, rng.choice([0.2, 0.5, 1.0]), rank)
+        a = _python_numbers(rng, kind, a) if base != kind else a
+        assert_identical(_exact_rows(a), oracle_linalg._exact_rows(a))
+        got, want = _exact_rows(a), oracle_linalg._exact_rows(a)
+        assert_identical(_row_reduce(got, m), oracle_linalg._row_reduce(want, m))
+        assert_identical(got, want)
+        square = a[: min(n, m)]
+        square = tuple(row[: len(square)] for row in square)
+        want_det = oracle_linalg._row_reduce(oracle_linalg._exact_rows(square), len(square))[1]
+        assert_identical(determinant(square), want_det)
+        basis = kernel_basis(a)
+        assert_identical(basis, oracle_linalg.kernel_basis(a))
+        if kind in ("int", "bool", "fraction"):
+            assert all(x is _ZERO for v in basis for x in v if x == 0)
+            # a kernel vector is a unit vector only for a zero column of a,
+            # and kernel_basis does not share those
+            if basis and all(any(x != 0 for x in col) for col in zip(*a)):
+                assert_shared(basis)
 
 
 PRODUCT_SYSTEMS = ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "F4", "I2(5)", "I2(8)"]

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencactus.cactus import CactusWord, commuting_subsets, is_pure, parse_word
+from gencactus.cactus import (
+    CactusWord,
+    commuting_subsets,
+    evaluate_to_coxeter,
+    is_pure,
+    parse_word,
+)
 from gencactus.coxeter import (
     GroupElement,
     connected_subsets,
@@ -275,16 +281,44 @@ def oracle_embed(ctx, word):
     return racg_part, aut
 
 
-@pytest.mark.parametrize("name", LADDER)
+# an A3 family other than F(S): w_0 swaps {s1} and {s3} and fixes {s2}
+A3_CUSTOM = (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({0, 1, 2}))
+
+
+@pytest.mark.parametrize("name", LADDER + ["F4", "I2(5)", "I2(8)", "A1*A1", "A3 custom"])
 def test_embed_matches_oracle_fold(name):
-    ctx = get_context(name)
+    if name == "A3 custom":
+        ctx, alphabet = RacgContext(get_system("A3"), family=A3_CUSTOM), A3_CUSTOM
+        assert ctx.family != connected_subsets(ctx.system)
+    else:
+        ctx, alphabet = get_context(name), None
     fam = list(ctx.family)
     rng = random.Random(41 + len(fam))
     lengths = [0, 1, 2, 10, 30, 60] + ([300] if name in ("A4", "D4", "H3") else [])
     for L in lengths:
-        word = CactusWord(ctx.system, [rng.choice(fam) for _ in range(L)])
+        word = CactusWord(ctx.system, [rng.choice(fam) for _ in range(L)], alphabet=alphabet)
         h = ctx.embed(word)
         assert (h.racg_part, h.aut_part) == oracle_embed(ctx, word), L
+
+
+def test_embed_composes_only_the_final_aut_part(monkeypatch):
+    # the running aut part is an element x of W and g_x is built once, at
+    # the end, so no letter composes permutations of S
+    ctx = get_context("D4")
+    rng = random.Random(300)
+    word = CactusWord(ctx.system, [rng.choice(ctx.family) for _ in range(300)])
+    calls = []
+    compose = InducedAutomorphism.compose
+
+    def counting(self, other):
+        calls.append(other)
+        return compose(self, other)
+
+    monkeypatch.setattr(InducedAutomorphism, "compose", counting)
+    h = ctx.embed(word)
+    assert len(calls) <= evaluate_to_coxeter(word).length < 300
+    monkeypatch.undo()
+    assert (h.racg_part, h.aut_part) == oracle_embed(ctx, word)
 
 
 # -- long words -----------------------------------------------------------------

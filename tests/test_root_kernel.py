@@ -128,3 +128,29 @@ def test_long_words_on_infinite_groups_match_certified_oracle(builder):
     assert roots.vectors == oracle.vectors and roots.negative == oracle.negative
     el = GroupElement(sys_, key)
     assert GroupElement.from_word(sys_, el.word) == el
+
+
+def fold_evaluation(word):
+    # the left fold of element products that evaluation made before it
+    # mapped root ids through each letter's longest element
+    acc = GroupElement.identity(word.system)
+    for I in word.letters:
+        acc = acc * longest_element(word.system, I)
+    return acc
+
+
+INFINITE = {"affine": affine_triangle, "infinite_dihedral": infinite_dihedral,
+            "mixed_bonds": mixed_bonds}
+
+
+@pytest.mark.parametrize(
+    "name", ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "F4", "H4", "I2(60)", "E8", *INFINITE]
+)
+def test_evaluation_matches_the_product_fold(name):
+    sys_ = INFINITE[name]() if name in INFINITE else CoxeterSystem.from_name(name)
+    fset = connected_subsets(sys_)
+    rng = random.Random(len(fset))
+    for L in (0, 1, 2, 30, 300, 3000):
+        word = CactusWord(sys_, [rng.choice(fset) for _ in range(L)])
+        got, want = evaluate_to_coxeter(word), fold_evaluation(word)
+        assert got.key == want.key and got.word == want.word, L
