@@ -3,18 +3,17 @@
 Everything here needs W finite.  A context enumerates the set S of parabolic
 conjugates w W_I w^-1 once, computes the big right-angled Coxeter matrix M on
 it, and exposes the embedding gamma_I -> (tau_{W_I}, g_I) into the semidirect
-product.  Words in the big group are canonicalized in two steps: letters are
-pushed one at a time onto a reduced word, each cancelling or appending after
-a back-scan over commuting letters (O(L) per letter), and the reduced word is
-then read off as its lexicographically least commutation shuffle with a heap
-(O(L log L) for a bounded alphabet).  That solves the word problem there and,
-through the embedding, equality in C_W; `embed` carries its running aut part
-as an element of W, so a letter costs lookups along two reduced words.
+product.  Words in the big group are canonicalized in one pass: letters are
+pushed one at a time onto a word kept reduced and lexicographically least
+among its commutation shuffles, each cancelling or taking its place after a
+back-scan over commuting letters (O(L) per letter).  That solves the word
+problem there and, through the embedding, equality in C_W; `embed` carries
+its running aut part as an element of W, so a letter costs lookups along two
+reduced words.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Optional, Sequence
 
 from .cactus import CactusWord, is_pure
@@ -169,14 +168,16 @@ def _commute(table: GroupTable, a: ParabolicConjugate, b: ParabolicConjugate) ->
 
 
 def _push(w: list, x: int, M) -> None:
-    """Multiply the reduced word w by the letter x, in place.
+    """Multiply the normal-form word w by the letter x, in place.
 
-    Scanning back from the end, x cancels the first equal letter it reaches
-    across letters that commute with it; at the first letter that does not
-    commute it stops and is appended.  This is Tits' solution of the word
-    problem, right-angled case: w stays reduced, at O(|w|) per letter.
+    Scanning back over the letters that commute with x, x cancels the first
+    equal one (Tits' solution, right-angled case); otherwise it goes in
+    before the leftmost greater one it passed, or last.  A reduced word is
+    lex-least iff it has no factor b u a with a < b and a commuting with b
+    and u (Anisimov-Knuth), and neither step makes one: O(|w|) per letter.
     """
     row = M[x]
+    at = len(w)
     for i in range(len(w) - 1, -1, -1):
         y = w[i]
         if y == x:
@@ -184,56 +185,24 @@ def _push(w: list, x: int, M) -> None:
             return
         if row[y] != 2:
             break
-    w.append(x)
-
-
-def _lex(w: Sequence[int], M) -> tuple[int, ...]:
-    """The lexicographically least word commutation-equivalent to w.
-
-    Position p must follow the last earlier occurrence of each letter that
-    does not commute with w[p]; those edges generate the dependence order,
-    and two equal letters are never available together.  A heap keyed on
-    (letter, position) emits the least available letter each step, in
-    O(|w| (d + log |w|)) for d distinct letters in w.
-    """
-    waiting = [0] * len(w)  # unemitted predecessors of each position
-    after = [[] for _ in w]
-    last = {}  # letter -> its last position so far
-    for p, x in enumerate(w):
-        row = M[x]
-        for y, q in last.items():
-            if row[y] != 2:  # also y == x: the diagonal of M is 1
-                after[q].append(p)
-                waiting[p] += 1
-        last[x] = p
-    heap = [(x, p) for p, x in enumerate(w) if not waiting[p]]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        x, p = heapq.heappop(heap)
-        out.append(x)
-        for r in after[p]:
-            waiting[r] -= 1
-            if not waiting[r]:
-                heapq.heappush(heap, (w[r], r))
-    return tuple(out)
+        if y > x:
+            at = i
+    w.insert(at, x)
 
 
 def normal_form(word: Sequence[int], M: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Canonical form of a word in the big right-angled group.
-
-    Pushes the letters one at a time onto a reduced word (`_push`, O(L) per
-    letter), then reads off the lexicographically least commutation shuffle
-    of the result with a heap (`_lex`).  Words are equal in the group iff
-    their normal forms coincide.
+    """Canonical form of a word in the big right-angled group: the
+    lexicographically least reduced word equal to it, built by pushing the
+    letters one at a time (`_push`, O(L) per letter).  Words are equal in the
+    group iff their normal forms coincide.
     """
     n = len(M)
     w: list[int] = []
     for x in word:
-        if not isinstance(x, int) or not 0 <= x < n:
+        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
             raise InputError(f"letter out of range for S: {x!r}")
         _push(w, x, M)
-    return _lex(w, M)
+    return tuple(w)
 
 
 class InducedAutomorphism:
@@ -305,7 +274,11 @@ class SemidirectElement:
 
 
 def semidirect_mul(a: SemidirectElement, b: SemidirectElement) -> SemidirectElement:
-    """(t1, g1)(t2, g2) = (t1 . g1(t2), g1 . g2), renormalized."""
+    """(t1, g1)(t2, g2) = (t1 . g1(t2), g1 . g2), renormalized.
+
+    The letters of g1(t2) are pushed onto t1, so t1 = a.racg_part must be in
+    normal form, as every `SemidirectElement` keeps it.
+    """
     if a.context is not b.context:
         raise InputError("elements from different contexts")
     ctx = a.context
@@ -313,7 +286,7 @@ def semidirect_mul(a: SemidirectElement, b: SemidirectElement) -> SemidirectElem
     perm = a.aut_part.perm
     for i in b.racg_part:
         _push(w, perm[i], ctx.M)
-    return SemidirectElement(ctx, _lex(w, ctx.M), a.aut_part.compose(b.aut_part))
+    return SemidirectElement(ctx, w, a.aut_part.compose(b.aut_part))
 
 
 class RacgContext:
@@ -358,9 +331,9 @@ class RacgContext:
 
     def embed(self, word: CactusWord) -> SemidirectElement:
         """Image under gamma_I -> (tau_{W_I}, g_I), multiplied out left to
-        right on one reduced word, which is lex-ordered once at the end.  The
-        aut part g_x is carried as x in W: gamma_I pushes g_x(W_I), and x
-        becomes x w_I in the table; g_x is built once, at the end."""
+        right on one word kept in normal form by `_push`.  The aut part g_x
+        is carried as x in W: gamma_I pushes g_x(W_I), and x becomes x w_I in
+        the table; g_x is built once, at the end."""
         if word.system != self.system:
             raise InputError("word over a different system")
         table, M, perms = self.table, self.M, self._gen_perms
@@ -377,7 +350,7 @@ class RacgContext:
                 i = perms[s][i]
             _push(w, i, M)
             x = table.product(x, w_I)
-        return SemidirectElement(self, _lex(w, M), self.induced_aut(x))
+        return SemidirectElement(self, w, self.induced_aut(x))
 
     def cactus_equal(self, u: CactusWord, v: CactusWord) -> bool:
         """Word problem for C_W through the injective embedding."""

@@ -189,6 +189,15 @@ def test_normal_form_units():
         normal_form((7,), A2_M)
 
 
+def test_normal_form_refuses_bool_letters():
+    # bool is an int subclass; True would pass the range check and come back
+    # as a letter that JSON prints as `true`
+    with pytest.raises(InputError, match="letter out of range for S: True$"):
+        normal_form((True, 0), A2_M)
+    with pytest.raises(InputError, match="letter out of range for S: False$"):
+        normal_form((0, False), A2_M)
+
+
 def legal_moves(word, M):
     moves = []
     for i in range(len(word) - 1):
@@ -267,6 +276,91 @@ def test_normal_form_matches_oracle(name):
     assert len(words) >= 300
     for word in words:
         assert normal_form(word, M) == oracle_racg.normal_form(word, M), word
+
+
+@st.composite
+def right_angled_matrices(draw):
+    """A right-angled Coxeter matrix on 1-12 vertices: 1 on the diagonal,
+    2 where letters commute, 0 elsewhere.  Random graphs, plus the 5-cycle,
+    a path, the complete graph and the empty graph."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    kind = draw(st.sampled_from(["random", "cycle5", "path", "complete", "empty"]))
+    if kind == "cycle5":
+        n = 5
+    pairs = list(itertools.combinations(range(n), 2))
+    if kind == "random":
+        edges = {p for p in pairs if draw(st.booleans())}
+    elif kind == "cycle5":
+        edges = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+    elif kind == "path":
+        edges = {(i, i + 1) for i in range(n - 1)}
+    else:
+        edges = set(pairs) if kind == "complete" else set()
+    return tuple(
+        tuple(1 if i == j else 2 if (min(i, j), max(i, j)) in edges else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_push_keeps_the_normal_form_after_every_letter(data):
+    # the invariant behind the one-pass normal form: after each `_push` the
+    # word is reduced and lexicographically least, on any right-angled M
+    M = data.draw(right_angled_matrices())
+    word = data.draw(st.lists(st.integers(min_value=0, max_value=len(M) - 1), max_size=60))
+    w = []
+    for k, x in enumerate(word):
+        racg._push(w, x, M)
+        assert tuple(w) == oracle_racg.normal_form(word[: k + 1], M), (M, word[: k + 1])
+
+
+def raw_embed(ctx, word):
+    # the unreduced image word and the aut part, letter by letter
+    raw, aut = [], ctx.identity().aut_part
+    for I in word.letters:
+        el = ctx.letters[I]
+        raw.extend(aut(i) for i in el.racg_part)
+        aut = aut.compose(el.aut_part)
+    return raw, aut
+
+
+@pytest.mark.parametrize("name", LADDER + ["F4", "I2(7)", "A1*A1", "A2*A2"])
+def test_one_pass_matches_the_heap_read_off(name):
+    ctx = get_context(name)
+    M, fam, n = ctx.M, list(ctx.family), len(ctx.M)
+    rng = random.Random(sum(map(ord, name)) + 2000)
+    for L in (0, 1, 2, 30, 300, 2000):
+        letters = [rng.randrange(n) for _ in range(L)]
+        middle = [rng.randrange(n) for _ in range(3)]
+        for word in (letters, letters + middle + letters[::-1]):  # w, w x y z w^-1
+            assert normal_form(word, M) == oracle_racg.heap_normal_form(word, M), L
+        u = CactusWord(ctx.system, [rng.choice(fam) for _ in range(L)])
+        xyz = CactusWord(ctx.system, [rng.choice(fam) for _ in range(3)])
+        v = CactusWord(ctx.system, [rng.choice(fam) for _ in range(L // 2 + 1)])
+        for word in (u, u * xyz * u.inverse()):
+            raw, aut = raw_embed(ctx, word)
+            h = ctx.embed(word)
+            assert h.racg_part == oracle_racg.heap_normal_form(raw, M), L
+            assert h.aut_part == aut
+        a, b = ctx.embed(u), ctx.embed(v)
+        ab = semidirect_mul(a, b)
+        tail = [a.aut_part(i) for i in b.racg_part]
+        assert ab.racg_part == oracle_racg.heap_normal_form(a.racg_part + tuple(tail), M), L
+        assert ab.aut_part == a.aut_part.compose(b.aut_part)
+
+
+@pytest.mark.parametrize("name", ["D4", "F4", "H3"])
+def test_semidirect_mul_of_embeddings_is_the_embedding(name):
+    # semidirect_mul pushes onto a.racg_part as it stands, which embed keeps
+    # in normal form
+    ctx = get_context(name)
+    fam = list(ctx.family)
+    rng = random.Random(len(fam) * 7)
+    for L in (0, 1, 30, 300):
+        u = CactusWord(ctx.system, [rng.choice(fam) for _ in range(L)])
+        v = CactusWord(ctx.system, [rng.choice(fam) for _ in range(rng.choice((0, 1, L)))])
+        assert semidirect_mul(ctx.embed(u), ctx.embed(v)) == ctx.embed(u * v), L
 
 
 def oracle_embed(ctx, word):
