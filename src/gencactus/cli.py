@@ -156,6 +156,17 @@ def _emit(args, payload: dict, text: str) -> int:
     return 0
 
 
+def _emit_matrices(args, payload: dict, header: list, named: dict) -> int:
+    """Emit named matrices after payload's keys (json) or after the header
+    lines, each as its name and then one tab-separated line per row (text)."""
+    payload["matrices"] = [{"generator": k, "rows": _matrix_rows(m)} for k, m in named.items()]
+    lines = list(header)
+    for entry in payload["matrices"]:
+        lines.append(entry["generator"])
+        lines.extend("  " + "\t".join(row) for row in entry["rows"])
+    return _emit(args, payload, "\n".join(lines))
+
+
 def _word_str(system, element) -> str:
     return " ".join(system.labels[i] for i in element.word) if element.word else "e"
 
@@ -243,19 +254,7 @@ def _cmd_rep(args) -> int:
     system = _system_from_args(args)
     t = _t_from_args(args)
     named, _ = _rep_map(args, system, args.kind, t)
-    payload = {
-        "kind": args.kind,
-        "t": str(t),
-        "matrices": [
-            {"generator": name, "rows": _matrix_rows(m)} for name, m in named.items()
-        ],
-    }
-    blocks = []
-    for name, m in named.items():
-        blocks.append(name)
-        for row in _matrix_rows(m):
-            blocks.append("  " + "\t".join(row))
-    return _emit(args, payload, "\n".join(blocks))
+    return _emit_matrices(args, {"kind": args.kind, "t": str(t)}, [], named)
 
 
 def _cmd_check_relations(args) -> int:
@@ -318,18 +317,8 @@ def _cmd_quotient(args) -> int:
     else:
         keep = _default_keep(subspace, dim)
     quotient = quotient_rep(named, subspace, keep)
-    payload = {
-        "keep": keep,
-        "matrices": [
-            {"generator": name, "rows": _matrix_rows(m)} for name, m in quotient.items()
-        ],
-    }
-    blocks = [f"keep: {','.join(str(i) for i in keep)}"]
-    for name, m in quotient.items():
-        blocks.append(name)
-        for row in _matrix_rows(m):
-            blocks.append("  " + "\t".join(row))
-    return _emit(args, payload, "\n".join(blocks))
+    header = [f"keep: {','.join(str(i) for i in keep)}"]
+    return _emit_matrices(args, {"keep": keep}, header, quotient)
 
 
 def _cmd_diagram(args) -> int:

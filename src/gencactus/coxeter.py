@@ -199,12 +199,12 @@ class RootTable:
     root it reaches first is negative iff the root it came from is negative
     or is alpha_b: no sign is decided.  For finite W the root system is
     closed at construction by BFS from the simple roots, generators in index
-    order, and each root keeps the parent (s, gamma) it was first reached
-    from, root = s(gamma).  The reflection in a non-simple root is then
-    s_beta = s s_gamma s, one row of lookups in rows already filled.  For
-    infinite W a root gets the next id when first met, a non-simple
-    reflection is the exact rho - 2 B(rho, beta) beta, and only a root first
-    met that way has its sign certified.
+    order, and then every row is filled in id order: a root beta first
+    reached as s(gamma) has the smaller id gamma, and s_beta = s s_gamma s is
+    one row of lookups in rows already filled.  For infinite W a root gets
+    the next id when first met, a non-simple reflection is the exact
+    rho - 2 B(rho, beta) beta, and only a root first met that way has its
+    sign certified.
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -217,18 +217,23 @@ class RootTable:
         self.negative: list[bool] = []
         self._ids: dict[tuple, int] = {}
         self._rows: list[dict[int, int]] = []  # b -> {r: s_b(r)}
-        self._parent: list[Optional[tuple[int, int]]] = []
         zero, one = system._wrap(0), system._wrap(1)
         for s in range(n):
             self._intern(tuple(one if i == s else zero for i in range(n)), False)
         self.identity = tuple(range(n))
         self.finite = is_finite_parabolic(system, self.identity)
         if self.finite:
+            parents = []  # (s, gamma) for each non-simple root s(gamma)
             for r, _ in enumerate(self.vectors):  # a BFS queue: grows while walked
                 for s in range(n):
-                    self.reflect(s, r)
+                    if self.reflect(s, r) == n + len(parents):  # a new root
+                        parents.append((s, r))
+            ids = range(len(self.vectors))
+            for beta, (s, gamma) in enumerate(parents, n):
+                rs, rg = self._rows[s], self._rows[gamma]
+                self._rows[beta] = {r: rs[rg[rs[r]]] for r in ids}
 
-    def _intern(self, vector: tuple, negative: Optional[bool], parent=None) -> int:
+    def _intern(self, vector: tuple, negative: Optional[bool]) -> int:
         """Id of a root vector; a new root with `negative` None has its sign
         certified (all its coordinates share it, so the first nonzero one)."""
         rid = self._ids.get(vector)
@@ -239,7 +244,6 @@ class RootTable:
             self.vectors.append(vector)
             self.negative.append(negative)
             self._rows.append({})
-            self._parent.append(parent)
         return rid
 
     def reflect(self, b: int, r: int) -> int:
@@ -254,23 +258,8 @@ class RootTable:
                 image = list(rho)
                 image[b] -= c
                 # s_b maps -alpha_b to alpha_b, which is never new
-                row[r] = self._intern(tuple(image), self.negative[r] or r == b, (b, r))
+                row[r] = self._intern(tuple(image), self.negative[r] or r == b)
         return row[r]
-
-    def _fill(self, b: int) -> None:
-        """Fill the row of a root of finite W by s_beta = s s_gamma s, beta =
-        s(gamma), walking down from the nearest ancestor whose row is filled
-        (simple rows always are).  A loop, not recursion: a parent chain is as
-        long as the root's height, which grows without bound on I2(m)."""
-        chain = []
-        while not self._rows[b]:
-            chain.append(b)
-            b = self._parent[b][1]
-        ids = range(len(self.vectors))
-        for beta in reversed(chain):
-            s, gamma = self._parent[beta]
-            rs, rg = self._rows[s], self._rows[gamma]
-            self._rows[beta] = {r: rs[rg[rs[r]]] for r in ids}
 
     def right_mul(self, key: tuple, s: int) -> tuple:
         """Key of w*s from the key of w: (ws)(alpha_j) = s_beta(w(alpha_j)) for
@@ -281,12 +270,9 @@ class RootTable:
             return tuple([row[r] for r in key])
         except KeyError:
             pass
-        if b < len(key):  # a simple root, in infinite W
+        # only infinite W gets here: every row of a finite W is full
+        if b < len(key):  # a simple root
             return tuple([self.reflect(b, r) for r in key])
-        if self.finite:
-            self._fill(b)
-            row = self._rows[b]
-            return tuple([row[r] for r in key])
         # infinite W: 2 B(w(alpha_j), w(alpha_s)) = 2 B(alpha_j, alpha_s), as W
         # preserves B; the only place a sign is certified
         beta, bonds = self.vectors[b], self._bonds[s]
@@ -567,82 +553,80 @@ _MAX_ORDER = 10**5
 
 
 def enumerate_group(system: CoxeterSystem, max_length: Optional[int] = None) -> list[GroupElement]:
-    """All elements of the (finite) group W, in BFS order.
+    """All elements of the (finite) group W, in BFS order (see `_walk`).
 
-    BFS over right multiplication, deduplicated by key; the first visit of
-    an element happens at its length, so stored words are reduced.  A right
-    descent leads back to a shorter element and is skipped.  With max_length
-    set, raises if the group is not exhausted within that radius; without
-    it, a group of more than `_MAX_ORDER` elements is refused before the
-    walk.  A bounded walk is refused once it has listed more than
-    `_MAX_ORDER` elements.
+    With max_length set, raises if the group is not exhausted within that
+    radius; without it, a group of more than `_MAX_ORDER` elements is
+    refused before the walk.  A bounded walk is refused once it has listed
+    more than `_MAX_ORDER` elements.
     """
-    idx = range(system.rank)
+    return _walk(system, max_length)[0]
+
+
+def _walk(system: CoxeterSystem, max_length: Optional[int] = None):
+    """BFS over right multiplication, generators in index order, deduplicated
+    by key: the elements in BFS order, the index of each key, and gen_right,
+    gen_right[s][i] the index of w_i s.
+
+    The first visit of an element happens at its length, so stored words are
+    reduced.  Each ascent w < ws is one product, which also fills the
+    descent (ws)s = w, so every entry of gen_right is set once the walk ends.
+    """
+    n = system.rank
     if max_length is None:
-        comps = _diagram_components(system, frozenset(idx))
+        comps = _diagram_components(system, frozenset(range(n)))
         order = math.prod(_finite_component(system, comp) for comp in comps)
         if not order:
-            raise InfiniteGroupError(f"infinite group: {system.format_subset(idx)}")
+            raise InfiniteGroupError(f"infinite group: {system.format_subset(range(n))}")
         if order > _MAX_ORDER:
             raise CactusError(f"group too large: |W| = {order} exceeds the limit of {_MAX_ORDER}")
     roots = system.root_table()
+    negative = roots.negative
     identity = GroupElement.identity(system)
     elements = [identity]
-    seen = {identity.key}
-    frontier = [identity]
-    depth = 0
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for s in idx:
-                if roots.negative[el.key[s]]:
-                    continue
-                key = roots.right_mul(el.key, s)
-                if key not in seen:
-                    new = GroupElement(system, key, el.word + (s,))
-                    seen.add(key)
-                    elements.append(new)
-                    nxt.append(new)
-                    if len(elements) > _MAX_ORDER:
-                        raise CactusError(
-                            f"group too large: more than {_MAX_ORDER} elements"
-                            f" within length {max_length}"
-                        )
-        depth += 1
-        if nxt and max_length is not None and depth > max_length:
+    index = {identity.key: 0}
+    right = [[0] * n]  # right[i][s]: the index of w_i s
+    for i, el in enumerate(elements):  # a BFS queue: grows while walked
+        # the first element past max_length: its whole level is listed by now
+        if max_length is not None and len(el.word) > max_length:
             raise InfiniteGroupError(f"group not exhausted within length {max_length}")
-        frontier = nxt
-    return elements
+        for s in range(n):
+            if negative[el.key[s]]:
+                continue
+            key = roots.right_mul(el.key, s)
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(elements)
+                elements.append(GroupElement(system, key, el.word + (s,)))
+                right.append([0] * n)
+                if j >= _MAX_ORDER:
+                    raise CactusError(
+                        f"group too large: more than {_MAX_ORDER} elements"
+                        f" within length {max_length}"
+                    )
+            right[i][s] = j
+            right[j][s] = i
+    return elements, index, [list(col) for col in zip(*right)]
 
 
 class GroupTable:
     """Index tables for a finite Coxeter group.
 
-    Elements are indexed in BFS order.  Left/right multiplication by a
-    generator is a table lookup, so products and conjugations cost one lookup
-    per letter.
+    Elements are indexed in BFS order, and `gen_right` is the one walk's
+    record of right multiplication by each generator (see `_walk`).  Left
+    multiplication by a generator is read in the full row of its simple
+    root.  Products and conjugations cost one lookup per letter.
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self.elements = enumerate_group(system)
-        self.index = {el.key: i for i, el in enumerate(self.elements)}
-        n = system.rank
+        self.elements, self.index, self.gen_right = _walk(system)
         roots = system.root_table()
-        # each ascent w < ws is one product, which also fills the descent
-        # (ws)s = w
-        self.gen_right = [[0] * len(self.elements) for _ in range(n)]
-        for key, i in self.index.items():
-            for s, row in enumerate(self.gen_right):
-                if not roots.negative[key[s]]:
-                    j = self.index[roots.right_mul(key, s)]
-                    row[i] = j
-                    row[j] = i
-        self.simple_index = [self.gen_right[s][0] for s in range(n)]
+        self.simple_index = [self.gen_right[s][0] for s in range(system.rank)]
         # (s w)(alpha_j) = s(w(alpha_j)), read in the full row of the simple root
         self.gen_left = [
             [self.index[tuple([row[r] for r in el.key])] for el in self.elements]
-            for row in roots._rows[:n]
+            for row in roots._rows[: system.rank]
         ]
 
     def __len__(self):

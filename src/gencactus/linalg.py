@@ -189,14 +189,13 @@ def kernel_basis(a: Matrix) -> list[Vector]:
     pivots, _ = _row_reduce(rows, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
-        vec = [_ZERO] * ncols
-        vec[free] = _ONE
+        hits = [(free, _ONE)]
         for row, col in zip(rows, pivots):
             x = row[free]
             # a Fraction zero stays the shared zero; any other zero keeps its type
             if x is not _ZERO and (x != 0 or type(x) is not Fraction):
-                vec[col] = -x
-        basis.append(tuple(vec))
+                hits.append((col, -x))
+        basis.append(_sparse_row(hits, ncols, _ZERO))
     return basis
 
 

@@ -129,35 +129,37 @@ def _checked_family(system, family) -> tuple[frozenset, ...]:
     return tuple(fam)
 
 
-def big_matrix(conjugates: Sequence[ParabolicConjugate]) -> tuple:
+def big_matrix(conjugates: Sequence[ParabolicConjugate], base: Iterable[int], perms) -> tuple:
     """The right-angled Coxeter matrix on S; entry 0 encodes infinity.
 
     2 for containment either way, 2 for trivial intersection with elementwise
-    commutation (checked on generating sets), else 0.
+    commutation (checked on generating sets), else 0.  The rule is applied
+    only on the rows of the W_I, at their indices base.  Conjugation by W
+    permutes S and keeps M, so every other row is read off a row already
+    built through perms, the simple reflections' permutations of S: row
+    s(P) at column c is row P at column s(c).
     """
     n = len(conjugates)
     if n == 0:
         return ()
     table = conjugates[0].table
-    rows = [[1] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = conjugates[i], conjugates[j]
-            if a.elements <= b.elements or b.elements <= a.elements:
-                m = 2
-            elif _meet_trivially(a.elements, b.elements) and _commute(table, a, b):
-                m = 2
-            else:
-                m = 0
-            rows[i][j] = rows[j][i] = m
-    return tuple(tuple(r) for r in rows)
-
-
-def _meet_trivially(a: frozenset, b: frozenset) -> bool:
-    # the identity (index 0) lies in both; the scan stops at the first
-    # other element of the smaller set that the larger one holds
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
-    return big.isdisjoint(filter(None, small))
+    rows = [None] * n
+    queue = list(base)
+    for k in queue:
+        a = conjugates[k].elements
+        row = [
+            2 if a <= b.elements or b.elements <= a
+            or len(a & b.elements) == 1 and _commute(table, conjugates[k], b) else 0
+            for b in conjugates
+        ]
+        row[k] = 1
+        rows[k] = tuple(row)
+    for k in queue:  # a BFS queue: grows while walked
+        for perm in perms:
+            if rows[perm[k]] is None:
+                rows[perm[k]] = tuple(map(rows[k].__getitem__, perm))
+                queue.append(perm[k])
+    return tuple(rows)
 
 
 def _commute(table: GroupTable, a: ParabolicConjugate, b: ParabolicConjugate) -> bool:
@@ -245,15 +247,23 @@ class SemidirectElement:
     """Element (racg_part, aut_part) of the semidirect product.
 
     racg_part is stored in normal form, so componentwise equality decides
-    equality in the group.
+    equality in the group: the constructor normalizes it (`normal_form`,
+    which rejects letters out of range), and the context's own products,
+    already in normal form, skip that pass through `_of`.
     """
 
     __slots__ = ("context", "racg_part", "aut_part")
 
     def __init__(self, context, racg_part, aut_part):
         self.context = context
-        self.racg_part = tuple(racg_part)
+        self.racg_part = normal_form(racg_part, context.M)
         self.aut_part = aut_part
+
+    @classmethod
+    def _of(cls, context, racg_part: Sequence[int], aut_part) -> "SemidirectElement":
+        el = cls.__new__(cls)
+        el.context, el.racg_part, el.aut_part = context, tuple(racg_part), aut_part
+        return el
 
     def is_identity(self) -> bool:
         return not self.racg_part and self.aut_part.is_identity()
@@ -286,7 +296,7 @@ def semidirect_mul(a: SemidirectElement, b: SemidirectElement) -> SemidirectElem
     perm = a.aut_part.perm
     for i in b.racg_part:
         _push(w, perm[i], ctx.M)
-    return SemidirectElement(ctx, w, a.aut_part.compose(b.aut_part))
+    return SemidirectElement._of(ctx, w, a.aut_part.compose(b.aut_part))
 
 
 class RacgContext:
@@ -305,20 +315,20 @@ class RacgContext:
         self.conjugates, self.set_index, self.base_index, self._gen_perms = build_S(
             system, self.family
         )
-        self.M = big_matrix(self.conjugates)
+        self.M = big_matrix(self.conjugates, self.base_index.values(), self._gen_perms)
         # per letter I: (the index of W_I in S, the table index of w_I)
         self._steps = {
             I: (self.base_index[I], self.table.element_index(longest_element(system, I)))
             for I in self.family
         }
         self.letters = {  # gamma_I -> (tau_{W_I}, g_I)
-            I: SemidirectElement(self, (k,), self.induced_aut(x))
+            I: SemidirectElement._of(self, (k,), self.induced_aut(x))
             for I, (k, x) in self._steps.items()
         }
         self.caches: dict = {}  # Pi images by ("Pi", t), filled by rep.Pi_rep
 
     def identity(self) -> SemidirectElement:
-        return SemidirectElement(self, (), self.induced_aut(0))
+        return SemidirectElement._of(self, (), self.induced_aut(0))
 
     def induced_aut(self, w) -> InducedAutomorphism:
         """g_w, the permutation of S by conjugation with w: the simple
@@ -350,7 +360,7 @@ class RacgContext:
                 i = perms[s][i]
             _push(w, i, M)
             x = table.product(x, w_I)
-        return SemidirectElement(self, w, self.induced_aut(x))
+        return SemidirectElement._of(self, w, self.induced_aut(x))
 
     def cactus_equal(self, u: CactusWord, v: CactusWord) -> bool:
         """Word problem for C_W through the injective embedding."""

@@ -39,26 +39,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, lowest degree first.  Phi_1 = x - 1."""
     if n < 1:
         raise ValueError("conductor must be a positive integer")
-    poly = [-1] + [0] * (n - 1) + [1]
+    poly = [Fraction(-1)] + [_ZERO] * (n - 1) + [_ONE]
     for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_int_divide(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
-
-
-def _poly_int_divide(num: list[int], den: list[int]) -> list[int]:
-    # den is monic; the division is exact for cyclotomic factors.
-    out = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for k in range(len(out) - 1, -1, -1):
-        c = rem[k + len(den) - 1]
-        out[k] = c
-        if c:
-            for i, d in enumerate(den):
-                rem[k + i] -= c * d
-    if any(rem):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+        if n % d == 0:  # Phi_d is monic and divides exactly
+            poly = _poly_frac_divmod(poly, cyclotomic_polynomial(d))[0]
+    return tuple(int(c) for c in poly)
 
 
 def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:

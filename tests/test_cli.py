@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -73,6 +74,36 @@ def test_equal(capsys):
     assert code == 0 and out.strip() == "true"
     code, out, _ = invoke(capsys, "equal", "g{s1}", "g{s2}", "--system", "A2")
     assert code == 0 and out.strip() == "false"
+
+
+# the first 16 hex digits of the sha256 of stdout of `sset --format json`,
+# `diagram` and `normalize W --format json`, with W below
+SSET_DIAGRAM_NORMALIZE_DIGESTS = {
+    "A2": ("93575702d199a3a5", "dabe62cebae099e6", "ca3afb4ac2012522"),
+    "A3": ("4294f671cb963338", "b5c3986fc6f20cb8", "3789bae4d8a07b8b"),
+    "B3": ("b89c55a2cafc1dc8", "90b5ba2e7b2b9257", "99b0e1943e8be6ce"),
+    "H3": ("ddab905e53518036", "a2c149977fe7d23c", "95e606e8b166c918"),
+    "A4": ("425d5c6172227fa0", "b6a7a380da166191", "f462d355533e32ac"),
+    "D4": ("caaa600a89a62a53", "d94d7eb5a2ce1976", "01d172f8d585715f"),
+    "B4": ("d9dc19da9af5d361", "4d6f7c7e3958d730", "3cffe7780faf9c7d"),
+    "F4": ("961aa95d2bf22f48", "0c6fee763820a85f", "61b26438e410329a"),
+    "I2(7)": ("2cd94334f25156d4", "127ef4be887ae31f", "52a146f5ef8c97cc"),
+    "A2*A2": ("f5ba6c9c7ab3fce8", "47ba1ebea6699636", "c53fdb72c0c06b80"),
+    "H4": ("d61f9a853b620d97", "c3659894807e5fd3", "f88a1fd00bd0075c"),
+    "E6": ("3b04f997cefe8e76", "45554161807aee0d", "0c8d06724dc1b511"),
+}
+DIGEST_WORDS = {"I2(7)": "g{a} g{a,b} g{b}", "A2*A2": "g{a1} g{a1,a2} g{b2}"}
+
+
+@pytest.mark.parametrize("name", list(SSET_DIAGRAM_NORMALIZE_DIGESTS))
+def test_sset_diagram_and_normalize_outputs_are_pinned(capsys, name):
+    word = DIGEST_WORDS.get(name, "g{s1} g{s1,s2} g{s2}")
+    digests = []
+    for argv in (["sset", "--format", "json"], ["diagram"], ["normalize", word, "--format", "json"]):
+        code, out, _ = invoke(capsys, "--system", name, *argv)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(digests) == SSET_DIAGRAM_NORMALIZE_DIGESTS[name]
 
 
 def test_normalize(capsys):

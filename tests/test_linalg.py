@@ -167,6 +167,14 @@ def test_int_inputs_stay_exact():
     assert all(isinstance(x, Fraction) for v in basis for x in v)
 
 
+def test_kernel_vectors_of_zero_columns_are_unit_rows():
+    basis = kernel_basis(((1, 0, 0),))
+    assert basis == [(0, 1, 0), (0, 0, 1)]
+    assert basis[0] is identity_matrix(3)[1] and basis[1] is identity_matrix(3)[2]
+    assert_shared(basis)
+    assert_shared(kernel_basis(((1, 1, 0), (0, 0, 0))))
+
+
 def test_transpose():
     a = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(3)))
     assert transpose(a) == ((0, 1, 2), (1, 1, 3))

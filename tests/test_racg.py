@@ -116,6 +116,19 @@ def test_m_matrix_matches_the_full_intersections(context, name):
     assert ctx.M == _intersecting_big_matrix(ctx.conjugates, ctx.table)
 
 
+def test_m_matrix_off_custom_and_reducible_families_matches_the_full_intersections(system):
+    # rows read off the W_I rows by conjugation, where the family is not
+    # F(S) or the diagram is not connected
+    contexts = [
+        RacgContext(system("I2(2)"), family=[frozenset({0}), frozenset({1}), frozenset({0, 1})]),
+        get_context("A2*A2"),
+        get_context("I2(7)"),
+        RacgContext(get_system("A3"), family=A3_CUSTOM),
+    ]
+    for ctx in contexts:
+        assert ctx.M == _intersecting_big_matrix(ctx.conjugates, ctx.table)
+
+
 def test_conjugates_are_subgroups(context):
     ctx = context("B2")
     table = ctx.table
@@ -594,6 +607,19 @@ def test_semidirect_mul_context_check(context):
     b2 = context("B2")
     with pytest.raises(InputError):
         semidirect_mul(a2.identity(), b2.identity())
+
+
+def test_semidirect_element_normalizes_its_racg_part(context):
+    ctx = context("A2")
+    e = ctx.identity().aut_part
+    a, b = racg.SemidirectElement(ctx, (3, 0), e), racg.SemidirectElement(ctx, [0, 3], e)
+    assert ctx.M[0][3] == 2
+    assert a == b and hash(a) == hash(b)
+    assert a.racg_part == (0, 3)
+    assert semidirect_mul(a, ctx.identity()).racg_part == (0, 3)
+    assert racg.SemidirectElement(ctx, (1, 1, 2), e).racg_part == (2,)
+    with pytest.raises(InputError):
+        racg.SemidirectElement(ctx, (0, len(ctx.conjugates)), e)
 
 
 def test_semidirect_json(context):

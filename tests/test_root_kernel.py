@@ -112,6 +112,25 @@ def test_finite_root_table_matches_certified_oracle(name):
     assert all(roots._ids[v] == i for i, v in enumerate(oracle.vectors))
 
 
+@pytest.mark.parametrize(
+    "name", ["A4", "B4", "D4", "F4", "H3", "H4", "E6", "I2(7)", "A2*A2"]
+)
+def test_finite_rows_are_the_reflections_in_every_root(name):
+    # each row, filled from s_beta = s s_gamma s at construction, against
+    # rho - 2 B(rho, beta) beta computed exactly by the oracle
+    sys_ = CoxeterSystem.from_name(name)
+    roots, oracle = sys_.root_table(), oracle_roots(sys_)
+    gram = sys_.gram_matrix(1)
+    ids = range(len(roots.vectors))
+    for b in ids:
+        beta = roots.vectors[b]
+        g_beta = [2 * sum(g * y for g, y in zip(row, beta)) for row in gram]
+        assert len(roots._rows[b]) == len(ids)
+        for r in ids:
+            c = sum(x * y for x, y in zip(roots.vectors[r], g_beta) if x != 0)
+            assert roots._rows[b][r] == oracle.reflect(b, r, c)
+
+
 def mixed_bonds():
     # an infinite bond and a bond of 4 in one infinite group
     return CoxeterSystem(("a", "b", "c"), ((1, 0, 4), (0, 1, 2), (4, 2, 1)))

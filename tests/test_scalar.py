@@ -18,9 +18,10 @@ from gencactus.scalar import (
 )
 
 
-@pytest.mark.parametrize("n", list(range(1, 31)) + [36, 40, 105])
+@pytest.mark.parametrize("n", range(1, 121))
 def test_cyclotomic_polynomial_matches_sympy(n):
     ours = cyclotomic_polynomial(n)
+    assert all(type(c) is int for c in ours)
     x = sympy.Symbol("x")
     ref = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
     assert list(ours) == [int(c) for c in reversed(ref)]
