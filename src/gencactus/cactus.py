@@ -136,11 +136,13 @@ def apply_relation(word: CactusWord, position: int) -> CactusWord:
 
 def evaluate_to_coxeter(word: CactusWord) -> GroupElement:
     """Image under g_W: gamma_I -> w_I (longest element of W_I), right to
-    left on the key: (w_I y)(alpha_j) = w_I(y(alpha_j)), n lookups a letter."""
+    left on the key: (w_I y)(alpha_j) = w_I(y(alpha_j)), n lookups a letter.
+    The root map of w_I is looked up once per distinct letter."""
     system = word.system
+    maps = {l: longest_root_map(system, l).__getitem__ for l in set(word.letters)}
     key = system.root_table().identity
-    for l in reversed(word.letters):
-        key = tuple(map(longest_root_map(system, l).__getitem__, key))
+    for f in map(maps.__getitem__, reversed(word.letters)):
+        key = tuple(map(f, key))
     return GroupElement(system, key)
 
 

@@ -614,20 +614,25 @@ class GroupTable:
 
     Elements are indexed in BFS order, and `gen_right` is the one walk's
     record of right multiplication by each generator (see `_walk`).  Left
-    multiplication by a generator is read in the full row of its simple
-    root.  Products and conjugations cost one lookup per letter.
+    multiplication by a generator is filled from it in BFS order, one
+    lookup per entry.  Products and conjugations cost one lookup per letter.
     """
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self.elements, self.index, self.gen_right = _walk(system)
-        roots = system.root_table()
-        self.simple_index = [self.gen_right[s][0] for s in range(system.rank)]
-        # (s w)(alpha_j) = s(w(alpha_j)), read in the full row of the simple root
-        self.gen_left = [
-            [self.index[tuple([row[r] for r in el.key])] for el in self.elements]
-            for row in roots._rows[: system.rank]
-        ]
+        right = self.gen_right
+        self.simple_index = [right[s][0] for s in range(system.rank)]
+        # w_i = w_p t with t the last letter of w_i and p < i in BFS order,
+        # so s w_i = (s w_p) t is one lookup in a row already filled
+        steps = [(right[el.word[-1]], right[el.word[-1]][i])
+                 for i, el in enumerate(self.elements) if i]
+        self.gen_left = []
+        for first in self.simple_index:
+            row = [first]
+            for rt, p in steps:
+                row.append(rt[row[p]])
+            self.gen_left.append(row)
 
     def __len__(self):
         return len(self.elements)

@@ -8,15 +8,15 @@ pushed one at a time onto a word kept reduced and lexicographically least
 among its commutation shuffles, each cancelling or taking its place after a
 back-scan over commuting letters (O(L) per letter).  That solves the word
 problem there and, through the embedding, equality in C_W; `embed` carries
-its running aut part as an element of W, so a letter costs lookups along two
-reduced words.
+its running aut part as an element x of W and memoizes each (x, letter) move,
+so a letter costs one lookup and one push.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .cactus import CactusWord, is_pure
+from .cactus import CactusWord
 from .coxeter import (
     CoxeterSystem,
     GroupElement,
@@ -300,8 +300,8 @@ def semidirect_mul(a: SemidirectElement, b: SemidirectElement) -> SemidirectElem
 
 
 class RacgContext:
-    """Immutable bundle: ambient table, S, M, the letter images and the Pi
-    cache.
+    """Immutable bundle: ambient table, S, M, the letter images and the
+    caches (Pi images and the embedding's letter moves).
 
     family overrides the gamma alphabet (default: F(S)).  A custom family
     must be closed under nested conjugation I -> w_J(I) so that the defining
@@ -325,7 +325,9 @@ class RacgContext:
             I: SemidirectElement._of(self, (k,), self.induced_aut(x))
             for I, (k, x) in self._steps.items()
         }
-        self.caches: dict = {}  # Pi images by ("Pi", t), filled by rep.Pi_rep
+        # Pi images by ("Pi", t), filled by rep.Pi_rep, and under "moves" the
+        # embedding's memoized letter moves, filled by `_walk`
+        self.caches: dict = {}
 
     def identity(self) -> SemidirectElement:
         return SemidirectElement._of(self, (), self.induced_aut(0))
@@ -339,32 +341,54 @@ class RacgContext:
             perm = tuple(map(self._gen_perms[s].__getitem__, perm))
         return InducedAutomorphism(perm)
 
-    def embed(self, word: CactusWord) -> SemidirectElement:
-        """Image under gamma_I -> (tau_{W_I}, g_I), multiplied out left to
-        right on one word kept in normal form by `_push`.  The aut part g_x
-        is carried as x in W: gamma_I pushes g_x(W_I), and x becomes x w_I in
-        the table; g_x is built once, at the end."""
+    def _walk(self, word: CactusWord) -> tuple[list[int], int]:
+        """The embedding of word as (racg part in normal form, x in W with
+        g_x its aut part).  gamma_I pushes g_x(W_I) and x becomes x w_I; that
+        move depends only on (x, I) and is kept in ctx.caches["moves"][I][x]
+        once `_move` has made it, so a letter costs one lookup and a `_push`."""
         if word.system != self.system:
             raise InputError("word over a different system")
-        table, M, perms = self.table, self.M, self._gen_perms
+        moves = self.caches.setdefault("moves", {})
+        M = self.M
         w: list[int] = []
         x = 0
         for letter in word.letters:
-            step = self._steps.get(letter)
-            if step is None:
-                raise InputError(
-                    f"letter not in the generating family: {self.system.format_subset(letter)}"
-                )
-            i, w_I = step
-            for s in reversed(table.elements[x].word):  # i -> g_x(i)
-                i = perms[s][i]
+            try:
+                i, x = moves[letter][x]
+            except KeyError:
+                i, x = self._move(moves, letter, x)
             _push(w, i, M)
-            x = table.product(x, w_I)
+        return w, x
+
+    def _move(self, moves: dict, letter: frozenset, x: int) -> tuple[int, int]:
+        # (g_x(i), x w_I) for i the index of W_I in S: i chased through the
+        # simple reflections' permutations of S along x's word, last first
+        step = self._steps.get(letter)
+        if step is None:
+            raise InputError(
+                f"letter not in the generating family: {self.system.format_subset(letter)}"
+            ) from None
+        i, w_I = step
+        for s in reversed(self.table.elements[x].word):
+            i = self._gen_perms[s][i]
+        move = (i, self.table.product(x, w_I))
+        moves.setdefault(letter, {})[x] = move
+        return move
+
+    def embed(self, word: CactusWord) -> SemidirectElement:
+        """Image under gamma_I -> (tau_{W_I}, g_I), multiplied out left to
+        right on one word kept in normal form by `_push`, one memoized move
+        a letter (see `_walk`); g_x is built once, at the end."""
+        w, x = self._walk(word)
         return SemidirectElement._of(self, w, self.induced_aut(x))
 
     def cactus_equal(self, u: CactusWord, v: CactusWord) -> bool:
-        """Word problem for C_W through the injective embedding."""
-        return self.embed(u) == self.embed(v)
+        """Word problem for C_W through the injective embedding: the same
+        answer as embed(u) == embed(v).  The aut parts g_x are built only
+        when the racg parts agree and the evaluations x differ."""
+        wu, xu = self._walk(u)
+        wv, xv = self._walk(v)
+        return wu == wv and (xu == xv or self.induced_aut(xu) == self.induced_aut(xv))
 
     def purity_consistency(self, w: CactusWord) -> bool:
         """Whether (aut part trivial) and (evaluation trivial) agree on w.
@@ -372,8 +396,10 @@ class RacgContext:
         Purity always forces a trivial aut part.  The converse can fail when
         the center of W is nontrivial: conjugation by a central evaluation
         relabels nothing.  Exposed so harnesses can probe both directions.
+        One walk gives both: its x is the evaluation of w in W.
         """
-        return self.embed(w).aut_part.is_identity() == is_pure(w)
+        x = self._walk(w)[1]
+        return self.induced_aut(x).is_identity() == (x == 0)
 
     def sset_json(self) -> dict:
         """S as lists of reduced element words, M with 0 standing for infinity."""

@@ -39,11 +39,20 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, lowest degree first.  Phi_1 = x - 1."""
     if n < 1:
         raise ValueError("conductor must be a positive integer")
-    poly = [Fraction(-1)] + [_ZERO] * (n - 1) + [_ONE]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
-        if n % d == 0:  # Phi_d is monic and divides exactly
-            poly = _poly_frac_divmod(poly, cyclotomic_polynomial(d))[0]
-    return tuple(int(c) for c in poly)
+        if n % d == 0:  # Phi_d is monic and divides exactly: stay in ints
+            phi = cyclotomic_polynomial(d)
+            k = len(phi) - 1
+            quot = [0] * (len(poly) - k)
+            for top in range(len(poly) - 1, k - 1, -1):
+                c = poly[top]
+                if c:
+                    quot[top - k] = c
+                    for i, p in enumerate(phi, top - k):
+                        poly[i] -= c * p
+            poly = quot
+    return tuple(poly)
 
 
 def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:

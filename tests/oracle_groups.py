@@ -331,3 +331,10 @@ def root_group_tables(roots):
     right = [[index[roots.right_mul(k, s)] for k in keys] for s in range(n)]
     left = [[index[tuple(roots.reflect(s, r) for r in k)] for k in keys] for s in range(n)]
     return keys, right, left
+
+
+def left_by_simple_rows(keys, index, rows):
+    """w -> sw as the group table first built it: every key mapped through
+    the full row of the simple root alpha_s (root id -> id of its image
+    under s), the new key looked up in index."""
+    return [[index[tuple(row[r] for r in key)] for key in keys] for row in rows]

@@ -16,7 +16,7 @@ from gencactus.cactus import (
     parse_word,
     type_a_dictionary,
 )
-from gencactus.coxeter import connected_subsets, longest_element
+from gencactus.coxeter import GroupElement, connected_subsets, longest_element
 from gencactus.errors import InputError, RelationApplicationError
 
 
@@ -112,6 +112,32 @@ def test_evaluate_single_letters(system):
     for I in connected_subsets(b2):
         w = CactusWord(b2, [I])
         assert evaluate_to_coxeter(w) == longest_element(b2, I)
+
+
+def test_evaluate_maps_each_distinct_letter_once(system, monkeypatch):
+    import gencactus.cactus as cactus
+
+    calls = []
+    root_map = cactus.longest_root_map
+
+    def counting(sys_, I):
+        calls.append(I)
+        return root_map(sys_, I)
+
+    monkeypatch.setattr(cactus, "longest_root_map", counting)
+    for name in ("A2", "B3", "H3", "D4"):
+        sys_ = system(name)
+        fam = list(connected_subsets(sys_))
+        rng = random.Random(len(fam))
+        for L in (0, 1, 40, 300):
+            w = CactusWord(sys_, [rng.choice(fam) for _ in range(L)])
+            calls.clear()
+            got = evaluate_to_coxeter(w)
+            assert len(calls) == len(set(calls)) == len(set(w.letters))
+            expect = GroupElement.identity(sys_)
+            for I in w.letters:
+                expect = expect * longest_element(sys_, I)
+            assert got == expect
 
 
 def test_evaluate_is_homomorphism(system):

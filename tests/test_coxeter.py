@@ -249,6 +249,16 @@ def test_group_table_makes_one_product_per_ascent(name, monkeypatch):
             assert table.gen_left[s][i] == index[GroupElement.from_word(sys_, (s,) + word).key]
 
 
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "F4", "H4"])
+def test_gen_left_from_the_walk_matches_the_root_row_construction(name):
+    sys_ = CoxeterSystem.from_name(name)
+    table = GroupTable(sys_)
+    roots = sys_.root_table()
+    rows = [[roots.reflect(s, r) for r in range(len(roots.vectors))] for s in range(sys_.rank)]
+    keys = [el.key for el in table.elements]
+    assert table.gen_left == og.left_by_simple_rows(keys, table.index, rows)
+
+
 # -- elements ---------------------------------------------------------------
 
 

@@ -428,6 +428,110 @@ def test_embed_composes_only_the_final_aut_part(monkeypatch):
     assert (h.racg_part, h.aut_part) == oracle_embed(ctx, word)
 
 
+# -- the memoized moves ---------------------------------------------------------
+
+MEMO_SYSTEMS = ["A2", "B3", "H3", "A4", "D4", "B4", "F4", "I2(7)", "A1*A1", "A3 custom"]
+
+
+def memo_context(name, fresh=False):
+    if name == "A3 custom":
+        ctx = RacgContext(get_system("A3"), family=A3_CUSTOM)
+        return ctx, A3_CUSTOM
+    return (RacgContext(get_system(name)) if fresh else get_context(name)), None
+
+
+def memo_size(ctx):
+    return sum(len(memo) for memo in ctx.caches.get("moves", {}).values())
+
+
+@pytest.mark.parametrize("name", MEMO_SYSTEMS)
+def test_warm_and_fresh_contexts_embed_alike(name):
+    warm, alphabet = memo_context(name)
+    fresh = memo_context(name, fresh=True)[0]
+    fam = list(warm.family)
+    rng = random.Random(sum(map(ord, name)) + 18)
+    for _ in range(3):  # warm the shared context's memo first
+        warm.embed(CactusWord(warm.system, [rng.choice(fam) for _ in range(100)], alphabet))
+    for L in (0, 1, 2, 40, 300):
+        word = CactusWord(warm.system, [rng.choice(fam) for _ in range(L)], alphabet)
+        a, b = warm.embed(word), fresh.embed(word)
+        assert a == b and (b.racg_part, b.aut_part) == oracle_embed(fresh, word), L
+
+
+def changed_letter(rng, word, fam):
+    # the same word with one letter replaced by another: unequal in C_W
+    if not word.letters:
+        return CactusWord(word.system, [rng.choice(fam)], alphabet=fam)
+    letters = list(word.letters)
+    p = rng.randrange(len(letters))
+    letters[p] = rng.choice([I for I in fam if I != letters[p]])
+    return CactusWord(word.system, letters, alphabet=fam)
+
+
+def equal_by_moves(rng, word, fam):
+    # g_I g_I inserted, then defining relations applied in both directions
+    letters = list(word.letters)
+    p = rng.randrange(len(letters) + 1)
+    I = rng.choice(fam)
+    letters[p:p] = [I, I]
+    return relation_scramble(rng, CactusWord(word.system, letters, alphabet=fam), 4 * len(letters))
+
+
+@pytest.mark.parametrize("name", MEMO_SYSTEMS)
+def test_cactus_equal_agrees_with_the_embeddings(name, monkeypatch):
+    ctx, _ = memo_context(name)
+    fam = list(ctx.family)
+    rng = random.Random(sum(map(ord, name)) + 1800)
+    aut_calls = []
+    induced_aut = RacgContext.induced_aut
+
+    def counting(self, w):
+        aut_calls.append(w)
+        return induced_aut(self, w)
+
+    for L in (0, 1, 40, 300):
+        u = CactusWord(ctx.system, [rng.choice(fam) for _ in range(L)], alphabet=fam)
+        for v, expect in ((equal_by_moves(rng, u, fam), True),
+                          (changed_letter(rng, u, fam), False)):
+            monkeypatch.setattr(RacgContext, "induced_aut", counting)
+            same = ctx.cactus_equal(u, v)
+            monkeypatch.undo()
+            assert same is expect and same == (ctx.embed(u) == ctx.embed(v)), L
+            # the aut parts are built only when the evaluations differ
+            if evaluate_to_coxeter(u) == evaluate_to_coxeter(v):
+                assert not aut_calls, L
+            aut_calls.clear()
+
+
+@pytest.mark.parametrize("name", ["A2", "A4", "D4", "A3 custom"])
+def test_moves_memo_is_bounded_and_cleared_with_the_caches(name):
+    ctx, alphabet = memo_context(name, fresh=True)
+    fam = list(ctx.family)
+    rng = random.Random(len(fam) + 1819)
+    words = [CactusWord(ctx.system, [rng.choice(fam) for _ in range(300)], alphabet)
+             for _ in range(20)]
+    assert "moves" not in ctx.caches  # lazy: no move is computed up front
+    before = [ctx.embed(w) for w in words]
+    assert set(ctx.caches["moves"]) <= set(ctx.family)
+    assert 0 < memo_size(ctx) <= len(ctx.table) * len(ctx.family)
+    ctx.caches.clear()
+    assert memo_size(ctx) == 0
+    assert [ctx.embed(w) for w in words] == before
+
+
+def test_letter_outside_the_family_is_refused_on_a_warm_memo():
+    ctx = RacgContext(get_system("A3"), family=A3_CUSTOM)
+    ctx.embed(CactusWord(ctx.system, list(A3_CUSTOM) * 3, alphabet=A3_CUSTOM))
+    outside = frozenset({0, 1})  # in F(S), not in the family
+    for letters in ([outside], [frozenset({0}), outside]):
+        word = CactusWord(ctx.system, letters)
+        with pytest.raises(InputError, match="letter not in the generating family"):
+            ctx.embed(word)
+        with pytest.raises(InputError, match="letter not in the generating family"):
+            ctx.cactus_equal(word, word)
+    assert outside not in ctx.caches["moves"]
+
+
 # -- long words -----------------------------------------------------------------
 
 
