@@ -225,12 +225,6 @@ class InducedAutomorphism:
         # self after other: (self . other)(i) = self(other(i))
         return InducedAutomorphism(self.perm[p] for p in other.perm)
 
-    def inverse(self) -> "InducedAutomorphism":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return InducedAutomorphism(inv)
-
     def __eq__(self, other):
         if not isinstance(other, InducedAutomorphism):
             return NotImplemented
@@ -333,11 +327,15 @@ class RacgContext:
         return SemidirectElement._of(self, (), self.induced_aut(0))
 
     def induced_aut(self, w) -> InducedAutomorphism:
-        """g_w, the permutation of S by conjugation with w: the simple
-        reflections' permutations of S along w's word, last letter first."""
-        idx = self.table.element_index(w) if isinstance(w, GroupElement) else int(w)
+        """g_w, the permutation of S by conjugation with w (an element of W or
+        its table index): the simple reflections' permutations of S along w's
+        word, last letter first."""
+        if isinstance(w, GroupElement):
+            w = self.table.element_index(w)
+        elif isinstance(w, bool) or not isinstance(w, int) or not 0 <= w < len(self.table):
+            raise InputError(f"not an element of W or a table index: {w!r}")
         perm = range(len(self.conjugates))
-        for s in reversed(self.table.elements[idx].word):
+        for s in reversed(self.table.elements[w].word):
             perm = tuple(map(self._gen_perms[s].__getitem__, perm))
         return InducedAutomorphism(perm)
 

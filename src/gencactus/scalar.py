@@ -6,16 +6,20 @@ cyclotomic polynomial and x stands for exp(2*pi*i/N), so that
 
     cos(pi/m) = (x**(N/(2m)) + x**(N - N/(2m))) / 2        (2m divides N).
 
-Rationals are plain ``fractions.Fraction``.  Zero-testing of a CycloReal is
-exact (reduce and compare coefficients); the sign of a nonzero value is
-certified by interval evaluation of the embedding x -> exp(2*pi*i/N) at
-increasing precision until the interval excludes zero.
+Rationals are plain ``fractions.Fraction``.  One exact polynomial division,
+`_divmod`, builds Phi_n from x**n - 1, reduces every value modulo Phi_N and
+runs the Euclid steps of an inverse.  Zero-testing of a CycloReal is exact
+(reduce and compare coefficients); the sign of a nonzero value is certified
+by interval evaluation of the embedding x -> exp(2*pi*i/N) at increasing
+precision until the interval excludes zero.  That evaluation and `to_mpf`
+share one sum of c_k*cos(2*pi*k/N).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -34,6 +38,27 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _divmod(num, den):
+    """Exact quotient and remainder of the polynomial num by den, coefficient
+    lists lowest degree first; the remainder keeps at most deg(den) entries.
+    A monic den is never divided by, so int polynomials stay in ints."""
+    k = len(den) - 1
+    while not den[k]:
+        k -= 1
+    lead, den = den[k], den[: k + 1]
+    rem = list(num)
+    quot = [0] * (len(rem) - k)
+    for top in range(len(rem) - 1, k - 1, -1):
+        c = rem[top]
+        if c:
+            if lead != 1:
+                c = Fraction(c, lead)
+            quot[top - k] = c
+            for i, p in enumerate(den, top - k):
+                rem[i] -= c * p
+    return quot, rem[:k]
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, lowest degree first.  Phi_1 = x - 1."""
@@ -41,34 +66,17 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         raise ValueError("conductor must be a positive integer")
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
-        if n % d == 0:  # Phi_d is monic and divides exactly: stay in ints
-            phi = cyclotomic_polynomial(d)
-            k = len(phi) - 1
-            quot = [0] * (len(poly) - k)
-            for top in range(len(poly) - 1, k - 1, -1):
-                c = poly[top]
-                if c:
-                    quot[top - k] = c
-                    for i, p in enumerate(phi, top - k):
-                        poly[i] -= c * p
-            poly = quot
+        if n % d == 0:
+            poly = _divmod(poly, cyclotomic_polynomial(d))[0]
     return tuple(poly)
 
 
 def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
     """Reduce a coefficient list modulo Phi_n to degree < deg(Phi_n)."""
     phi = cyclotomic_polynomial(n)
-    d = len(phi) - 1
-    work = coeffs
-    for k in range(len(work) - 1, d - 1, -1):
-        c = work[k]
-        if c:
-            for i in range(d + 1):
-                work[k - d + i] -= c * phi[i]
-    del work[d:]
-    while len(work) < d:
-        work.append(_ZERO)
-    return tuple(work)
+    rem = _divmod(coeffs, phi)[1]
+    rem += [_ZERO] * (len(phi) - 1 - len(rem))
+    return tuple(rem)
 
 
 class CycloReal:
@@ -189,20 +197,15 @@ class CycloReal:
         if self.is_rational():
             return CycloReal(self.conductor, [1 / self.coeffs[0]])
         # extended Euclid against Phi_N over Q; Phi_N is irreducible, so the
-        # gcd is a nonzero constant.
+        # last nonzero remainder is a constant
         n = self.conductor
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r1 = list(self.coeffs)
+        r0, r1 = cyclotomic_polynomial(n), self.coeffs
         s0, s1 = [_ZERO], [_ONE]
         while any(r1):
-            q, r = _poly_frac_divmod(r0, r1)
+            q, r = _divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        g = _poly_trim(r0)
-        if len(g) != 1:
-            raise ArithmeticError("cyclotomic modulus not irreducible?")
-        inv = [c / g[0] for c in s0]
-        return CycloReal(n, inv)
+        return CycloReal(n, [c / r0[0] for c in s0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -278,33 +281,27 @@ class CycloReal:
         # for the import
         import mpmath
 
-        iv = mpmath.iv
-        saved = iv.prec
-        try:
-            iv.prec = prec
-            total = iv.mpf(0)
-            n = self.conductor
-            for k, c in enumerate(self.coeffs):
-                if c:
-                    coef = iv.mpf(c.numerator) / c.denominator
-                    total += coef * iv.cos(iv.pi * (2 * k) / n)
-            return total
-        finally:
-            iv.prec = saved
+        return self._cos_sum(mpmath.iv, prec)
 
     def to_mpf(self, prec: int = 80):
         """High-precision floating approximation (for tests and display)."""
         import mpmath
 
-        with mpmath.workprec(prec):
+        return self._cos_sum(mpmath.mp, prec)
+
+    def _cos_sum(self, ctx, prec: int):
+        """The sum of c_k*cos(2*pi*k/N) in the mpmath context ctx (iv or mp)."""
+        saved = ctx.prec
+        try:
+            ctx.prec = prec
+            total = ctx.mpf(0)
             n = self.conductor
-            total = mpmath.mpf(0)
             for k, c in enumerate(self.coeffs):
                 if c:
-                    total += mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(
-                        2 * mpmath.pi * k / n
-                    )
+                    total += ctx.mpf(c.numerator) / c.denominator * ctx.cos(ctx.pi * (2 * k) / n)
             return total
+        finally:
+            ctx.prec = saved
 
     def __float__(self):
         return float(self.to_mpf())
@@ -331,12 +328,6 @@ def _mean_trace(k: int, n: int) -> Fraction:
     return value
 
 
-def _poly_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
 def _poly_sub(a, b):
     n = max(len(a), len(b))
     a = a + [_ZERO] * (n - len(a))
@@ -352,22 +343,6 @@ def _poly_mul(a, b):
                 if y:
                     out[i + j] += x * y
     return out
-
-
-def _poly_frac_divmod(num, den):
-    den = _poly_trim(list(den))
-    rem = list(num)
-    if len(den) == 1 and den[0] == 0:
-        raise ZeroDivisionError("division by zero")
-    q = [_ZERO] * max(1, len(rem) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(rem) - len(den), -1, -1):
-        c = rem[k + len(den) - 1] / lead
-        q[k] = c
-        if c:
-            for i, d in enumerate(den):
-                rem[k + i] -= c * d
-    return q, _poly_trim(rem)
 
 
 def rational_cos_pi_over(m: int) -> Fraction | None:
@@ -440,51 +415,31 @@ def format_scalar(x: Scalar) -> str:
     return str(x)
 
 
+# one term of format_scalar's output: [sign][coef*]c(k,N), or [sign]p/q
+_TERM = re.compile(r"([+-]?)(?:(?:(\d+(?:/\d+)?)\*)?c\((\d+),(\d+)\)|(\d+(?:/\d+)?))")
+
+
 def parse_scalar(text: str) -> Scalar:
-    """Inverse of format_scalar."""
+    """Inverse of format_scalar: terms as `_TERM`, each after the first signed,
+    all c(k,N) at one conductor N with 0 <= k < N."""
     text = text.strip().replace(" ", "")
     if "c(" not in text:
         return Fraction(text)
-    # split into signed terms
-    terms: list[str] = []
-    depth_start = 0
-    for i, ch in enumerate(text):
-        if ch == "+" and i > depth_start and text[i - 1] != "(":
-            terms.append(text[depth_start:i])
-            depth_start = i + 1
-        elif ch == "-" and i > depth_start and text[i - 1] not in "(*+/":
-            terms.append(text[depth_start:i])
-            depth_start = i
-    terms.append(text[depth_start:])
-    conductor = None
-    pieces: list[tuple[Fraction, int]] = []
-    for term in terms:
-        if not term:
-            continue
-        sign = 1
-        if term.startswith("-"):
-            sign = -1
-            term = term[1:]
-        if "c(" in term:
-            if term.startswith("c("):
-                coef = Fraction(1)
-                rest = term
-            else:
-                coef_text, rest = term.split("*c(", 1)
-                coef = Fraction(coef_text)
-                rest = "c(" + rest
-            inside = rest[2:-1]
-            k_text, n_text = inside.split(",")
-            k, n = int(k_text), int(n_text)
-            if conductor is None:
-                conductor = n
-            elif conductor != n:
-                raise ValueError("mixed conductors in scalar string")
-            pieces.append((sign * coef, k))
-        else:
-            pieces.append((sign * Fraction(term), 0))
-    assert conductor is not None
+    terms, pos = [], 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m is None or (pos and not m[1]):
+            raise ValueError(f"malformed scalar string {text!r}")
+        sign, coef, k, n, const = m.groups()
+        terms.append((Fraction(sign + (const or coef or "1")), int(k or 0), n and int(n)))
+        pos = m.end()
+    conductors = {n for _, _, n in terms if n is not None}
+    if len(conductors) != 1:
+        raise ValueError("mixed conductors in scalar string")
+    conductor = conductors.pop()
     coeffs = [_ZERO] * conductor
-    for coef, k in pieces:
-        coeffs[k] += coef
+    for value, k, _ in terms:
+        if k >= conductor:
+            raise ValueError(f"c({k},{conductor}) is out of range")
+        coeffs[k] += value
     return CycloReal(conductor, coeffs)

@@ -533,6 +533,18 @@ def test_longest_element_maximality(system):
     assert len(w0.word) == max(dist.values())
 
 
+@pytest.mark.parametrize("name", ["A2", "A4", "B3", "H3", "D4", "B4", "F4", "H4", "E6"])
+def test_longest_word_is_the_table_word(system, name):
+    # both are the lexicographically least reduced word of w_I: the greedy
+    # ascent appends the least non-descent, the BFS reaches w_I first along it
+    sys_ = system(name)
+    table = sys_.group_table()
+    for r in range(sys_.rank + 1):
+        for I in itertools.combinations(range(sys_.rank), r):
+            w = longest_element(sys_, I)
+            assert w.word == table.elements[table.element_index(w)].word
+
+
 def test_longest_infinite_raises():
     with pytest.raises(InfiniteGroupError):
         longest_element(infinite_dihedral(), frozenset({0, 1}))

@@ -596,6 +596,14 @@ def test_induced_aut_accepts_index(context):
     assert ctx.induced_aut(idx).perm == ctx.induced_aut(GroupElement.simple(ctx.system, 0)).perm
 
 
+def test_induced_aut_refuses_what_is_not_an_element(context):
+    ctx = context("A2")
+    assert ctx.induced_aut(len(ctx.table) - 1).perm == (2, 1, 0, 3)  # w0, the last BFS element
+    for bad in (-1, len(ctx.table), "3", True, 1.0, None):
+        with pytest.raises(InputError):
+            ctx.induced_aut(bad)
+
+
 def test_induced_aut_homomorphism(context):
     ctx = context("B2")
     rng = random.Random(5)
@@ -636,7 +644,7 @@ def test_induced_automorphism_algebra():
     a = InducedAutomorphism((1, 2, 0))
     b = InducedAutomorphism((0, 2, 1))
     assert a.compose(b).perm == tuple(a.perm[p] for p in b.perm)
-    assert a.compose(a.inverse()).is_identity()
+    assert a.compose(a).compose(a).is_identity()
     assert a != b
     assert a == InducedAutomorphism((1, 2, 0))
 

@@ -200,7 +200,7 @@ def test_pi_intertwines_permutation_and_reflections(context):
     for I in ctx.family:
         g = ctx.letters[I].aut_part
         p = pi_prime(g)
-        pinv = pi_prime(g.inverse())
+        pinv = transpose(p)  # a permutation matrix's inverse
         for k in range(len(gram)):
             lhs = mat_mul(p, mat_mul(reflection_in_form(gram, k), pinv))
             assert lhs == reflection_in_form(gram, g(k))

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gencactus.scalar import (
     CycloReal,
+    _divmod,
     cos_pi_over,
     cyclotomic_polynomial,
     format_scalar,
@@ -25,6 +27,42 @@ def test_cyclotomic_polynomial_matches_sympy(n):
     x = sympy.Symbol("x")
     ref = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
     assert list(ours) == [int(c) for c in reversed(ref)]
+
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_divmod_matches_sympy(seed):
+    rng = random.Random(seed)
+    x = sympy.Symbol("x")
+    fractions = seed % 2
+    monic = seed % 4 < 2
+
+    def coeff():
+        c = rng.randint(-9, 9)
+        return Fraction(c, rng.randint(1, 5)) if fractions else c
+
+    den = [coeff() for _ in range(rng.randint(0, 6))] + [1 if monic else rng.choice([-3, 2, 7])]
+    if fractions and not monic:
+        den[-1] = Fraction(den[-1], 4)
+    num = [coeff() for _ in range(rng.randint(0, 14))]
+
+    def poly(p):
+        return sympy.Poly(list(reversed(p)) or [0], x, domain="QQ")
+
+    q_ref, r_ref = poly(num).div(poly(den))
+    quot, rem = _divmod(num, den)
+    assert len(rem) <= len(den) - 1
+    for ours, ref in ((quot, q_ref), (rem, r_ref)):
+        ref = [Fraction(int(c.p), int(c.q)) for c in reversed(ref.all_coeffs())]
+        assert _trim(ours) == _trim(ref)
+    if monic and not fractions:
+        assert all(type(c) is int for c in quot + rem)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 12])
@@ -99,6 +137,23 @@ def test_inverse_and_division():
     zero = x - x
     with pytest.raises(ZeroDivisionError):
         zero.inverse()
+
+
+@pytest.mark.parametrize("n", range(1, 121))
+def test_format_parse_roundtrip_every_conductor(n):
+    rng = random.Random(n)
+    x = CycloReal(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)])
+    y = x + x.conjugate()
+    assert parse_scalar(format_scalar(y)) == y
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["c(9,8)", "c(1,0)", "1/2*c(1,8)+", "2c(1,8)", "c(1,8)c(3,8)", "c(1,8)+c(1,5)", "", "c(1,8)+*2"],
+)
+def test_parse_refuses_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text)
 
 
 def test_format_parse_examples():
