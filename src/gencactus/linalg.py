@@ -8,10 +8,12 @@ representation multiply in time proportional to their general rows; over
 Fractions every zero of a product is one shared object and every row whose
 only nonzero is 1 is the shared row of `identity_matrix`.  A zero test
 first asks whether an entry is that shared zero, which costs no scalar
-comparison.  Determinants, kernels and span membership all read the result
-of one Gauss-Jordan elimination, `_row_reduce`.  There is no inverse: a
-change of basis, or a solve against a square matrix, is one
-`solve_in_span` over all the targets at once.  Kernels come back as the
+comparison.  Determinants, kernels and span membership all read one
+Gauss-Jordan elimination.  Over ints and Fractions it runs fraction-free on
+integer rows (`_integer_reduce`) and builds a Fraction only for an entry
+it returns; a row holding a CycloReal goes through `_row_reduce`.  There
+is no inverse: a change of basis, or a solve against a square matrix, is
+one `solve_in_span` over all the targets at once.  Kernels come back as the
 reduced basis: one vector per free column, in ascending order, with 1 on
 its own free column and 0 on the other free columns; `reduced_basis` puts
 any spanning set of a subspace in that form.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .scalar import Scalar
@@ -33,13 +36,9 @@ _ONE = Fraction(1)
 
 
 def _exact_rows(a) -> list[list]:
-    # ints (bools too) arrive from user-facing vector inputs; true division
-    # must not silently drop to float.  Only a row holding one is rebuilt.
-    return [
-        [Fraction(x) if isinstance(x, int) else x for x in row]
-        if any(issubclass(t, int) for t in set(map(type, row))) else list(row)
-        for row in a
-    ]
+    # ints (bools too) next to CycloReals in a row for `_row_reduce`: true
+    # division must not silently drop to float
+    return [[Fraction(x) if isinstance(x, int) else x for x in row] for row in a]
 
 
 # id of each row of every `identity_matrix` -> the column of its 1; the rows
@@ -177,16 +176,92 @@ def _row_reduce(rows: list[list], ncols: int):
     return pivots, det
 
 
+def _integer_rows(a):
+    """Each row of a times the lcm of its denominators, as a list of ints,
+    and the product of those lcms; None when an entry is not an int or a
+    Fraction."""
+    types = [set(map(type, row)) for row in a]
+    if not all(t <= {bool, int, Fraction} for t in types):
+        return None
+    rows, scale = [], 1
+    for t, row in zip(types, a):
+        if t <= {int}:
+            rows.append(list(row))
+            continue
+        d = lcm(*[x.denominator for x in row if x is not _ZERO])
+        rows.append([0 if x is _ZERO else x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    return rows, scale
+
+
+def _integer_reduce(rows: list[list], ncols: int, jordan: bool = True):
+    """Fraction-free Gauss-Jordan elimination in place on int rows.
+
+    A row holding x in the pivot column becomes (a*row - f*pivot_row) / c
+    with a/f = pivot/x in lowest terms, a > 0, and c the content of the
+    result when a > 1 (else c = 1 and only the pivot row's nonzeros are
+    touched).  A row with 0 there, or above the pivot with jordan False, is
+    left alone.  Returns the pivot columns and (num, den): num/den times the
+    product of the pivots is the determinant of a square leading block.
+    """
+    pivots = []
+    num = den = 1
+    for col in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            num = -num
+        prow = rows[r]
+        nonzero = [(j, y) for j, y in enumerate(prow) if y]
+        for i in range(0 if jordan else r + 1, len(rows)):
+            row, f = rows[i], rows[i][col]
+            if i != r and f:
+                g = gcd(prow[col], f) if prow[col] > 0 else -gcd(prow[col], f)
+                a, f = prow[col] // g, f // g
+                if a != 1:  # a scaled row, the only dense work, loses its content
+                    row = [a * x for x in row]
+                for j, y in nonzero:
+                    row[j] -= f * y
+                c = gcd(*row) if a != 1 else 1
+                rows[i] = [x // c for x in row] if c > 1 else row
+                num, den = num * max(c, 1), den * a
+        pivots.append(col)
+    return pivots, num, den
+
+
+def _eliminate(a, ncols: int):
+    """The rows of a after one Gauss-Jordan elimination of their first ncols
+    columns, and the pivot columns: by `_integer_reduce` when every entry is
+    an int or a Fraction, with each pivot row then read over its pivot (as
+    Fractions with the shared zero), else by `_row_reduce`."""
+    got = _integer_rows(a)
+    if got is None:
+        rows = _exact_rows(a)
+        return rows, _row_reduce(rows, ncols)[0]
+    rows, pivots = got[0], _integer_reduce(got[0], ncols)[0]
+    for k, (row, col) in enumerate(zip(rows, pivots)):
+        rows[k] = [Fraction(x, row[col]) if x else _ZERO for x in row]
+    return rows, pivots
+
+
 def determinant(a: Matrix) -> Scalar:
     """Exact determinant; a zero of the entries' type when a is singular."""
-    return _row_reduce(_exact_rows(a), len(a))[1]
+    got = _integer_rows(a)
+    if got is None:
+        return _row_reduce(_exact_rows(a), len(a))[1]
+    (rows, scale), n = got, len(a)
+    pivots, num, den = _integer_reduce(rows, n, jordan=False)
+    diagonal = prod(row[k] for k, row in enumerate(rows))
+    return Fraction(num * diagonal, den * scale) if len(pivots) == n else _ZERO
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
     """Reduced basis of the right null space (see the module docstring)."""
-    rows = _exact_rows(a)
-    ncols = len(rows[0]) if rows else 0
-    pivots, _ = _row_reduce(rows, ncols)
+    ncols = len(a[0]) if a else 0
+    rows, pivots = _eliminate(a, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         hits = [(free, _ONE)]
@@ -207,9 +282,8 @@ def reduced_basis(vectors: Sequence[Vector]) -> list[Vector]:
     run in ascending order of their own coordinate.  It depends on the span
     alone; for the kernel of a matrix it is `kernel_basis`.
     """
-    rows = [row[::-1] for row in _exact_rows(vectors)]
-    rank = len(_row_reduce(rows, len(rows[0]) if rows else 0)[0])
-    return [tuple(row[::-1]) for row in reversed(rows[:rank])]
+    rows, pivots = _eliminate([row[::-1] for row in vectors], len(vectors[0]) if vectors else 0)
+    return [tuple(row[::-1]) for row in reversed(rows[: len(pivots)])]
 
 
 def solve_in_span(columns: Sequence[Vector], targets: Sequence[Vector]):
@@ -220,8 +294,8 @@ def solve_in_span(columns: Sequence[Vector], targets: Sequence[Vector]):
     None when some target falls outside the span.
     """
     k = len(columns)
-    rows = _exact_rows(zip(*columns, *targets))
-    if len(_row_reduce(rows, k)[0]) < k:
+    rows, pivots = _eliminate(list(zip(*columns, *targets)), k)
+    if len(pivots) < k:
         raise ValueError("columns are linearly dependent")
     if any(x != 0 for row in rows[k:] for x in row[k:]):
         return None

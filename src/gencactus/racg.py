@@ -180,7 +180,7 @@ def _push(w: list, x: int, M) -> None:
     """
     row = M[x]
     at = len(w)
-    for i in range(len(w) - 1, -1, -1):
+    for i in range(at - 1, -1, -1):
         y = w[i]
         if y == x:
             del w[i]

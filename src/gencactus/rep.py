@@ -14,15 +14,19 @@ splits each piece by a small kernel assembled row by row; no step on the
 Pi or rho images takes an n x n kernel.  Restriction and quotient are one
 change of basis: the basis is eliminated once against the images of all
 generators.
-All arithmetic is exact: entries are Fractions here (the geometric
-representation of W itself, with its cyclotomic entries, lives in the
-coxeter module), and image rows share the zero and the unit rows of
-`identity_matrix` as `mat_mul` does.
+All arithmetic is exact, and image rows share the zero and the unit rows of
+`identity_matrix` as `mat_mul` does.  Rational work runs on Python ints:
+rho solves against q times the form at t = p/q, relation checks multiply
+every image times one common denominator, and stable lines keep their
+pieces as primitive int vectors, so a Fraction is built only for an entry
+returned.  Images with other entries (the cyclotomic geometric
+representation lives in the coxeter module) take the same steps on them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .cactus import CactusWord, commuting_subsets
@@ -32,6 +36,7 @@ from .linalg import (
     _ONE,
     _UNIT_COLUMN,
     _ZERO,
+    _integer_rows,
     _sparse_row,
     determinant,
     identity_matrix,
@@ -158,10 +163,11 @@ def rho_rep(system: CoxeterSystem, t) -> dict:
 
 
 def _nondegenerate_form(system, t):
+    """q B as int rows, for the form B on R^F(S) at t = p/q."""
     gram = form_on_fset(system, t)
     if determinant(gram) == 0:
         raise DegenerateFormError(f"degenerate form at t = {t}: full space")
-    return gram
+    return [[x.numerator * (t.denominator // x.denominator) for x in row] for row in gram]
 
 
 def _rho_assemble(system, I, t, gram):
@@ -182,27 +188,24 @@ def _rho_assemble(system, I, t, gram):
             done.add(J2)
             if J2 != J:
                 cols.append((pos[J], pos[J2]))
-    bc = [
-        gram[a] if b is None else tuple(x - y for x, y in zip(gram[a], gram[b]))
-        for a, b in cols
-    ]
+    # in ints: gram is q B, so BC and G = C^T B C are both scaled by q
+    bc = [gram[a] if b is None else [x - y for x, y in zip(gram[a], gram[b])] for a, b in cols]
     restricted = [[v[a] if b is None else v[a] - v[b] for a, b in cols] for v in bc]
-    # rho_I = 1 - 2 C X with G X = (BC)^T: -1 on span C, +1 on its
+    # rho_I = 1 - C Y with G Y = 2 (BC)^T: -1 on span C, +1 on its
     # B-orthocomplement; G is symmetric, so its rows are its columns
     try:
-        x = zip(*solve_in_span(restricted, transpose(bc)))
+        y = zip(*solve_in_span(restricted, [[2 * v for v in col] for col in zip(*bc)]))
     except ValueError:
         raise DegenerateFormError(
             f"degenerate form at t = {t}: span(e_I, E_I) for I = {system.format_subset(I)}"
         ) from None
     rows = list(identity_matrix(n))
-    for (a, b), xrow in zip(cols, x):
-        for r, c in ((a, -2), (b, 2)):
+    for (a, b), yrow in zip(cols, y):
+        for r, minus in ((a, True), (b, False)):
             if r is not None:
-                row = [c * v for v in xrow]
-                row[r] += 1
-                hits = [(j, v) for j, v in enumerate(row) if v != 0]
-                rows[r] = _sparse_row(hits, n, Fraction(0))
+                row = {j: -v if minus else v for j, v in enumerate(yrow) if v is not _ZERO}
+                row[r] = row[r] + 1 if r in row else _ONE
+                rows[r] = _sparse_row([(j, v) for j, v in row.items() if v != 0], n, _ZERO)
     return tuple(rows)
 
 
@@ -246,17 +249,18 @@ def check_relations(system: CoxeterSystem, rep: dict) -> RelationReport:
         return report
     keys = sorted(rep, key=_subset_key)
     fmt = system.format_subset
-    ident = identity_matrix(len(rep[keys[0]]))
+    d, im = _images(rep)
+    d = d or 1
     for I in keys:
         report.checked += 1
-        if mat_mul(rep[I], rep[I]) != ident:
+        if _product(d, im[I], im[I]) != [{i: d * d} for i in range(len(im[I][0]))]:
             report.violations.append(("involution", fmt(I)))
     for a in range(len(keys)):
         for b in range(len(keys)):
             I, J = keys[a], keys[b]
             if a < b and commuting_subsets(system, I, J):
                 report.checked += 1
-                if mat_mul(rep[I], rep[J]) != mat_mul(rep[J], rep[I]):
+                if _product(d, im[I], im[J]) != _product(d, im[J], im[I]):
                     report.violations.append(("commute", f"{fmt(I)}, {fmt(J)}"))
             if I < J:
                 report.checked += 1
@@ -265,9 +269,48 @@ def check_relations(system: CoxeterSystem, rep: dict) -> RelationReport:
                     report.violations.append(
                         ("missing-conjugate", f"w_{fmt(J)}({fmt(I)}) = {fmt(J2)}")
                     )
-                elif mat_mul(rep[I], rep[J]) != mat_mul(rep[J], rep[J2]):
+                elif _product(d, im[I], im[J]) != _product(d, im[J], im[J2]):
                     report.violations.append(("nested", f"{fmt(I)} inside {fmt(J)}"))
     return report
+
+
+def _images(rep: dict):
+    """(d, {key: (units, general)}): units[i] is the column of the 1 in a
+    shared unit row i, else None, and general[i] the nonzeros of d times
+    row i.  Over Fractions d is the lcm of their denominators, which makes
+    them ints; otherwise d is None and they are the entries."""
+    images = {}
+    for key, mat in rep.items():
+        units = [_UNIT_COLUMN.get(id(row)) for row in mat]
+        images[key] = (units, {i: _nonzeros(mat[i]) for i, u in enumerate(units) if u is None})
+    xs = [x for _, general in images.values() for hits in general.values() for _, x in hits]
+    if not all(type(x) is Fraction for x in xs):
+        return None, images
+    d = lcm(*{x.denominator for x in xs})
+    for _, general in images.values():
+        for i, hits in general.items():
+            general[i] = [(c, x.numerator * (d // x.denominator)) for c, x in hits]
+    return d, images
+
+
+def _product(d, a: tuple, b: tuple) -> list:
+    """d^2 M_a M_b, one {column: nonzero} dict per row, for images of
+    `_images` with that d (1 for None): a unit row of M_a reads a row of
+    M_b, and a unit row of M_b adds d*x where a general row adds x*y."""
+    (units, general), (bunits, bgeneral) = a, b
+    out = []
+    for i, j in enumerate(units):
+        if j is not None:
+            k = bunits[j]
+            out.append({k: d * d} if k is not None else {c: d * y for c, y in bgeneral[j]})
+            continue
+        acc = {}
+        for k, x in general[i]:
+            u = bunits[k]
+            for c, y in ((u, d),) if u is not None else bgeneral[k]:
+                acc[c] = acc.get(c, 0) + x * y
+        out.append({c: v for c, v in acc.items() if v != 0})
+    return out
 
 
 def stable_lines(rep: dict) -> list:
@@ -290,19 +333,18 @@ def stable_lines(rep: dict) -> list:
     if not first:
         return []
     zero = first[0][0] * 0 + _ZERO
+    d, images = _images(rep)
+    work = zero if d is None else 0
     pieces = None
-    for key in keys:
-        mat = rep[key]
-        units = [_UNIT_COLUMN.get(id(row)) for row in mat]
-        general = {i: _nonzeros(mat[i]) for i, j in enumerate(units) if j is None}
+    for units, general in images.values():
         if pieces is None:
-            splits = [(_unit_solutions(units, s, zero), (), (s,)) for s in (1, -1)]
+            splits = [(_unit_solutions(units, s, work), (), (s,)) for s in (1, -1)]
         else:
             splits = [(basis, signs, (1, -1)) for basis, signs in pieces]
         pieces = [
             (part, signs + (sign,))
             for basis, signs, wanted in splits
-            for sign, part in _split_piece(basis, units, general, wanted, zero)
+            for sign, part in _split_piece(basis, units, general, d or 1, wanted, work)
             if part
         ]
     out = []
@@ -323,6 +365,7 @@ def _unit_solutions(units: list, sign: int, zero) -> list:
     unit row (v_i = -v_i) gives none.
     """
     n = len(units)
+    one = 1 if type(zero) is int else _ONE
     links = [[] for _ in units]
     for i, j in enumerate(units):
         if j is not None and j != i:
@@ -345,18 +388,19 @@ def _unit_solutions(units: list, sign: int, zero) -> list:
                 elif sign == -1 and parity[y] == parity[x]:
                     alive = False
         if alive:
-            hits = [(x, -_ONE if sign == -1 and parity[x] else _ONE) for x in group]
+            hits = [(x, -one if sign == -1 and parity[x] else one) for x in group]
             basis.append(_sparse_row(hits, n, zero))
     return basis
 
 
-def _split_piece(basis: list, units: list, general: dict, signs, zero) -> list:
+def _split_piece(basis: list, units: list, general: dict, d, signs, zero) -> list:
     """The s-eigenspace of an image M inside the span of basis for each s
     in signs, as (s, basis) pairs, from the kernel of (M - sI)U.  units[i]
     is the column of the 1 in unit row i of M, or None for a general row,
-    whose nonzeros are general[i].  Row i of (M - sI)U is U_j - s U_i for a
-    unit row i -> j (nothing at s = +1 and U_i at s = -1 when j = i), and
-    M_i U - s U_i for a general row."""
+    whose nonzeros times d are general[i].  Row i of (M - sI)U is U_j - s U_i
+    for a unit row i -> j (nothing at s = +1 and U_i at s = -1 when j = i),
+    and d M_i U - s d U_i for a general row.  With zero the int 0 the basis
+    and the pieces are primitive int vectors."""
     # U_x, coordinate x of every basis vector, as {vector index: value}
     coords = [{} for _ in units]
     for q, vec in enumerate(basis):
@@ -374,7 +418,7 @@ def _split_piece(basis: list, units: list, general: dict, signs, zero) -> list:
         for i, j in enumerate(units):
             if j is None:
                 acc = dict(products[i])
-                _add(acc, coords[i], -sign)
+                _add(acc, coords[i], -sign * d)
             elif j == i:
                 if sign == 1:
                     continue
@@ -392,7 +436,11 @@ def _split_piece(basis: list, units: list, general: dict, signs, zero) -> list:
         # does not depend on the order of the rows
         rows.sort(key=len)
         coeffs = kernel_basis([_sparse_row(hits, len(basis), zero) for hits in rows])
-        out.append((sign, list(mat_mul(coeffs, basis))))
+        if type(zero) is int:
+            vs = mat_mul(_integer_rows(coeffs)[0], basis)
+            out.append((sign, [tuple(x // g for x in v) for v in vs for g in [gcd(*v)]]))
+        else:
+            out.append((sign, list(mat_mul(coeffs, basis))))
     return out
 
 
@@ -430,15 +478,14 @@ def _in_basis(rep: dict, basis: Sequence, dependent: str, skip: int = 0) -> dict
     if coords is None:
         raise SubspaceError("subspace not invariant")
     blocks = [coords[q * k : (q + 1) * k] for q in range(len(keys))]
-    if any(x != 0 for b in blocks for col in b[:skip] for x in col[skip:]):
+    if any(_nonzeros(col[skip:]) for b in blocks for col in b[:skip]):
         raise SubspaceError("subspace not invariant")
     zero = coords[0][0] * 0 if k else None
     out = {}
     for key, b in zip(keys, blocks):
         kept = b[skip:]
         out[key] = tuple(
-            _sparse_row([(j, col[i]) for j, col in enumerate(kept) if col[i] != 0], k - skip, zero)
-            for i in range(skip, k)
+            _sparse_row(_nonzeros([col[i] for col in kept]), k - skip, zero) for i in range(skip, k)
         )
     return out
 

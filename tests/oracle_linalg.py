@@ -6,11 +6,14 @@ row of b, unit rows included, and finds the nonzeros of every row of b up
 front.  Both compare every entry with 0 by scalar equality, the shared
 zero included.  `_exact_rows` tests every entry for an int, and
 `kernel_basis` negates every pivot-row entry of a free column, zeros
-included.  The kernels that replaced them must agree with them in every
-pivot, determinant and entry, in value and in type.
+included.  `determinant`, `reduced_basis` and `solve_in_span` read the
+Fraction elimination `_row_reduce`, as the module did before rational rows
+went through its integer elimination.  The kernels that replaced them must
+agree with them in every pivot, determinant and entry, in value and in type.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 from gencactus.linalg import _ONE, _ZERO, Matrix, _sparse_row
 
@@ -93,3 +96,23 @@ def kernel_basis(a: Matrix) -> list:
             vec[col] = -row[free]
         basis.append(tuple(vec))
     return basis
+
+
+def determinant(a: Matrix):
+    return _row_reduce(_exact_rows(a), len(a))[1]
+
+
+def reduced_basis(vectors: Sequence) -> list:
+    rows = [row[::-1] for row in _exact_rows(vectors)]
+    rank = len(_row_reduce(rows, len(rows[0]) if rows else 0)[0])
+    return [tuple(row[::-1]) for row in reversed(rows[:rank])]
+
+
+def solve_in_span(columns: Sequence, targets: Sequence):
+    k = len(columns)
+    rows = _exact_rows(zip(*columns, *targets))
+    if len(_row_reduce(rows, k)[0]) < k:
+        raise ValueError("columns are linearly dependent")
+    if any(x != 0 for row in rows[k:] for x in row[k:]):
+        return None
+    return [tuple(row[k + q] for row in rows[:k]) for q in range(len(targets))]

@@ -10,7 +10,8 @@ conjugates each generator by an inverse.  They build on the package's
 exact linear algebra (`kernel_basis`, `mat_mul`, `solve_in_span`), which
 has oracles of its own in tests/test_linalg.py, plus a plain inverse and
 matrix-vector product of their own.  They are slow (n x n inverses and
-kernels per generator) and plain.  The dense form on S and the dense
+kernels per generator) and plain.  `check_relations` compares Fraction
+products of the images by `mat_mul`.  The dense form on S and the dense
 reflection and permutation matrices, whose product the Pi images equal,
 are here too, as is the axis-by-axis default `--keep` of the quotient
 command.
@@ -19,6 +20,7 @@ command.
 from fractions import Fraction
 from typing import Sequence, Union
 
+from gencactus.cactus import commuting_subsets
 from gencactus.coxeter import connected_subsets, conjugate_subset
 from gencactus.errors import DegenerateFormError, InputError, SubspaceError
 from gencactus.linalg import (
@@ -34,7 +36,7 @@ from gencactus.linalg import (
     transpose,
 )
 from gencactus.racg import InducedAutomorphism
-from gencactus.rep import form_on_fset
+from gencactus.rep import RelationReport, form_on_fset
 
 
 def mat_vec(a, v):
@@ -300,3 +302,33 @@ def default_keep(subspace, dim):
             basis.append(unit)
             keep.append(i)
     return keep
+
+
+def check_relations(system, rep: dict) -> RelationReport:
+    report = RelationReport()
+    if not rep:
+        return report
+    keys = sorted(rep, key=lambda I: (len(I), sorted(I)))
+    fmt = system.format_subset
+    ident = identity_matrix(len(rep[keys[0]]))
+    for I in keys:
+        report.checked += 1
+        if mat_mul(rep[I], rep[I]) != ident:
+            report.violations.append(("involution", fmt(I)))
+    for a in range(len(keys)):
+        for b in range(len(keys)):
+            I, J = keys[a], keys[b]
+            if a < b and commuting_subsets(system, I, J):
+                report.checked += 1
+                if mat_mul(rep[I], rep[J]) != mat_mul(rep[J], rep[I]):
+                    report.violations.append(("commute", f"{fmt(I)}, {fmt(J)}"))
+            if I < J:
+                report.checked += 1
+                J2 = conjugate_subset(system, J, I)
+                if J2 not in rep:
+                    report.violations.append(
+                        ("missing-conjugate", f"w_{fmt(J)}({fmt(I)}) = {fmt(J2)}")
+                    )
+                elif mat_mul(rep[I], rep[J]) != mat_mul(rep[J], rep[J2]):
+                    report.violations.append(("nested", f"{fmt(I)} inside {fmt(J)}"))
+    return report

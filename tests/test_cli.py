@@ -106,6 +106,46 @@ def test_sset_diagram_and_normalize_outputs_are_pinned(capsys, name):
     assert tuple(digests) == SSET_DIAGRAM_NORMALIZE_DIGESTS[name]
 
 
+# the first 16 hex digits of the sha256 of the exit codes, stdout and stderr
+# of `rep`, `check-relations` and `stable-lines` for rho and Pi, in text and
+# JSON, and of the rho `quotient` by the first rho stable line, at each t of
+# REP_DIGEST_TS (at t = 1 the form on R^F(S) of most systems degenerates)
+REP_DIGEST_TS = ("2", "5/2", "8793/1033", "1")
+REP_DIGESTS = {
+    "A2": ("354398ef40f7f6fa", "f15cdcb617cd7ee6", "972f6b00f9a00aa4", "430a2377d8aede73"),
+    "A3": ("5d9a740a8d1f50d2", "c4c35ae5cadb751b", "4ce7630fa096b510", "00718a50a6b9f089"),
+    "B3": ("d1fcc15dbcac9fed", "d24f4d0478260652", "2716b1ee293efb6f", "214436489c4cd510"),
+    "H3": ("952c57ddcffb01ad", "342799d9f70b5a39", "38fa98d820f5d185", "9835840f98ecadd8"),
+    "A4": ("cfcb301673701616", "36561fecee0d93b7", "893582067cc6c6af", "a85c570cd3c948cb"),
+    "D4": ("c7009c6bd7e0632e", "fb387dc0b73a7405", "cdecb1541afe3ed6", "10bd0866ca624d0b"),
+    "B4": ("ee1fa1812795f096", "e022b0d7e7e0ba40", "e53dc5c95e6b0b40", "ce9589525da6c74c"),
+    "I2(5)": ("99a0cf992f224f8b", "962e73a8c0098d57", "099b4a474a85b4f7", "037c36a3135757f4"),
+    "A1*A1": ("16545060512fe8ab", "5f4bdfc54bdbe400", "ed4033bc15a14f01", "f3b0f6f530ef7563"),
+}
+
+
+@pytest.mark.parametrize("name", list(REP_DIGESTS))
+def test_rep_outputs_are_pinned(capsys, name):
+    digests = []
+    for t in REP_DIGEST_TS:
+        h = hashlib.sha256()
+        base = ("--system", name, "--t", t)
+        for command in ("rep", "check-relations", "stable-lines"):
+            for which in ("rho", "Pi"):
+                for fmt in ("text", "json"):
+                    code, out, err = invoke(capsys, command, which, *base, "--format", fmt)
+                    h.update(f"{code}\n{out}\n{err}\n".encode())
+        code, out, _ = invoke(capsys, "stable-lines", "rho", *base, "--format", "json")
+        if code == 0:
+            vec = ",".join(json.loads(out)["lines"][0]["vector"])
+            for fmt in ("text", "json"):
+                code, out, err = invoke(capsys, "quotient", "rho", *base, "--subspace", vec,
+                                        "--format", fmt)
+                h.update(f"{code}\n{out}\n{err}\n".encode())
+        digests.append(h.hexdigest()[:16])
+    assert tuple(digests) == REP_DIGESTS[name]
+
+
 def test_normalize(capsys):
     code, out, _ = invoke(
         capsys, "normalize", "g{s2} g{s1,s2} g{s2} g{s1,s2} g{s2} g{s1,s2}",

@@ -7,6 +7,7 @@ import sympy
 
 from gencactus.linalg import (
     _ZERO,
+    _eliminate,
     _exact_rows,
     _row_reduce,
     determinant,
@@ -17,7 +18,7 @@ from gencactus.linalg import (
     solve_in_span,
     transpose,
 )
-from gencactus.rep import Pi_rep, check_relations, form_on_S, rho_rep
+from gencactus.rep import Pi_rep, check_relations, form_on_S, form_on_fset, rho_rep
 import oracle_linalg
 from oracle_rep import form_on_S as dense_form_on_S, pi_prime, reflection_in_form
 from test_rep import FRESH_T, assert_identical, assert_shared
@@ -663,3 +664,92 @@ def test_relation_checks_of_pi_count_their_operations(context, monkeypatch):
     # the oracle products make 15,990 multiplications and 1,397,990 zero tests
     assert done["mul"] <= 1_000
     assert done["eq"] <= 25_000
+
+
+# -- the integer elimination against the Fraction elimination --------------------
+
+GRAM_SYSTEMS = ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "F4"]
+# prime denominators above 1000, where no form on these systems degenerates
+GRAM_TS = [FRESH_T, Fraction(8793, 1033), Fraction(-4099, 1019)]
+# every rational t in [-16, 16] with denominator below 9 where the form on
+# R^F(S) degenerates; the determinant on D4 factors into irreducible
+# quadratics, so it has none at all
+DEGENERATE_TS = {
+    "A2": [Fraction(1), Fraction(-1)], "A3": [Fraction(1, 2)], "B3": [Fraction(1, 2)],
+    "H3": [Fraction(1, 2)], "A4": [Fraction(1), Fraction(-1, 2)],
+    "B4": [Fraction(1), Fraction(-1, 2)], "F4": [Fraction(1), Fraction(-1, 2)], "D4": [],
+}
+
+
+def assert_eliminations_match_oracle(a, targets):
+    """Determinant (of the leading square block), kernel, reduced basis of
+    the rows, the solve of targets against the columns (or its ValueError)
+    and the elimination itself with targets riding along, all equal to the
+    Fraction oracle's in value and type."""
+    k = min(len(a), len(a[0]))
+    square = tuple(row[:k] for row in a[:k])
+    assert_identical(determinant(square), oracle_linalg.determinant(square))
+    assert_identical(kernel_basis(a), oracle_linalg.kernel_basis(a))
+    assert_identical(reduced_basis(a), oracle_linalg.reduced_basis(a))
+    columns = transpose(a)
+    try:
+        want = oracle_linalg.solve_in_span(columns, targets)
+    except ValueError:
+        with pytest.raises(ValueError, match="^columns are linearly dependent$"):
+            solve_in_span(columns, targets)
+    else:
+        assert_identical(solve_in_span(columns, targets), want)
+    riding = [tuple(row) + tuple(t[i] for t in targets) for i, row in enumerate(a)]
+    rows, pivots = _eliminate(riding, len(a[0]))
+    want = oracle_linalg._exact_rows(riding)
+    assert pivots == oracle_linalg._row_reduce(want, len(a[0]))[0]
+    assert_identical(rows[: len(pivots)], want[: len(pivots)])
+
+
+def _targets(rng, a):
+    """Columns of a, two combinations of them and one column of big random
+    entries, which falls outside the span unless the columns span it all."""
+    columns = transpose(a)
+    combos = [
+        tuple(sum((w * x for w, x in zip(weights, row)), Fraction(0)) for row in a)
+        for weights in ([_big(rng) for _ in columns], [Fraction(1)] + [_ZERO] * (len(columns) - 1))
+    ]
+    return list(columns[:2]) + combos + [tuple(_big(rng) for _ in a)]
+
+
+def _big(rng):
+    return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**6))
+
+
+@pytest.mark.parametrize("name", GRAM_SYSTEMS)
+def test_integer_elimination_matches_oracle_on_grams(system, name):
+    # the rho form at fresh and at degenerate t, as Fractions and as the
+    # ints q B that rho solves against
+    sys_ = system(name)
+    rng = random.Random(f"gram-{name}")
+    for t in GRAM_TS + DEGENERATE_TS[name]:
+        gram = form_on_fset(sys_, t)
+        assert (determinant(gram) == 0) == (t in DEGENERATE_TS[name])
+        scaled = tuple(tuple(int(x * t.denominator) for x in row) for row in gram)
+        for a in (gram, scaled):
+            assert_eliminations_match_oracle(a, _targets(rng, a))
+
+
+@pytest.mark.parametrize("shape", ["wide", "tall", "square"])
+def test_integer_elimination_matches_oracle_on_big_entries(shape):
+    # 30-digit numerators over denominators up to 10^6: full rank and
+    # rank-deficient (later rows combine the first), sparse and dense
+    rng = random.Random(f"big-{shape}")
+    for _ in range(25):
+        n = rng.randint(1, 7)
+        m = {"wide": n + rng.randint(1, 4), "tall": max(1, n - rng.randint(1, 4)), "square": n}[shape]
+        rank = rng.choice([None, rng.randint(0, min(n, m))])
+        density = rng.choice([0.3, 0.7, 1.0])
+        rows = [tuple(_big(rng) if rng.random() < density else _ZERO for _ in range(m))
+                for _ in range(n if rank is None else rank)]
+        while len(rows) < n:
+            weights = [_big(rng) for _ in range(len(rows))]
+            rows.append(tuple(sum((w * r[j] for w, r in zip(weights, rows)), Fraction(0))
+                              for j in range(m)))
+        rng.shuffle(rows)
+        assert_eliminations_match_oracle(tuple(rows), _targets(rng, tuple(rows)))

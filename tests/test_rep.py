@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -436,6 +437,17 @@ def test_stable_lines_match_oracle(system, context, name):
             assert_identical(stable_lines(rep), oracle_rep.stable_lines(rep))
 
 
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "F4", "I2(5)", "A1*A1"])
+def test_stable_lines_match_oracle_at_fresh_t(system, context, name):
+    # rho and Pi at t with prime denominators above 1000, where the pieces
+    # are split on integer rows
+    sys_, ctx = system(name), context(name)
+    for t in (F(8793, 1033), F(-4099, 1019)):
+        for rep in (rho_rep(sys_, t), Pi_rep(ctx, t)):
+            assert rep_module._images(rep)[0] is not None
+            assert_identical(stable_lines(rep), oracle_rep.stable_lines(rep))
+
+
 def test_stable_lines_match_oracle_on_a_two_dimensional_piece(context):
     # D4 Pi at t = -1 keeps a piece of dimension 2: the vectors of a piece
     # must come in the oracle's order
@@ -667,3 +679,89 @@ def test_restriction_of_d4_to_a_40_dimensional_complement(context):
         assert len(x) == 40
         assert mat_mul(Pi[key], columns) == mat_mul(columns, x)
         assert_shared(x)
+
+
+# -- relation checks on integer rows against the Fraction-product oracle -------
+
+LADDER = ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "F4", "I2(5)", "A1*A1"]
+FRESH_TS = [FRESH_T, F(8793, 1033), F(-4099, 1019)]
+
+
+def assert_report_as_oracle(sys_, rep):
+    got = check_relations(sys_, rep)
+    assert got == oracle_rep.check_relations(sys_, rep)
+    return got
+
+
+def _moved(rep, key, i, j):
+    """rep with entry (i, j) of the image of key moved by 1/10007."""
+    mat = [list(row) for row in rep[key]]
+    mat[i][j] += F(1, 10007)
+    return {k: tuple(map(tuple, mat)) if k == key else m for k, m in rep.items()}
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_check_relations_matches_oracle_at_fresh_t(system, context, name):
+    sys_, ctx = system(name), context(name)
+    for t in FRESH_TS:
+        for rep in (rho_rep(sys_, t), Pi_rep(ctx, t)):
+            assert rep_module._images(rep)[0] is not None
+            assert assert_report_as_oracle(sys_, rep).ok
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "A4"])
+def test_check_relations_matches_oracle_on_moved_entries(system, context, name):
+    # one entry of one image moved by 1/10007, in a general and in a unit
+    # row of every image in turn; between them the copies break an
+    # involution, a commuting pair and a nested pair (a move can also keep
+    # every relation, when it commutes with the image the right way)
+    sys_, ctx = system(name), context(name)
+    rng = random.Random(f"moved-{name}")
+    kinds = set()
+    for rep in (rho_rep(sys_, FRESH_T), Pi_rep(ctx, FRESH_T)):
+        n = len(next(iter(rep.values())))
+        for key, mat in rep.items():
+            units = [i for i, row in enumerate(mat) if row in identity_matrix(n)]
+            general = [i for i in range(n) if i not in units]
+            for rows in (units, general):
+                if rows:
+                    moved = _moved(rep, key, rng.choice(rows), rng.randrange(n))
+                    report = assert_report_as_oracle(sys_, moved)
+                    kinds.update(kind for kind, _ in report.violations)
+    assert kinds == {"involution", "commute", "nested"}
+
+
+def _cyclotomic(rep, conductor):
+    # every general row's entries as CycloReals; unit rows stay shared
+    units = identity_matrix(len(next(iter(rep.values()))))
+    return {
+        key: tuple(row if any(row is u for u in units)
+                   else tuple(CycloReal.from_rational(x, conductor) for x in row)
+                   for row in mat)
+        for key, mat in rep.items()
+    }
+
+
+def _with_ints(rep):
+    # every integral nonzero of a general row as a Python int
+    units = identity_matrix(len(next(iter(rep.values()))))
+    return {
+        key: tuple(row if any(row is u for u in units)
+                   else tuple(int(x) if x != 0 and x.denominator == 1 else x for x in row)
+                   for row in mat)
+        for key, mat in rep.items()
+    }
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "A4"])
+def test_check_relations_of_other_entries_take_the_generic_path(system, context, name):
+    # ints next to Fractions, and CycloReals, are not scaled to integer rows:
+    # their reports are the oracle's all the same, broken copies included
+    sys_, ctx = system(name), context(name)
+    for rep in (rho_rep(sys_, F(2)), Pi_rep(ctx, F(2)), rho_rep(sys_, FRESH_T)):
+        key = next(iter(rep))
+        for other in (_with_ints(rep), _cyclotomic(rep, 5), _cyclotomic(rep, 8)):
+            assert rep_module._images(other)[0] is None
+            assert assert_report_as_oracle(sys_, other).ok
+            moved = _moved(other, key, 0, 0)
+            assert not assert_report_as_oracle(sys_, moved).ok
