@@ -96,17 +96,6 @@ def format_word(word: CactusWord) -> str:
     return " ".join("g" + word.system.format_subset(l) for l in word.letters)
 
 
-def free_reduce(word: CactusWord) -> CactusWord:
-    """Cancel adjacent equal letters (gamma_I^2 = 1) to a fixed point."""
-    stack: list[frozenset] = []
-    for l in word.letters:
-        if stack and stack[-1] == l:
-            stack.pop()
-        else:
-            stack.append(l)
-    return CactusWord(word.system, stack, alphabet=_TRUSTED)
-
-
 def commuting_subsets(system: CoxeterSystem, I: frozenset, J: frozenset) -> bool:
     """Whether W_{I u J} = W_I x W_J: disjoint and every cross bond is 2."""
     if I & J:

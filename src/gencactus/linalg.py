@@ -5,18 +5,17 @@ zero tests reduce to exact scalar equality.  Products walk only the nonzero
 entries of both factors, and a shared unit row of `identity_matrix` costs a
 lookup, not a multiplication, so the nearly monomial matrices of the Pi
 representation multiply in time proportional to their general rows; over
-Fractions every zero of a product is one shared object and every row whose
-only nonzero is 1 is the shared row of `identity_matrix`.  A zero test
-first asks whether an entry is that shared zero, which costs no scalar
-comparison.  Determinants, kernels and span membership all read one
-Gauss-Jordan elimination.  Over ints and Fractions it runs fraction-free on
-integer rows (`_integer_reduce`) and builds a Fraction only for an entry
-it returns; a row holding a CycloReal goes through `_row_reduce`.  There
-is no inverse: a change of basis, or a solve against a square matrix, is
-one `solve_in_span` over all the targets at once.  Kernels come back as the
-reduced basis: one vector per free column, in ascending order, with 1 on
-its own free column and 0 on the other free columns; `reduced_basis` puts
-any spanning set of a subspace in that form.
+Fractions every zero of a product is one shared object (a zero test first
+asks for it by identity) and every row whose only nonzero is 1 is the
+shared row of `identity_matrix`.  Determinants, kernels and span membership
+read one Gauss-Jordan elimination, fraction-free on integer rows over ints
+and Fractions (`_integer_reduce`), else `_row_reduce`.  The kernel core
+`integer_kernel` reads an int vector per free column off the reduced rows;
+`kernel_basis` reads those as Fractions, so a Fraction is built only for an
+entry returned.  There is no inverse: a solve is one `solve_in_span` over
+all its targets.  Kernels come back as the reduced basis: one vector per
+free column, ascending, with 1 on its own free column and 0 on the other
+free columns; `reduced_basis` puts any spanning set in that form.
 """
 
 from __future__ import annotations
@@ -178,20 +177,14 @@ def _row_reduce(rows: list[list], ncols: int):
 
 def _integer_rows(a):
     """Each row of a times the lcm of its denominators, as a list of ints,
-    and the product of those lcms; None when an entry is not an int or a
+    and the list of those lcms; None when an entry is not an int or a
     Fraction."""
-    types = [set(map(type, row)) for row in a]
-    if not all(t <= {bool, int, Fraction} for t in types):
+    if not all(set(map(type, row)) <= {bool, int, Fraction} for row in a):
         return None
-    rows, scale = [], 1
-    for t, row in zip(types, a):
-        if t <= {int}:
-            rows.append(list(row))
-            continue
-        d = lcm(*[x.denominator for x in row if x is not _ZERO])
-        rows.append([0 if x is _ZERO else x.numerator * (d // x.denominator) for x in row])
-        scale *= d
-    return rows, scale
+    scales = [lcm(*[x.denominator for x in row if x is not _ZERO]) for row in a]
+    rows = [[0 if x is _ZERO else x.numerator * (d // x.denominator) for x in row]
+            for d, row in zip(scales, a)]
+    return rows, scales
 
 
 def _integer_reduce(rows: list[list], ncols: int, jordan: bool = True):
@@ -252,15 +245,36 @@ def determinant(a: Matrix) -> Scalar:
     got = _integer_rows(a)
     if got is None:
         return _row_reduce(_exact_rows(a), len(a))[1]
-    (rows, scale), n = got, len(a)
+    (rows, scales), n = got, len(a)
     pivots, num, den = _integer_reduce(rows, n, jordan=False)
     diagonal = prod(row[k] for k, row in enumerate(rows))
-    return Fraction(num * diagonal, den * scale) if len(pivots) == n else _ZERO
+    return Fraction(num * diagonal, den * prod(scales)) if len(pivots) == n else _ZERO
+
+
+def integer_kernel(rows: list[list], ncols: int) -> list[list]:
+    """The right null space of int rows, which it eliminates in place: per
+    free column f, ascending, the `kernel_basis` vector of f times L as
+    (column, value) hits, f first.  L is the lcm of the |pivots| of the rows
+    with x != 0 in column f, and such a row's pivot column holds -x L / pivot.
+    """
+    pivots = _integer_reduce(rows, ncols)[0]
+    out = []
+    for free in sorted(set(range(ncols)).difference(pivots)):
+        hits = [(col, row[free], row[col]) for row, col in zip(rows, pivots) if row[free]]
+        scale = lcm(*[p for _, _, p in hits])
+        out.append([(free, scale)] + [(col, -x * (scale // p)) for col, x, p in hits])
+    return out
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
     """Reduced basis of the right null space (see the module docstring)."""
     ncols = len(a[0]) if a else 0
+    got = _integer_rows(a)
+    if got is not None:
+        return [
+            _sparse_row([(free, _ONE)] + [(c, Fraction(x, scale)) for c, x in hits], ncols, _ZERO)
+            for (free, scale), *hits in integer_kernel(got[0], ncols)
+        ]
     rows, pivots = _eliminate(a, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):

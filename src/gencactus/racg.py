@@ -388,17 +388,6 @@ class RacgContext:
         wv, xv = self._walk(v)
         return wu == wv and (xu == xv or self.induced_aut(xu) == self.induced_aut(xv))
 
-    def purity_consistency(self, w: CactusWord) -> bool:
-        """Whether (aut part trivial) and (evaluation trivial) agree on w.
-
-        Purity always forces a trivial aut part.  The converse can fail when
-        the center of W is nontrivial: conjugation by a central evaluation
-        relabels nothing.  Exposed so harnesses can probe both directions.
-        One walk gives both: its x is the evaluation of w in W.
-        """
-        x = self._walk(w)[1]
-        return self.induced_aut(x).is_identity() == (x == 0)
-
     def sset_json(self) -> dict:
         """S as lists of reduced element words, M with 0 standing for infinity."""
         labels = self.system.labels

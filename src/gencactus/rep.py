@@ -1,26 +1,19 @@
 """Exact linear representations on the F(S)-indexed and S-indexed spaces.
 
-rho acts on E = R^F(S) through the orthogonal decomposition
-R e_I + E_I + F_I, in the closed form rho_I = 1 - 2 C G^-1 (BC)^T of the
-reflection in the span C of R e_I + E_I (one k x k solve, k = dim C); Pi
-acts on the span of the parabolic conjugates through reflections of the big
-right-angled form composed with relabeling permutations, each image built
-as unit rows plus the one row of the reflection.  Stable lines split
-the space into simultaneous eigenspaces generator by generator and read
-each image row by row: a shared unit row is an equation v_j = s v_i, so the
-first generator's eigenspaces are written down from the components these
-equations join, with only its other rows eliminated, and a later generator
-splits each piece by a small kernel assembled row by row; no step on the
-Pi or rho images takes an n x n kernel.  Restriction and quotient are one
-change of basis: the basis is eliminated once against the images of all
-generators.
-All arithmetic is exact, and image rows share the zero and the unit rows of
-`identity_matrix` as `mat_mul` does.  Rational work runs on Python ints:
-rho solves against q times the form at t = p/q, relation checks multiply
-every image times one common denominator, and stable lines keep their
-pieces as primitive int vectors, so a Fraction is built only for an entry
-returned.  Images with other entries (the cyclotomic geometric
-representation lives in the coxeter module) take the same steps on them.
+rho_I is the closed-form reflection 1 - 2 C G^-1 (BC)^T in the span C of
+R e_I + E_I (one k x k solve, k = dim C); a Pi image is unit rows plus the
+one row of a reflection of the big right-angled form, after a permutation.
+Queries read an image as its unit rows, a lookup each, and the nonzeros of
+its general rows, over ints for rational images (times one common
+denominator), so a Fraction is built only for an entry returned: relation
+checks and `Pi_of` multiply those rows.  Stable lines split the space
+generator by generator; a unit row is an equation v_j = s v_i, which gives
+the first generator's eigenspaces, and a later one splits each piece U by
+the integer kernel of (M - sI)U.  Restriction and quotient read k pivot
+coordinates P of the subspace U: O(nnz(M) k) per image tests M U in U and
+gives its coordinates, and the quotient is M_KK - U_K U_P^-1 M_PK.  Results
+share the zero and the unit rows of `identity_matrix`, as `mat_mul`'s do;
+images with other entries (cyclotomic ones) take the same steps on them.
 """
 
 from __future__ import annotations
@@ -36,12 +29,14 @@ from .linalg import (
     _ONE,
     _UNIT_COLUMN,
     _ZERO,
+    _integer_reduce,
     _integer_rows,
+    _row_reduce,
     _sparse_row,
     determinant,
     identity_matrix,
+    integer_kernel,
     kernel_basis,
-    mat_mul,
     reduced_basis,
     solve_in_span,
     transpose,
@@ -52,20 +47,12 @@ from .racg import RacgContext, SemidirectElement
 def form_on_fset(system: CoxeterSystem, t) -> tuple:
     """Gram matrix on R^F(S): 1 on the diagonal, 0 on containment or
     product pairs, -t on every other pair."""
-    t = Fraction(t)
-    fset = connected_subsets(system)
-    n = len(fset)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            I, J = fset[i], fset[j]
-            if I < J or J < I or commuting_subsets(system, I, J):
-                entry = Fraction(0)
-            else:
-                entry = -t
-            rows[i][j] = rows[j][i] = entry
-    return tuple(tuple(r) for r in rows)
+    t, fset = Fraction(t), connected_subsets(system)
+    return tuple(
+        tuple(_ONE if I == J else
+              _ZERO if I < J or J < I or commuting_subsets(system, I, J) else -t for J in fset)
+        for I in fset
+    )
 
 
 def form_on_S(ctx: RacgContext, t) -> tuple:
@@ -113,29 +100,46 @@ def Pi_rep(ctx: RacgContext, t) -> dict:
 
 def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
     """Matrix of a cactus word (letterwise product) or of a semidirect
-    element (reflection product times permutation)."""
+    element (reflection product times permutation), multiplied on int rows
+    over one denominator; a unit row costs a lookup per factor."""
     t = Fraction(t)
     n = len(ctx.conjugates)
     if isinstance(x, CactusWord):
         if x.system != ctx.system:
             raise InputError("word over a different system")
-        letters = Pi_rep(ctx, t)
-        acc = identity_matrix(n)
-        for I in x.letters:
-            if I not in letters:
-                raise InputError(
-                    f"letter not in the generating family: {ctx.system.format_subset(I)}"
-                )
-            acc = mat_mul(acc, letters[I])
-        return acc
-    if isinstance(x, SemidirectElement):
+        d, images = _images(Pi_rep(ctx, t))
+        bad = [ctx.system.format_subset(I) for I in x.letters if I not in images]
+        if bad:
+            raise InputError(f"letter not in the generating family: {bad[0]}")
+        keys = x.letters
+    elif isinstance(x, SemidirectElement):
         if x.context is not ctx:
             raise InputError("element from a different context")
-        acc = identity_matrix(n)
-        for i in x.racg_part:
-            acc = mat_mul(acc, _pi_image(ctx, i, range(n), t))
-        return mat_mul(acc, _pi_image(ctx, None, x.aut_part.perm, t))
-    raise InputError(f"cannot represent object of type {type(x).__name__}")
+        d, images = _images({i: _pi_image(ctx, i, range(n), t) for i in set(x.racg_part)}
+                            | {None: _pi_image(ctx, None, x.aut_part.perm, t)})
+        keys = [*x.racg_part, None]
+    else:
+        raise InputError(f"cannot represent object of type {type(x).__name__}")
+    rows, scale = list(range(n)), 1
+    for units, general in map(images.__getitem__, keys):
+        rows = [_row_times(row, scale, units, general, d) for row in rows]
+        scale *= d
+    return tuple(_sparse_row([(row, _ONE)] if type(row) is int else
+                             [(c, Fraction(v, scale)) for c, v in row.items()], n, _ZERO)
+                 for row in rows)
+
+
+def _row_times(row, scale: int, units: list, general: dict, d: int):
+    """A row over scale (its unit column, or {column: nonzero}) times an image over d."""
+    if type(row) is int:
+        u = units[row]
+        return u if u is not None else {c: scale * y for c, y in general[row]}
+    acc = {}
+    for x, v in row.items():
+        u = units[x]
+        for c, y in ((u, d),) if u is not None else general[x]:
+            acc[c] = acc.get(c, 0) + v * y
+    return {c: v for c, v in acc.items() if v}
 
 
 def _subset_key(I):
@@ -403,8 +407,9 @@ def _split_piece(basis: list, units: list, general: dict, d, signs, zero) -> lis
     and the pieces are primitive int vectors."""
     # U_x, coordinate x of every basis vector, as {vector index: value}
     coords = [{} for _ in units]
-    for q, vec in enumerate(basis):
-        for x, y in _nonzeros(vec):
+    supports = [_nonzeros(vec) for vec in basis]
+    for q, support in enumerate(supports):
+        for x, y in support:
             coords[x][q] = y
     # row i of MU for the general rows, the same for both signs
     products = {}
@@ -435,12 +440,20 @@ def _split_piece(basis: list, units: list, general: dict, d, signs, zero) -> lis
         # sparsest first: a sparse pivot row fills in little, and the kernel
         # does not depend on the order of the rows
         rows.sort(key=len)
-        coeffs = kernel_basis([_sparse_row(hits, len(basis), zero) for hits in rows])
+        k = len(basis)
         if type(zero) is int:
-            vs = mat_mul(_integer_rows(coeffs)[0], basis)
-            out.append((sign, [tuple(x // g for x in v) for v in vs for g in [gcd(*v)]]))
+            kernel = integer_kernel([list(_sparse_row(hits, k, 0)) for hits in rows], k)
         else:
-            out.append((sign, list(mat_mul(coeffs, basis))))
+            kernel = map(_nonzeros, kernel_basis([_sparse_row(hits, k, zero) for hits in rows]))
+        part = []
+        for hits in kernel:
+            v = [0] * len(units)
+            for q, c in hits:
+                for x, y in supports[q]:
+                    v[x] += c * y
+            g = gcd(*v) if type(zero) is int else 1
+            part.append(tuple(v if g == 1 else (x // g for x in v)))
+        out.append((sign, part))
     return out
 
 
@@ -456,37 +469,79 @@ def _add(acc: dict, coords: dict, c) -> None:
         acc[q] = acc[q] + v if q in acc else v
 
 
-def _in_basis(rep: dict, basis: Sequence, dependent: str, skip: int = 0) -> dict:
-    """Each generator's matrix in a basis of an invariant subspace.
-
-    One elimination of the basis columns U against the images M U of every
-    generator gives the coordinates X with M U = U X.  The first skip basis
-    vectors must span an invariant subspace of their own, and the blocks
-    returned act on the quotient by it: X without its first skip rows and
-    columns.  SubspaceError(dependent) when the basis is dependent.
-    """
+def _pivot_blocks(rep: dict, basis: Sequence, keep, dependent: str) -> dict:
+    """Each generator's matrix on the invariant span U of basis, in that
+    basis (keep None), or on the quotient by U in the basis of the axes in
+    keep, read off k coordinates P with U_P invertible: those keep leaves
+    out, or the pivots of U (else SubspaceError(dependent)).  U is reduced
+    once to rows u'_j with pivot p_j on P_j and 0 on the rest of P; then
+    L (w - sum_j (w_{P_j} / p_j) u'_j) is 0 for w = M u_q in U, and on K is
+    L (w_K - U_K U_P^-1 w_P) for w a column of M, the quotient block.  For
+    images over d and a rational basis it is all ints: u_j times the lcm
+    s_j of its denominators, L the lcm of the |p_j|."""
     keys = list(rep)
-    if not keys:
-        return {}
-    k = len(basis)
-    columns = transpose(basis)
-    images = [col for key in keys for col in zip(*mat_mul(rep[key], columns))]
-    try:
-        coords = solve_in_span(basis, images)
-    except ValueError:
-        raise SubspaceError(dependent) from None
-    if coords is None:
-        raise SubspaceError("subspace not invariant")
-    blocks = [coords[q * k : (q + 1) * k] for q in range(len(keys))]
-    if any(_nonzeros(col[skip:]) for b in blocks for col in b[:skip]):
-        raise SubspaceError("subspace not invariant")
-    zero = coords[0][0] * 0 if k else None
+    n, k = len(rep[keys[0]]), len(basis)
+    d, images = _images(rep)
+    got = None if d is None else _integer_rows(basis)
+    if got is None:
+        # any other entries: every scalar of the type of the images and basis
+        zero = sum((v[0] * 0 for v in basis[:1] if v), rep[keys[0]][0][0] * 0 + _ZERO)
+        scaled, scales, d = [[zero + x for x in v] for v in basis], [1] * k, d or 1
+    else:
+        (scaled, scales), zero = got, _ZERO
+
+    def read(v, den):
+        return (zero + v) / den if got is None else _ONE if v == den else Fraction(v, den)
+
+    order = list(range(n)) if keep is None else sorted(set(range(n)).difference(keep)) + keep
+    rows = [[u[c] for c in order] + [int(i == j) for j in range(k)] for i, u in enumerate(scaled)]
+    pivots = (_row_reduce if got is None else _integer_reduce)(rows, n if keep is None else k)[0]
+    if len(pivots) < k or len(order) > n:  # the latter: keep repeats an axis
+        raise SubspaceError(dependent)
+    L = 1 if got is None else lcm(*[row[c] for row, c in zip(rows, pivots)])
+    supports = [_nonzeros(u) for u in scaled]
+    reducers = [(order[c], 1 if got is None else L // row[c], _nonzeros(row[n:]),
+                 [(order[x], y) for x, y in enumerate(row[:n]) if y != 0])
+                for row, c in zip(rows, pivots)]
+
+    def reduce(w: dict):
+        # L (w - sum_j (w_{P_j} / p_j) u'_j), and L times that sum in the u_i
+        residual, coords = {i: L * v for i, v in w.items()}, {}
+        for p, c, inverse, span in reducers:
+            f = c * w.get(p, 0)
+            if f != 0:
+                for x, y in span:
+                    residual[x] = residual.get(x, 0) - f * y
+                for i, g in inverse:
+                    coords[i] = coords.get(i, 0) + g * f
+        return residual, coords
+
     out = {}
-    for key, b in zip(keys, blocks):
-        kept = b[skip:]
-        out[key] = tuple(
-            _sparse_row(_nonzeros([col[i] for col in kept]), k - skip, zero) for i in range(skip, k)
-        )
+    for key in keys:
+        units, general = images[key]
+        column = {}  # column c of d M as (row, nonzero) pairs
+        for i, x in enumerate(units):
+            for c, y in [(x, d)] if x is not None else general[i]:
+                column.setdefault(c, []).append((i, y))
+        block = [[] for _ in range(k if keep is None else n - k)]
+        for q, support in enumerate(supports):
+            w = {}
+            for c, y in support:
+                for i, m in column.get(c, ()):
+                    w[i] = w.get(i, 0) + m * y
+            residual, coords = reduce(w)
+            if any(v != 0 for v in residual.values()):
+                raise SubspaceError("subspace not invariant")
+            for i, v in coords.items():
+                if v != 0 and keep is None:
+                    block[i].append((q, read(v * scales[i], L * d * scales[q])))
+        if keep is not None:
+            pos = {a: i for i, a in enumerate(keep)}
+            for l, a in enumerate(keep):
+                for x, v in reduce(dict(column.get(a, ())))[0].items():
+                    if v != 0:
+                        block[pos[x]].append((l, read(v, L * d)))
+        out[key] = tuple(_sparse_row(hits, len(block), zero) for hits in block)
     return out
 
 
@@ -499,9 +554,10 @@ def _check_lengths(vectors: Sequence, n: int) -> None:
 
 def restrict_rep(rep: dict, basis: Sequence) -> dict:
     """Matrices of the action on an invariant subspace, in the given basis."""
-    if rep:
-        _check_lengths(basis, len(next(iter(rep.values()))))
-    return _in_basis(rep, basis, "restriction vectors are linearly dependent")
+    if not rep:
+        return {}
+    _check_lengths(basis, len(next(iter(rep.values()))))
+    return _pivot_blocks(rep, basis, None, "restriction vectors are linearly dependent")
 
 
 def quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
@@ -523,20 +579,16 @@ def quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
         raise SubspaceError("subspace vectors are linearly dependent")
     if k + len(keep) != n:
         raise SubspaceError("complement has the wrong dimension")
-    basis = list(subspace) + [identity_matrix(n)[i] for i in keep]
-    return _in_basis(rep, basis, "chosen axes are not transverse to the subspace", skip=k)
+    transverse = "chosen axes are not transverse to the subspace"
+    return _pivot_blocks(rep, subspace, list(keep), transverse)
 
 
 def signed_permutation_check(rep: dict) -> bool:
     """Whether every generator image is a signed permutation matrix."""
     for mat in rep.values():
-        n = len(mat)
-        seen_rows = set()
-        for j in range(n):
-            hits = [i for i in range(n) if mat[i][j] != 0]
-            if len(hits) != 1 or mat[hits[0]][j] not in (1, -1):
-                return False
-            seen_rows.add(hits[0])
-        if len(seen_rows) != n:
+        hits = [[(i, x) for i, x in enumerate(col) if x != 0] for col in zip(*mat)]
+        if any(len(h) != 1 or h[0][1] not in (1, -1) for h in hits):
+            return False
+        if len({h[0][0] for h in hits}) != len(mat):
             return False
     return True

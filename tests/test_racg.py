@@ -29,6 +29,7 @@ from gencactus.racg import (
 
 from conftest import get_context, get_system
 import oracle_racg
+from oracle_former_api import purity_consistency
 
 LADDER = ["A2", "A3", "B3", "H3", "A4", "D4", "B4"]
 
@@ -776,4 +777,4 @@ def test_purity_forces_trivial_aut(context):
 def test_purity_consistency_injective_case(context):
     ctx = context("A2")
     for w in words_up_to(ctx.system, list(ctx.family), 3):
-        assert ctx.purity_consistency(w)
+        assert purity_consistency(ctx, w)

@@ -6,9 +6,20 @@ import pytest
 import oracle_rep
 from oracle_rep import pi_prime, reflection_in_form
 from gencactus import linalg, rep as rep_module
-from gencactus.cactus import CactusWord, parse_word
-from gencactus.coxeter import connected_subsets
-from gencactus.errors import DegenerateFormError, InputError, SubspaceError
+from gencactus.cactus import (
+    CactusWord,
+    apply_relation,
+    evaluate_to_coxeter,
+    is_pure,
+    parse_word,
+)
+from gencactus.coxeter import GroupElement, connected_subsets, longest_element
+from gencactus.errors import (
+    DegenerateFormError,
+    InputError,
+    RelationApplicationError,
+    SubspaceError,
+)
 from gencactus.linalg import (
     _ZERO,
     determinant,
@@ -519,16 +530,16 @@ def test_stable_lines_take_no_n_by_n_step(context, monkeypatch):
     n = len(Pi[next(iter(Pi))])
     kernels, products = [], []
 
-    def kernel_basis(a):
-        kernels.append((len(a), len(a[0])))
-        return linalg.kernel_basis(a)
+    def integer_kernel(rows, ncols):
+        kernels.append((len(rows), ncols))
+        return linalg.integer_kernel(rows, ncols)
 
-    def mat_mul(a, b):
+    def mat_mul(a, b, product=linalg.mat_mul):
         products.append(len(a))
-        return linalg.mat_mul(a, b)
+        return product(a, b)
 
-    monkeypatch.setattr(rep_module, "kernel_basis", kernel_basis)
-    monkeypatch.setattr(rep_module, "mat_mul", mat_mul)
+    monkeypatch.setattr(rep_module, "integer_kernel", integer_kernel)
+    monkeypatch.setattr(linalg, "mat_mul", mat_mul)
     lines = stable_lines(Pi)
     monkeypatch.undo()
     assert_identical(lines, oracle_rep.piece_stable_lines(Pi))
@@ -765,3 +776,218 @@ def test_check_relations_of_other_entries_take_the_generic_path(system, context,
             assert assert_report_as_oracle(sys_, other).ok
             moved = _moved(other, key, 0, 0)
             assert not assert_report_as_oracle(sys_, moved).ok
+
+
+# -- pivot-coordinate restriction and quotient against the change of basis ----
+
+IN_BASIS_SYSTEMS = ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "F4", "I2(5)", "A1*A1"]
+
+
+def _quotients_as_in_basis(rep, vec):
+    # the axis dropped is the first, then the last, nonzero coordinate
+    support = [i for i, x in enumerate(vec) if x != 0]
+    for p in (support[0], support[-1]):
+        keep = [i for i in range(len(vec)) if i != p]
+        assert_same_change(quotient_rep, oracle_rep.in_basis_quotient_rep, rep, [vec], keep)
+
+
+@pytest.mark.parametrize("name", IN_BASIS_SYSTEMS)
+def test_restrict_and_quotient_match_the_change_of_basis(system, context, name):
+    sys_, ctx = system(name), context(name)
+    for t in (F(2), FRESH_T):
+        for rep, gram in _reps_with_forms(sys_, ctx, t):
+            lines = stable_lines(rep)
+            for vec, _ in lines[:2]:
+                _quotients_as_in_basis(rep, vec)
+                # the form-orthocomplement of a stable line is invariant
+                complement = kernel_basis(mat_mul((vec,), gram))
+                restricted = assert_same_change(
+                    restrict_rep, oracle_rep.in_basis_restrict_rep, rep, complement
+                )
+                for inner, _ in stable_lines(restricted)[:1]:
+                    _quotients_as_in_basis(restricted, inner)
+            if len(lines) > 1:
+                # two lines at once, on the first axes transverse to them
+                plane = [vec for vec, _ in lines[:2]]
+                keep = oracle_rep.default_keep(plane, len(plane[0]))
+                assert_same_change(quotient_rep, oracle_rep.in_basis_quotient_rep, rep, plane, keep)
+                assert_same_change(restrict_rep, oracle_rep.in_basis_restrict_rep, rep, plane)
+
+
+def _error_cases(rep):
+    """(function, oracle, args) for every SubspaceError and InputError of a
+    restriction and a quotient of rep, and a few that succeed."""
+    (vec, _), *_ = stable_lines(rep)
+    n = len(vec)
+    p = next(i for i, x in enumerate(vec) if x != 0)
+    zero_axis = next((i for i, x in enumerate(vec) if x == 0), None)
+    rest = [i for i in range(n) if i != p]
+    units = identity_matrix(n)
+    restricts = [[vec, tuple(2 * x for x in vec)], [units[0]], [], [tuple(0 for _ in vec)], [vec]]
+    quotients = [
+        ([vec, tuple(3 * x for x in vec)], rest[:-1]),  # dependent
+        ([tuple(0 for _ in vec)], rest),  # dependent: the zero vector
+        ([vec], rest[:-1]),  # wrong dimension
+        ([vec], [rest[0]] + rest[:-1]),  # a duplicate keep axis
+        ([vec], rest[:-1] + [n]),  # out of range
+        ([], list(range(n))[::-1]),  # the empty subspace
+        ([vec], rest),
+    ]
+    if zero_axis is not None:  # every axis but one where vec is 0: not transverse
+        quotients.append(([vec], [i for i in range(n) if i != zero_axis]))
+    for axis in range(n):  # a coordinate line, which is invariant only if stable
+        quotients.append(([units[axis]], [i for i in range(n) if i != axis]))
+    for basis in restricts:
+        yield restrict_rep, oracle_rep.in_basis_restrict_rep, (rep, basis)
+    for subspace, keep in quotients:
+        yield quotient_rep, oracle_rep.in_basis_quotient_rep, (rep, subspace, keep)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "A4", "D4"])
+def test_restrict_and_quotient_errors_match_the_change_of_basis(system, context, name):
+    sys_, ctx = system(name), context(name)
+    texts = set()
+    for rep in (Pi_rep(ctx, F(2)), rho_rep(sys_, FRESH_T)):
+        for ours, theirs, args in _error_cases(rep):
+            try:
+                theirs(*args)
+            except (InputError, SubspaceError) as exc:
+                texts.add(str(exc))
+            assert_same_change(ours, theirs, *args)
+    assert {
+        "subspace vectors are linearly dependent",
+        "restriction vectors are linearly dependent",
+        "complement has the wrong dimension",
+        "chosen axes are not transverse to the subspace",
+        "subspace not invariant",
+    } <= texts
+
+
+@pytest.mark.parametrize("name", ["H3", "I2(5)", "H3*A1", "I2(5)*A1"])
+def test_restrict_and_quotient_match_the_change_of_basis_on_cyclotomic_pi(system, name):
+    sys_ = system(name)
+    n = sys_.rank
+    restrict, quotient = oracle_rep.in_basis_restrict_rep, oracle_rep.in_basis_quotient_rep
+    for t in (F(2), F(5, 2), F(1)):
+        pi = {s: sys_.reflection_matrix(s, t) for s in range(n)}
+        for basis in (pi[0], mat_mul(pi[0], pi[n - 1]), transpose(pi[1])):
+            again = assert_same_change(restrict_rep, restrict, pi, basis)
+            assert_same_change(quotient_rep, quotient, again, [], list(range(n)))
+        if "*" in name:
+            block = [identity_matrix(n)[i] for i in range(n - 1)]
+            assert_same_change(restrict_rep, restrict, pi, block)
+            assert_same_change(quotient_rep, quotient, pi, block, [n - 1])
+            (vec, _), = stable_lines(pi)
+            _quotients_as_in_basis(pi, vec)
+            for ours, theirs, args in _error_cases(pi):
+                assert_same_change(ours, theirs, *args)
+
+
+def test_h4_stable_lines_and_quotient_cache_only_the_quotient_width(context, monkeypatch):
+    # stable lines ask `identity_matrix` for no width and a quotient only for
+    # its own, n - k; the quotient matches the change of basis
+    Pi = Pi_rep(context("H4"), F(2))
+    widths = []
+
+    def recording(n):
+        widths.append(n)
+        return identity_matrix(n)
+
+    monkeypatch.setattr(linalg, "identity_matrix", recording)
+    monkeypatch.setattr(rep_module, "identity_matrix", recording)
+    before = identity_matrix.cache_info().currsize
+    lines = stable_lines(Pi)
+    assert widths == [] and identity_matrix.cache_info().currsize == before
+    vec = lines[0][0]
+    n = len(vec)
+    p = next(i for i, x in enumerate(vec) if x != 0)
+    keep = [i for i in range(n) if i != p]
+    got = quotient_rep(Pi, [vec], keep)
+    assert set(widths) == {n - 1}
+    assert identity_matrix.cache_info().currsize <= before + 1
+    monkeypatch.undo()
+    # `assert_identical` and `assert_shared` read 4.8 M entries one by one;
+    # this reads them by identity, and every zero of either side is `_ZERO`
+    want = oracle_rep.in_basis_quotient_rep(Pi, [vec], keep)
+    assert list(got) == list(want) and got == want
+    units = {id(row) for row in identity_matrix(n - 1)}
+    for m in (*got.values(), *want.values()):
+        for row in m:
+            hits = [x for x in row if x is not _ZERO]
+            assert all(type(x) is Fraction and x != 0 for x in hits)
+            assert id(row) in units or hits != [1]
+
+
+# -- Pi_of on int rows against the letterwise product ------------------------
+
+PI_OF_TS = [F(1), F(2), F(8793, 1033)]
+
+
+def _semidirect_elements(ctx, words):
+    yield SemidirectElement(ctx, (), next(iter(ctx.letters.values())).aut_part)
+    for w in words:
+        yield ctx.embed(w)
+
+
+@pytest.mark.parametrize("name", IN_BASIS_SYSTEMS)
+def test_pi_of_matches_the_letterwise_product(context, name):
+    ctx = context(name)
+    rng = random.Random(f"pi-of-{name}")
+    family = sorted(ctx.family, key=rep_module._subset_key)
+    for t in PI_OF_TS:
+        words = [CactusWord(ctx.system, [rng.choice(family) for _ in range(L)]) for L in (0, 1, 8, 40)]
+        for x in words + list(_semidirect_elements(ctx, words)):
+            got = Pi_of(ctx, x, t)
+            assert_identical(got, oracle_rep.product_Pi_of(ctx, x, t))
+            assert_shared(got)
+
+
+# -- the word problem against Pi at t = 1 --------------------------------------
+
+WORD_PROBLEM_SYSTEMS = ["A3", "B3", "H3", "A4", "D4", "B4", "F4", "I2(7)", "A2*A2"]
+
+
+def _relation_moves(word, rng, count):
+    """word after count random defining-relation moves, each applied where
+    `apply_relation` applies."""
+    for _ in range(count):
+        spots = []
+        for i in range(len(word) - 1):
+            try:
+                spots.append(apply_relation(word, i))
+            except RelationApplicationError:
+                pass
+        if not spots:
+            break
+        word = rng.choice(spots)
+    return word
+
+
+@pytest.mark.parametrize("name", WORD_PROBLEM_SYSTEMS)
+def test_word_problem_agrees_with_pi_at_one(context, name):
+    # cactus_equal against equality of the Pi matrices at t = 1, a linear
+    # path independent of the embedding: equal words by relation moves,
+    # unequal ones (mostly) by one changed letter; evaluations against the
+    # product of the longest elements
+    ctx = context(name)
+    sys_ = ctx.system
+    rng = random.Random(f"word-problem-{name}")
+    family = sorted(ctx.family, key=rep_module._subset_key)
+    answers = []
+    for L in (6, 20, 40):
+        for _ in range(2):
+            u = CactusWord(sys_, [rng.choice(family) for _ in range(L)])
+            letters = list(u.letters)
+            i = rng.randrange(L)
+            letters[i] = rng.choice([I for I in family if I != letters[i]])
+            for v in (_relation_moves(u, rng, 3 * L), CactusWord(sys_, letters)):
+                equal = ctx.cactus_equal(u, v)
+                assert equal == (Pi_of(ctx, u, 1) == Pi_of(ctx, v, 1))
+                answers.append(equal)
+                for w in (u, v):
+                    value = GroupElement.identity(sys_)
+                    for I in w.letters:
+                        value = value * longest_element(sys_, I)
+                    assert evaluate_to_coxeter(w) == value
+                    assert is_pure(w) == value.is_identity()
+    assert answers.count(True) >= 6 and False in answers
