@@ -42,6 +42,13 @@ __all__ = [
 _LABEL_FORBIDDEN = set("{}, \t*")
 
 
+def _bond(x) -> int:
+    """A Coxeter matrix entry: an int, or a float with an integral value."""
+    if type(x) is int or type(x) is float and x.is_integer():
+        return int(x)
+    raise InputError(f"Coxeter matrix entries must be integers, not {x!r}")
+
+
 class CoxeterSystem:
     """Immutable Coxeter system: labels plus symmetric Coxeter matrix.
 
@@ -54,10 +61,12 @@ class CoxeterSystem:
 
     def __init__(self, labels: Sequence[str], matrix: Sequence[Sequence[int]]):
         labels = tuple(labels)
-        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        matrix = tuple(tuple(_bond(x) for x in row) for row in matrix)
         n = len(labels)
         if n == 0:
             raise InputError("a Coxeter system needs at least one generator")
+        if not all(isinstance(lab, str) for lab in labels):
+            raise InputError("generator labels must be strings")
         if len(set(labels)) != n:
             raise InputError("generator labels must be distinct")
         for lab in labels:
@@ -170,7 +179,11 @@ class CoxeterSystem:
     def from_json(cls, data: dict) -> "CoxeterSystem":
         if not isinstance(data, dict) or "labels" not in data or "matrix" not in data:
             raise InputError('system JSON needs "labels" and "matrix" keys')
-        return cls(data["labels"], data["matrix"])
+        labels, matrix = data["labels"], data["matrix"]
+        if not (isinstance(labels, list) and isinstance(matrix, list)
+                and all(isinstance(row, list) for row in matrix)):
+            raise InputError('system JSON needs a list of labels and a list of matrix rows')
+        return cls(labels, matrix)
 
     @classmethod
     def from_name(cls, name: str) -> "CoxeterSystem":

@@ -1,21 +1,19 @@
 """Exact linear algebra over Fraction or CycloReal entries.
 
 Matrices are immutable tuples of row tuples.  Everything here is pivot-exact:
-zero tests reduce to exact scalar equality.  Products walk only the nonzero
-entries of both factors, and a shared unit row of `identity_matrix` costs a
-lookup, not a multiplication, so the nearly monomial matrices of the Pi
-representation multiply in time proportional to their general rows; over
-Fractions every zero of a product is one shared object (a zero test first
-asks for it by identity) and every row whose only nonzero is 1 is the
-shared row of `identity_matrix`.  Determinants, kernels and span membership
-read one Gauss-Jordan elimination, fraction-free on integer rows over ints
-and Fractions (`_integer_reduce`), else `_row_reduce`.  The kernel core
-`integer_kernel` reads an int vector per free column off the reduced rows;
-`kernel_basis` reads those as Fractions, so a Fraction is built only for an
-entry returned.  There is no inverse: a solve is one `solve_in_span` over
-all its targets.  Kernels come back as the reduced basis: one vector per
-free column, ascending, with 1 on its own free column and 0 on the other
-free columns; `reduced_basis` puts any spanning set in that form.
+zero tests reduce to exact scalar equality.  Over Fractions every zero of a
+kernel vector is one shared object (a zero test first asks for it by
+identity) and a kernel vector whose only nonzero is 1 is the shared row of
+`identity_matrix`, whose column `_UNIT_COLUMN` gives by lookup.
+Determinants, kernels and span membership read one Gauss-Jordan
+elimination, fraction-free on integer rows over ints and Fractions
+(`_integer_reduce`), else `_row_reduce`.  The kernel core `integer_kernel`
+reads an int vector per free column off the reduced rows; `kernel_basis`
+reads those as Fractions, so a Fraction is built only for an entry
+returned.  There is no inverse: a solve is one `solve_in_span` over all its
+targets.  Kernels come back as the reduced basis: one vector per free
+column, ascending, with 1 on its own free column and 0 on the other free
+columns; `reduced_basis` puts any spanning set in that form.
 """
 
 from __future__ import annotations
@@ -53,61 +51,6 @@ def identity_matrix(n: int) -> Matrix:
     )
     _UNIT_COLUMN.update((id(row), j) for j, row in enumerate(rows))
     return rows
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product a*b that walks only the nonzero entries of a and b.
-
-    A shared unit row costs a lookup: unit row j of a is row j of b, and a
-    unit row of b adds x where a general row adds x*y.  The nonzeros of a
-    row of b are found once, when a product first reads that row, and the
-    shared zero is passed over without a scalar comparison.  With entries
-    of one scalar type (Fraction, or CycloReal at one conductor) every entry
-    has the value, type and conductor of the dense sum.  The zeros of the
-    result are one shared zero and, over Fractions, a row whose only
-    nonzero is 1 is the shared row of `identity_matrix`.  An int entry that
-    meets a unit row stays an int, as no multiplication by 1 touches it.
-    """
-    if not a or not b or not b[0]:
-        return tuple(() for _ in a)
-    m = len(b[0])
-    zero = a[0][0] * b[0][0] * 0
-    units = [_UNIT_COLUMN.get(id(row)) for row in b]
-    found = {}
-
-    def support(k):
-        if k not in found:
-            row, u = b[k], units[k]
-            if u is not None:
-                found[k] = [(u, row[u])]
-            else:
-                found[k] = [(c, y) for c, y in enumerate(row) if y is not _ZERO and y != 0]
-        return found[k]
-
-    out = []
-    for row in a:
-        j = _UNIT_COLUMN.get(id(row))
-        if j is not None:
-            out.append(_sparse_row(support(j), m, zero))
-            continue
-        acc = {}
-        summed = set()
-        for k, x in enumerate(row):
-            if x is not _ZERO and x != 0:
-                u = units[k]
-                terms = [(u, x)] if u is not None else [(c, x * y) for c, y in support(k)]
-                for c, v in terms:
-                    if c in acc:
-                        acc[c] += v
-                        summed.add(c)
-                    else:
-                        acc[c] = v
-        # a product of nonzeros is nonzero: only a sum can cancel
-        for c in summed:
-            if acc[c] == 0:
-                del acc[c]
-        out.append(_sparse_row(list(acc.items()), m, zero))
-    return tuple(out)
 
 
 def _sparse_row(hits, m: int, zero) -> Vector:

@@ -11,8 +11,9 @@ generator by generator; a unit row is an equation v_j = s v_i, which gives
 the first generator's eigenspaces, and a later one splits each piece U by
 the integer kernel of (M - sI)U.  Restriction and quotient read k pivot
 coordinates P of the subspace U: O(nnz(M) k) per image tests M U in U and
-gives its coordinates, and the quotient is M_KK - U_K U_P^-1 M_PK.  Results
-share the zero and the unit rows of `identity_matrix`, as `mat_mul`'s do;
+gives its coordinates, and the quotient is M_KK - U_K U_P^-1 M_PK; that one
+elimination of U also says whether U is independent and transverse to the
+kept axes.  Results share the zero and the unit rows of `identity_matrix`;
 images with other entries (cyclotomic ones) take the same steps on them.
 """
 
@@ -39,7 +40,6 @@ from .linalg import (
     kernel_basis,
     reduced_basis,
     solve_in_span,
-    transpose,
 )
 from .racg import RacgContext, SemidirectElement
 
@@ -53,14 +53,6 @@ def form_on_fset(system: CoxeterSystem, t) -> tuple:
               _ZERO if I < J or J < I or commuting_subsets(system, I, J) else -t for J in fset)
         for I in fset
     )
-
-
-def form_on_S(ctx: RacgContext, t) -> tuple:
-    """Gram matrix on the span of the parabolic conjugates, read off the big
-    right-angled matrix: 0 where the entry is 2, -t where it is infinite."""
-    t = Fraction(t)
-    n = len(ctx.conjugates)
-    return tuple(_form_row(ctx, k, range(n), Fraction(1), -t) for k in range(n))
 
 
 def _form_row(ctx: RacgContext, k: int, perm, diag, off) -> tuple:
@@ -146,21 +138,11 @@ def _subset_key(I):
     return (len(I), sorted(I))
 
 
-def rho_generator(system: CoxeterSystem, I, t):
-    """Involution rho_I: -1 on R e_I + E_I, +1 on the orthocomplement F_I.
-
-    E_I is spanned by the differences e_J - e_{w_I(J)} over proper
-    F(S)-subsets J of I; with C those columns and e_I, G = C^T B C the
-    restricted Gram, rho_I = 1 - 2 C G^-1 (BC)^T, so F_I is never formed.
-    Degeneracy of the form, global or restricted, is an error since the
-    decomposition stops being direct there.
-    """
-    t = Fraction(t)
-    return _rho_assemble(system, frozenset(I), t, _nondegenerate_form(system, t))
-
-
 def rho_rep(system: CoxeterSystem, t) -> dict:
-    """All generator images I -> rho_I at parameter t."""
+    """All generator images I -> rho_I at parameter t: -1 on R e_I + E_I,
+    with E_I spanned by the e_J - e_{w_I(J)} over proper F(S)-subsets J of
+    I, and +1 on its orthocomplement.  A degenerate form, on the whole space
+    or on that span, is an error: the sum is not direct there."""
     t = Fraction(t)
     gram = _nondegenerate_form(system, t)
     return {I: _rho_assemble(system, I, t, gram) for I in connected_subsets(system)}
@@ -177,8 +159,6 @@ def _nondegenerate_form(system, t):
 def _rho_assemble(system, I, t, gram):
     fset = connected_subsets(system)
     pos = {S: i for i, S in enumerate(fset)}
-    if I not in pos:
-        raise InputError(f"not a connected finite-type subset: {system.format_subset(I)}")
     n = len(fset)
     # the spanning columns of R e_I + E_I: e_I, then e_J - e_J2 for each
     # w_I-orbit {J, J2} of proper subsets; the orbits are disjoint, so every
@@ -336,7 +316,7 @@ def stable_lines(rep: dict) -> list:
     first = rep[keys[0]] if keys else ()
     if not first:
         return []
-    zero = first[0][0] * 0 + _ZERO
+    n, zero = len(first), first[0][0] * 0 + _ZERO
     d, images = _images(rep)
     work = zero if d is None else 0
     pieces = None
@@ -353,7 +333,7 @@ def stable_lines(rep: dict) -> list:
         ]
     out = []
     for basis, signs in pieces:
-        for v in reduced_basis(basis):
+        for v in reduced_basis([_sparse_row(list(vec.items()), n, 0) for vec in basis]):
             if type(zero) is not Fraction:
                 v = tuple(zero + x for x in v)
             out.append((v, dict(zip(keys, signs))))
@@ -361,7 +341,8 @@ def stable_lines(rep: dict) -> list:
 
 
 def _unit_solutions(units: list, sign: int, zero) -> list:
-    """A basis of the v with v_j = sign * v_i for every unit row i -> j.
+    """A basis of the v with v_j = sign * v_i for every unit row i -> j, as
+    {coordinate: value} dicts.
 
     The rows join the coordinates into components, and each component gives
     one vector: +-1 on its coordinates, by the parity of their distance from
@@ -392,24 +373,23 @@ def _unit_solutions(units: list, sign: int, zero) -> list:
                 elif sign == -1 and parity[y] == parity[x]:
                     alive = False
         if alive:
-            hits = [(x, -one if sign == -1 and parity[x] else one) for x in group]
-            basis.append(_sparse_row(hits, n, zero))
+            basis.append({x: -one if sign == -1 and parity[x] else one for x in group})
     return basis
 
 
 def _split_piece(basis: list, units: list, general: dict, d, signs, zero) -> list:
     """The s-eigenspace of an image M inside the span of basis for each s
-    in signs, as (s, basis) pairs, from the kernel of (M - sI)U.  units[i]
-    is the column of the 1 in unit row i of M, or None for a general row,
-    whose nonzeros times d are general[i].  Row i of (M - sI)U is U_j - s U_i
-    for a unit row i -> j (nothing at s = +1 and U_i at s = -1 when j = i),
-    and d M_i U - s d U_i for a general row.  With zero the int 0 the basis
-    and the pieces are primitive int vectors."""
+    in signs, as (s, basis) pairs, from the kernel of (M - sI)U; a basis
+    vector is a {coordinate: nonzero} dict.  units[i] is the column of the
+    1 in unit row i of M, or None for a general row, whose nonzeros times d
+    are general[i].  Row i of (M - sI)U is U_j - s U_i for a unit row i -> j
+    (nothing at s = +1 and U_i at s = -1 when j = i), and d M_i U - s d U_i
+    for a general row.  With zero the int 0 the basis and the pieces are
+    primitive int vectors."""
     # U_x, coordinate x of every basis vector, as {vector index: value}
     coords = [{} for _ in units]
-    supports = [_nonzeros(vec) for vec in basis]
-    for q, support in enumerate(supports):
-        for x, y in support:
+    for q, vec in enumerate(basis):
+        for x, y in vec.items():
             coords[x][q] = y
     # row i of MU for the general rows, the same for both signs
     products = {}
@@ -447,12 +427,12 @@ def _split_piece(basis: list, units: list, general: dict, d, signs, zero) -> lis
             kernel = map(_nonzeros, kernel_basis([_sparse_row(hits, k, zero) for hits in rows]))
         part = []
         for hits in kernel:
-            v = [0] * len(units)
+            acc = {}
             for q, c in hits:
-                for x, y in supports[q]:
-                    v[x] += c * y
-            g = gcd(*v) if type(zero) is int else 1
-            part.append(tuple(v if g == 1 else (x // g for x in v)))
+                _add(acc, basis[q], c)
+            v = {x: y for x, y in acc.items() if y != 0}
+            g = gcd(*v.values()) if type(zero) is int else 1
+            part.append(v if g == 1 else {x: y // g for x, y in v.items()})
         out.append((sign, part))
     return out
 
@@ -473,8 +453,11 @@ def _pivot_blocks(rep: dict, basis: Sequence, keep, dependent: str) -> dict:
     """Each generator's matrix on the invariant span U of basis, in that
     basis (keep None), or on the quotient by U in the basis of the axes in
     keep, read off k coordinates P with U_P invertible: those keep leaves
-    out, or the pivots of U (else SubspaceError(dependent)).  U is reduced
-    once to rows u'_j with pivot p_j on P_j and 0 on the rest of P; then
+    out, or the pivots of U.  U is eliminated once, over every coordinate
+    (the kept axes last), and SubspaceError says in this order that U is
+    dependent, that the axes in keep are not n - k many, or that they repeat
+    or hold a pivot.  That reduces U to rows u'_j with pivot p_j on P_j and
+    0 on the rest of P; then
     L (w - sum_j (w_{P_j} / p_j) u'_j) is 0 for w = M u_q in U, and on K is
     L (w_K - U_K U_P^-1 w_P) for w a column of M, the quotient block.  For
     images over d and a rational basis it is all ints: u_j times the lcm
@@ -495,9 +478,14 @@ def _pivot_blocks(rep: dict, basis: Sequence, keep, dependent: str) -> dict:
 
     order = list(range(n)) if keep is None else sorted(set(range(n)).difference(keep)) + keep
     rows = [[u[c] for c in order] + [int(i == j) for j in range(k)] for i, u in enumerate(scaled)]
-    pivots = (_row_reduce if got is None else _integer_reduce)(rows, n if keep is None else k)[0]
-    if len(pivots) < k or len(order) > n:  # the latter: keep repeats an axis
+    pivots = (_row_reduce if got is None else _integer_reduce)(rows, len(order))[0]
+    if len(pivots) < k:
         raise SubspaceError(dependent)
+    if keep is not None:
+        if k + len(keep) != n:
+            raise SubspaceError("complement has the wrong dimension")
+        if len(order) > n or any(c >= k for c in pivots):  # U_P is not square or singular
+            raise SubspaceError("chosen axes are not transverse to the subspace")
     L = 1 if got is None else lcm(*[row[c] for row, c in zip(rows, pivots)])
     supports = [_nonzeros(u) for u in scaled]
     reducers = [(order[c], 1 if got is None else L // row[c], _nonzeros(row[n:]),
@@ -571,16 +559,10 @@ def quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
         return {}
     n = len(rep[keys[0]])
     _check_lengths(subspace, n)
-    k = len(subspace)
     bad = [i for i in keep if not 0 <= i < n]
     if bad:
         raise InputError(f"keep axis {bad[0]} outside 0..{n - 1}")
-    if kernel_basis(transpose(subspace)):
-        raise SubspaceError("subspace vectors are linearly dependent")
-    if k + len(keep) != n:
-        raise SubspaceError("complement has the wrong dimension")
-    transverse = "chosen axes are not transverse to the subspace"
-    return _pivot_blocks(rep, subspace, list(keep), transverse)
+    return _pivot_blocks(rep, subspace, list(keep), "subspace vectors are linearly dependent")
 
 
 def signed_permutation_check(rep: dict) -> bool:

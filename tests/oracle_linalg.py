@@ -1,12 +1,14 @@
-"""The product, the elimination and the kernel the linalg module used before
-they read its unit rows and passed over the shared zero, kept as an oracle.
+"""The exact matrix product the tests use, and the elimination and the kernel
+the linalg module used before they passed over the shared zero, kept as an
+oracle.
 
-`mat_mul` multiplies every nonzero of a by the nonzeros of the matching
-row of b, unit rows included, and finds the nonzeros of every row of b up
-front.  Both compare every entry with 0 by scalar equality, the shared
-zero included.  `_exact_rows` tests every entry for an int, and
-`kernel_basis` negates every pivot-row entry of a free column, zeros
-included.  `determinant`, `reduced_basis` and `solve_in_span` read the
+The library has no product: its queries multiply integer rows of their
+own.  `mat_mul` multiplies every nonzero of a by the nonzeros of the
+matching row of b, unit rows included, and finds the nonzeros of every row
+of b up front.  It and `_row_reduce` compare every entry with 0 by scalar
+equality, the shared zero included.  `_exact_rows` tests every entry for an
+int, and `kernel_basis` negates every pivot-row entry of a free column,
+zeros included.  `determinant`, `reduced_basis` and `solve_in_span` read the
 Fraction elimination `_row_reduce`, as the module did before rational rows
 went through its integer elimination.  The kernels that replaced them must
 agree with them in every pivot, determinant and entry, in value and in type.

@@ -7,14 +7,15 @@ the kernel of the dense n x dim U matrix (M - sI)U, starting from the n x n
 kernels of the first generator; restriction solves the dense images of each
 generator against the basis, one generator at a time; and the quotient
 conjugates each generator by an inverse.  They build on the package's
-exact linear algebra (`kernel_basis`, `mat_mul`, `solve_in_span`), which
-has oracles of its own in tests/test_linalg.py, plus a plain inverse and
-matrix-vector product of their own.  They are slow (n x n inverses and
-kernels per generator) and plain.  `check_relations` compares Fraction
-products of the images by `mat_mul`.  The dense form on S and the dense
-reflection and permutation matrices, whose product the Pi images equal,
-are here too, as is the axis-by-axis default `--keep` of the quotient
-command.
+exact linear algebra (`kernel_basis`, `solve_in_span`), which has oracles
+of its own in tests/test_linalg.py, on the product `mat_mul` of
+tests/oracle_linalg.py, and on a plain inverse and matrix-vector product
+of their own.  They are slow (n x n inverses and kernels per generator)
+and plain.  `check_relations` compares Fraction products of the images by
+`mat_mul`.  The dense form on S and the dense reflection and permutation
+matrices, whose product the Pi images equal, are here too, as are
+`rho_generator` (one rho_I) and the axis-by-axis default `--keep` of the
+quotient command.
 
 The change of basis that restriction and quotient made before they read
 the pivot coordinates is here as well (`in_basis_restrict_rep`,
@@ -37,12 +38,12 @@ from gencactus.linalg import (
     determinant,
     identity_matrix,
     kernel_basis,
-    mat_mul,
     reduced_basis,
     solve_in_span,
     transpose,
 )
 from gencactus.racg import InducedAutomorphism, SemidirectElement
+from oracle_linalg import mat_mul
 from gencactus.rep import (
     Pi_rep,
     RelationReport,

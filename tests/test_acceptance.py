@@ -22,12 +22,11 @@ from gencactus.coxeter import (
     conjugate_subset,
     longest_element,
 )
-from gencactus.linalg import identity_matrix, mat_mul, transpose
+from gencactus.linalg import identity_matrix, transpose
 from gencactus.racg import RacgContext, normal_form, semidirect_mul
 from gencactus.rep import (
     Pi_rep,
     check_relations,
-    form_on_S,
     form_on_fset,
     quotient_rep,
     restrict_rep,
@@ -37,6 +36,8 @@ from gencactus.rep import (
 )
 
 from conftest import get_context, get_system
+from oracle_linalg import mat_mul
+from oracle_rep import form_on_S
 
 SYSTEMS = [
     "A1", "A2", "A3", "A4", "B2", "B3",

@@ -316,6 +316,47 @@ def test_system_from_file(capsys, tmp_path, system):
     assert "{s1,s2}" in out
 
 
+A2_BONDS = [[1, 3], [3, 1]]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # a bond that is not an integer, and entries of other types
+        {"labels": ["a", "b"], "matrix": [[1, 2.5], [2.5, 1]]},
+        {"labels": ["a", "b"], "matrix": [[1, 3.7], [3.7, 1]]},
+        {"labels": ["a", "b"], "matrix": [[1, "3"], ["3", 1]]},
+        {"labels": ["a", "b"], "matrix": [[1, "x"], ["x", 1]]},
+        {"labels": ["a", "b"], "matrix": [[1, None], [None, 1]]},
+        {"labels": ["a", "b"], "matrix": [[True, 3], [3, True]]},
+        {"labels": ["a", "b"], "matrix": [[1, [3]], [[3], 1]]},
+        # labels that are not non-empty strings, or not a list
+        {"labels": [1, 2], "matrix": A2_BONDS},
+        {"labels": ["a", None], "matrix": A2_BONDS},
+        {"labels": ["a", ""], "matrix": A2_BONDS},
+        {"labels": "ab", "matrix": A2_BONDS},
+        # a matrix that is not a list of rows
+        {"labels": ["a", "b"], "matrix": 3},
+        {"labels": ["a", "b"], "matrix": "x"},
+        {"labels": ["a", "b"], "matrix": [[1, 3], 3]},
+    ],
+)
+def test_malformed_system_file_is_a_usage_error(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "fset", "--system", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_system_file_takes_integral_float_bonds(capsys, tmp_path):
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"labels": ["a", "b"], "matrix": [[1.0, 3.0], [3.0, 1]]}))
+    code, out, _ = invoke(capsys, "fset", "--system", str(path))
+    assert code == 0 and out.splitlines() == ["{a}", "{b}", "{a,b}"]
+
+
 def test_exit_code_usage_errors(capsys):
     code, _, err = invoke(capsys, "fset")  # missing --system
     assert code == 2 and "missing --system" in err

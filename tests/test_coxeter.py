@@ -20,7 +20,8 @@ from gencactus.coxeter import (
 )
 from gencactus.errors import CactusError, InfiniteGroupError, InputError
 from gencactus.racg import RacgContext
-from gencactus.linalg import mat_mul, transpose
+from gencactus.linalg import transpose
+from oracle_linalg import mat_mul
 from gencactus.scalar import CycloReal, cos_pi_over, scalar_sign
 
 import oracle_groups as og

@@ -13,14 +13,15 @@ from gencactus.linalg import (
     determinant,
     identity_matrix,
     kernel_basis,
-    mat_mul,
     reduced_basis,
     solve_in_span,
     transpose,
 )
-from gencactus.rep import Pi_rep, check_relations, form_on_S, form_on_fset, rho_rep
+from gencactus import rep as rep_module
+from gencactus.rep import Pi_rep, check_relations, form_on_fset, rho_rep
 import oracle_linalg
-from oracle_rep import form_on_S as dense_form_on_S, pi_prime, reflection_in_form
+from oracle_linalg import mat_mul
+from oracle_rep import form_on_S, pi_prime, reflection_in_form
 from test_rep import FRESH_T, assert_identical, assert_shared
 from gencactus.scalar import CycloReal, cos_pi_over
 
@@ -182,113 +183,7 @@ def test_transpose():
     assert transpose(transpose(a)) == a
 
 
-# -- products against the dense oracle --------------------------------------------
-
-
-def dense_mat_mul(a, b):
-    """The dense product `mat_mul` replaced, kept as its oracle."""
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def assert_same_product(a, b):
-    got, want = mat_mul(a, b), dense_mat_mul(a, b)
-    assert len(got) == len(want)
-    for grow, wrow in zip(got, want):
-        assert len(grow) == len(wrow)
-        for x, y in zip(grow, wrow):
-            assert x == y
-            assert type(x) is type(y)
-            assert getattr(x, "conductor", None) == getattr(y, "conductor", None)
-
-
-def _sparse_matrix(rng, n, m, density):
-    return tuple(
-        tuple(
-            Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < density
-            else Fraction(0)
-            for _ in range(m)
-        )
-        for _ in range(n)
-    )
-
-
-def _monomial_matrix(rng, n, scaled):
-    perm = list(range(n))
-    rng.shuffle(perm)
-    eye = identity_matrix(n)
-    if not scaled:
-        return tuple(eye[p] for p in perm)
-    return tuple(
-        tuple(Fraction(rng.choice([-2, -1, 1, 3])) if j == p else Fraction(0) for j in range(n))
-        for p in perm
-    )
-
-
-def test_mat_mul_matches_dense_on_fractions():
-    rng = random.Random(3)
-    for _ in range(40):
-        n, r, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
-        density = rng.choice([0.2, 0.5, 1.0])
-        assert_same_product(_sparse_matrix(rng, n, r, density), _sparse_matrix(rng, r, m, density))
-    for n, r, m in ((1, 1, 1), (2, 3, 4), (4, 1, 2)):
-        zeros = _sparse_matrix(rng, n, r, 0.0), _sparse_matrix(rng, r, m, 0.0)
-        assert_same_product(*zeros)
-        assert_same_product(zeros[0], _sparse_matrix(rng, r, m, 1.0))
-    for n in range(1, 7):
-        for scaled_a, scaled_b in itertools.product((False, True), repeat=2):
-            a, b = _monomial_matrix(rng, n, scaled_a), _monomial_matrix(rng, n, scaled_b)
-            assert_same_product(a, b)
-            # a monomial factor on either side of a full one, and the identity
-            full = _sparse_matrix(rng, n, n, 1.0)
-            assert_same_product(a, full)
-            assert_same_product(full, b)
-            assert_same_product(identity_matrix(n), full)
-    # entries that cancel to zero, and a row that cancels down to a unit row
-    half = Fraction(1, 2)
-    assert_same_product(((Fraction(1), Fraction(1)),), ((Fraction(1),), (Fraction(-1),)))
-    assert_same_product(
-        ((half, half),), ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1)))
-    )
-    assert mat_mul((), ((Fraction(1),),)) == dense_mat_mul((), ((Fraction(1),),))
-    assert mat_mul(((Fraction(1),),), ()) == dense_mat_mul(((Fraction(1),),), ())
-
-
-def test_mat_mul_shares_the_zero_and_the_unit_rows():
-    eye = identity_matrix(3)
-    zero = eye[0][1]
-    swap = (eye[1], eye[0], eye[2])
-    two = Fraction(2)
-    a = ((Fraction(0), two, Fraction(0)), (Fraction(1), Fraction(0), Fraction(0)), (two, two, two))
-    prod = mat_mul(swap, a)
-    assert prod[0] is eye[0]
-    assert prod[1][1] == two and prod[1][0] is zero and prod[1][2] is zero
-    assert prod[2] == (two, two, two)
-    assert all(row is unit for row, unit in zip(mat_mul(swap, swap), eye))
-    assert identity_matrix(3) is eye
-    # entries that cancel are the shared zero too, so the row below is a unit row
-    half, one = Fraction(1, 2), Fraction(1)
-    cancelled = mat_mul(((half, half),), ((one, one), (one, -one)))
-    assert cancelled[0] is identity_matrix(2)[0]
-    assert mat_mul(((one, one),), ((one,), (-one,)))[0][0] is zero
-
-
-@pytest.mark.parametrize("name", ["H3", "B3", "I2(5)", "F4"])
-def test_mat_mul_matches_dense_on_reflection_matrices(system, name):
-    sys_ = system(name)
-    refl = [sys_.reflection_matrix(s) for s in range(sys_.rank)]
-    assert any(isinstance(x, CycloReal) for m in refl for row in m for x in row)
-    for r, s in itertools.product(refl, repeat=2):
-        assert_same_product(r, s)
-    # a product that fills up, one letter at a time
-    rng = random.Random(sys_.rank)
-    acc = refl[0]
-    for _ in range(8):
-        nxt = rng.choice(refl)
-        assert_same_product(acc, nxt)
-        acc = mat_mul(acc, nxt)
+# -- Pi images against the dense reflections ---------------------------------------
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "H3", "D4", "B4", "F4"])
@@ -296,24 +191,14 @@ def test_pi_images_match_dense(context, name):
     ctx = context(name)
     for t in (Fraction(2), Fraction(5, 2)):
         images = Pi_rep(ctx, t)
-        gram = dense_form_on_S(ctx, t)
-        assert_identical(form_on_S(ctx, t), gram)
-        keys = list(images)
-        for i, (I, letter) in enumerate(ctx.letters.items()):
+        gram = form_on_S(ctx, t)
+        for I, letter in ctx.letters.items():
             refl = reflection_in_form(gram, letter.racg_part[0])
-            perm = pi_prime(letter.aut_part)
-            if len(refl) < 60:
-                # n^3 multiply-adds per letter: F4's 99 x 99 takes the
-                # column reading below alone
-                assert_same_product(refl, perm)
-            assert images[I] == mat_mul(refl, perm)
+            assert images[I] == mat_mul(refl, pi_prime(letter.aut_part))
             # column j of sigma_k P_g is column g(j) of sigma_k
             g = letter.aut_part.perm
             assert_identical(images[I], tuple(tuple(row[p] for p in g) for row in refl))
             assert_shared(images[I])
-            if len(refl) < 20:
-                # products of images, as the relation checks form them
-                assert_same_product(images[I], images[keys[(i + 1) % len(keys)]])
 
 
 # -- reduced bases -----------------------------------------------------------------
@@ -471,15 +356,7 @@ def test_cyclotomic_solve_in_span(m):
                     solve_in_span(cols + cols[:1], targets)
 
 
-@pytest.mark.parametrize("m", [5, 8])
-def test_mat_mul_matches_dense_on_cyclotomic_matrices(m):
-    rng = random.Random(30 + m)
-    c = cos_pi_over(m)
-    for n, r, k in ((1, 1, 1), (2, 3, 2), (4, 4, 4), (3, 2, 4)):
-        assert_same_product(_cyclo_matrix(rng, c, n, r), _cyclo_matrix(rng, c, r, k, rank=1))
-
-
-# -- the unit-row product and the elimination against the oracle -----------------
+# -- the elimination against the oracle -------------------------------------------
 
 
 def _oracle_entries(rng, kind):
@@ -520,15 +397,6 @@ def assert_same_reduction(a, ncols):
     assert_identical(got, want)
 
 
-def assert_same_oracle_product(a, b):
-    got, want = mat_mul(a, b), oracle_linalg.mat_mul(a, b)
-    assert type(got) is tuple and len(got) == len(want)
-    for grow, wrow in zip(got, want):
-        if grow is not wrow:  # a shared row is identical by definition
-            assert_identical(grow, wrow)
-    assert_shared(got)
-
-
 @pytest.mark.parametrize("kind", ["int", "fraction", "cyclo", "mixed"])
 def test_row_reduce_matches_oracle(kind):
     # pivots, determinant and every entry, in value and type; square, wide
@@ -542,19 +410,6 @@ def test_row_reduce_matches_oracle(kind):
         assert_same_reduction(a, m)
         assert_same_reduction(a, rng.randint(0, m))
     assert_same_reduction([], 0)
-
-
-@pytest.mark.parametrize("kind", ["int", "fraction", "cyclo", "mixed"])
-def test_mat_mul_matches_oracle(kind):
-    rng = random.Random(f"product-{kind}")
-    for _ in range(150 if kind in ("int", "fraction") else 40):
-        n, r, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
-        density = rng.choice([0.2, 0.5, 1.0])
-        a = _oracle_matrix(rng, kind, n, r, density, rng.choice([None, rng.randint(0, n)]))
-        b = _oracle_matrix(rng, kind, r, m, density)
-        assert_same_oracle_product(a, b)
-        assert_same_oracle_product(a, identity_matrix(r))
-        assert_same_oracle_product(identity_matrix(n), a)
 
 
 def _python_numbers(rng, kind, a):
@@ -606,12 +461,18 @@ PRODUCT_SYSTEMS = ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "F4", "I2(5)", "I2(
 
 @pytest.mark.parametrize("name", PRODUCT_SYSTEMS)
 def test_products_of_images_match_oracle(system, context, name):
+    # the products the relation checks compare, d^2 M_a M_b on the integer
+    # rows of the images (on their entries, d = 1, for cyclotomic ones)
     sys_, ctx = system(name), context(name)
     for t in (Fraction(2), Fraction(5, 2), FRESH_T):
         pi = {s: sys_.reflection_matrix(s, t) for s in range(sys_.rank)}
         for rep in (rho_rep(sys_, t), Pi_rep(ctx, t), pi):
-            for a, b in itertools.product(rep.values(), repeat=2):
-                assert_same_oracle_product(a, b)
+            d, images = rep_module._images(rep)
+            d = d or 1
+            for a, b in itertools.product(rep, repeat=2):
+                want = [{c: d * d * x for c, x in enumerate(row) if x != 0}
+                        for row in mat_mul(rep[a], rep[b])]
+                assert rep_module._product(d, images[a], images[b]) == want
 
 
 def _count_fraction_ops(monkeypatch):
@@ -630,27 +491,6 @@ def _count_fraction_ops(monkeypatch):
     monkeypatch.setattr(Fraction, "__mul__", counted_mul)
     monkeypatch.setattr(Fraction, "__eq__", counted_eq)
     return counts
-
-
-def test_a_product_of_pi_images_multiplies_no_unit_row(context, monkeypatch):
-    images = list(Pi_rep(context("F4"), Fraction(2)).values())
-    a, b = images[0], images[-1]
-    units = identity_matrix(len(a))
-    (row_a,), (row_b,) = ([row for row in m if not any(row is u for u in units)] for m in (a, b))
-    nonzeros = sum(x != 0 for x in row_a) + sum(x != 0 for x in row_b)
-    want = oracle_linalg.mat_mul(a, b)
-    counts = _count_fraction_ops(monkeypatch)
-    got = mat_mul(a, b)
-    done = dict(counts)
-    monkeypatch.undo()
-    assert_identical(got, want)
-    # two for the zero of the product, and none for the 98 unit rows of
-    # either factor: the one general row of a has a zero where it meets the
-    # general row of b.  The zero tests read each nonzero of the general
-    # rows once, as the shared zero needs none; the oracle makes 165
-    # multiplications and 19,863 zero tests
-    assert done["mul"] == 2
-    assert done["eq"] <= nonzeros + 1
 
 
 def test_relation_checks_of_pi_count_their_operations(context, monkeypatch):

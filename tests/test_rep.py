@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import oracle_rep
-from oracle_rep import pi_prime, reflection_in_form
+from oracle_linalg import mat_mul
+from oracle_rep import form_on_S, pi_prime, reflection_in_form
 from gencactus import linalg, rep as rep_module
 from gencactus.cactus import (
     CactusWord,
@@ -25,7 +26,6 @@ from gencactus.linalg import (
     determinant,
     identity_matrix,
     kernel_basis,
-    mat_mul,
     transpose,
 )
 from gencactus.racg import SemidirectElement
@@ -35,11 +35,9 @@ from gencactus.rep import (
     RelationReport,
     Pi_rep,
     check_relations,
-    form_on_S,
     form_on_fset,
     quotient_rep,
     restrict_rep,
-    rho_generator,
     rho_rep,
     signed_permutation_check,
     stable_lines,
@@ -116,12 +114,6 @@ def test_rho_degenerate_at_unit_parameter(system):
         rho_rep(system("A2"), -1)
 
 
-def test_rho_generator_rejects_non_family_subset(system):
-    a3 = system("A3")
-    with pytest.raises(InputError):
-        rho_generator(a3, frozenset({0, 2}), F(2))
-
-
 def test_rho_checks_the_full_form_once(system, monkeypatch):
     sys_ = system("A4")
     gram = form_on_fset(sys_, F(2))
@@ -134,11 +126,8 @@ def test_rho_checks_the_full_form_once(system, monkeypatch):
     monkeypatch.setattr(rep_module, "determinant", counting)
     rho = rho_rep(sys_, F(2))
     assert full.count(True) == 1 and len(full) == 1
-    full.clear()
-    rho_generator(sys_, frozenset({0, 1}), F(2))
-    assert full == [True]
     with pytest.raises(DegenerateFormError, match="^degenerate form at t = 1: full space$"):
-        rho_generator(sys_, frozenset({0}), F(1))
+        rho_rep(sys_, F(1))
 
 
 def test_rho_preserves_its_form(system):
@@ -406,9 +395,8 @@ def test_rho_matches_oracle(system, name):
     for t in ORACLE_TS:
         rho = rho_rep(sys_, t)
         assert_identical(rho, oracle_rep.rho_rep(sys_, t))
-        for I, m in rho.items():
+        for m in rho.values():
             assert_shared(m)
-            assert_identical(rho_generator(sys_, I, t), oracle_rep.rho_generator(sys_, I, t))
 
 
 @pytest.mark.parametrize(
@@ -525,27 +513,29 @@ def test_stable_lines_match_the_piece_oracle_on_h4(context):
 
 def test_stable_lines_take_no_n_by_n_step(context, monkeypatch):
     # F4 Pi: the first generator's eigenspaces come from its cycles and one
-    # general row, so no kernel sees all n columns and no product has n rows
+    # general row, so no kernel sees all n columns; the pieces stay sparse,
+    # so no row is scanned for its nonzeros but the images' general rows
     Pi = Pi_rep(context("F4"), F(2))
     n = len(Pi[next(iter(Pi))])
-    kernels, products = [], []
+    general = sum(linalg._UNIT_COLUMN.get(id(row)) is None for m in Pi.values() for row in m)
+    kernels, scans = [], []
 
     def integer_kernel(rows, ncols):
         kernels.append((len(rows), ncols))
         return linalg.integer_kernel(rows, ncols)
 
-    def mat_mul(a, b, product=linalg.mat_mul):
-        products.append(len(a))
-        return product(a, b)
+    def nonzeros(row, scan=rep_module._nonzeros):
+        scans.append(len(row))
+        return scan(row)
 
     monkeypatch.setattr(rep_module, "integer_kernel", integer_kernel)
-    monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+    monkeypatch.setattr(rep_module, "_nonzeros", nonzeros)
     lines = stable_lines(Pi)
     monkeypatch.undo()
     assert_identical(lines, oracle_rep.piece_stable_lines(Pi))
     assert kernels[0][0] == 1
     assert all(cols < n for _, cols in kernels), kernels
-    assert all(rows < n for rows in products), products
+    assert len(scans) <= general, (len(scans), general)
 
 
 @pytest.mark.parametrize("name", ["I2(5)*A1", "H3*A1"])
@@ -668,11 +658,37 @@ def test_restrict_and_quotient_errors_match_oracle(context):
         ([(1, -1, 1)], [1, 2]),
         ([], [2, 0, 1]),
         ([(1, -1, 1), (1, 0, 0), (0, 1, 0)], []),
+        # dependence comes first, before the dimension and the axes
+        ([(0, 0, 0)], [0]),
+        ([(1, -1, 1), (2, -2, 2)], [0, 1]),
+        ([(0, 0, 0)], [0, 0]),
+        ([(1, -1, 1), (2, -2, 2)], [0, 0]),
     ]
     for subspace, keep in cases:
         assert_same_change(quotient_rep, oracle_rep.quotient_rep, r3, subspace, keep)
     assert restrict_rep({}, u3) == oracle_rep.restrict_rep({}, u3) == {}
     assert quotient_rep({}, [(1, -1, 1)], [0]) == {}
+
+
+def test_a_quotient_eliminates_its_subspace_once(context, monkeypatch):
+    # dependence, dimension and transversality are read off the one
+    # elimination that gives the pivot coordinates
+    Pi = Pi_rep(context("B3"), F(2))
+    vec = stable_lines(Pi)[0][0]
+    p = next(i for i, x in enumerate(vec) if x != 0)
+    keep = [i for i in range(len(vec)) if i != p]
+    calls = []
+
+    def integer_reduce(*args, reduce=linalg._integer_reduce, **kwargs):
+        calls.append(len(args[0]))
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_integer_reduce", integer_reduce)
+    monkeypatch.setattr(rep_module, "_integer_reduce", integer_reduce)
+    got = quotient_rep(Pi, [vec], keep)
+    monkeypatch.undo()
+    assert calls == [1]
+    assert_identical(got, oracle_rep.quotient_rep(Pi, [vec], keep))
 
 
 def test_restriction_of_d4_to_a_40_dimensional_complement(context):
