@@ -375,8 +375,16 @@ _DISPATCH = {
 
 def run(argv=None) -> int:
     parser = _build_parser()
+    # argparse reads a value such as -1/2 or -2/3,1 as an option: join it to its flag
+    words = []
+    for word in sys.argv[1:] if argv is None else argv:
+        flag = words[-1] if words else None
+        if flag in ("--t", "--subspace", "--restrict", "--keep") and word[:1] == "-":
+            words[-1] = f"{flag}={word}"
+        else:
+            words.append(word)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(words)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

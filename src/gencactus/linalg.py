@@ -70,10 +70,6 @@ def _sparse_row(hits, m: int, zero) -> Vector:
     return tuple(row)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def _row_reduce(rows: list[list], ncols: int):
     """Gauss-Jordan elimination in place on the first ncols columns of rows.
 

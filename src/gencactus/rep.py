@@ -6,15 +6,16 @@ one row of a reflection of the big right-angled form, after a permutation.
 Queries read an image as its unit rows, a lookup each, and the nonzeros of
 its general rows, over ints for rational images (times one common
 denominator), so a Fraction is built only for an entry returned: relation
-checks and `Pi_of` multiply those rows.  Stable lines split the space
-generator by generator; a unit row is an equation v_j = s v_i, which gives
-the first generator's eigenspaces, and a later one splits each piece U by
-the integer kernel of (M - sI)U.  Restriction and quotient read k pivot
-coordinates P of the subspace U: O(nnz(M) k) per image tests M U in U and
-gives its coordinates, and the quotient is M_KK - U_K U_P^-1 M_PK; that one
-elimination of U also says whether U is independent and transverse to the
-kept axes.  Results share the zero and the unit rows of `identity_matrix`;
-images with other entries (cyclotomic ones) take the same steps on them.
+checks and `Pi_of` multiply two readings in one `_compose`.  Stable lines
+split the space generator by generator; a unit row is an equation
+v_j = s v_i, which gives the first generator's eigenspaces, and a later one
+splits each piece U by the integer kernel of (M - sI)U.  Restriction and
+quotient read k pivot coordinates P of the subspace U: O(nnz(M) k) per
+image tests M U in U and gives its coordinates, and the quotient is
+M_KK - U_K U_P^-1 M_PK; that one elimination of U also says whether U is
+independent and transverse to the kept axes.  Results share the zero and
+the unit rows of `identity_matrix`; images with other entries (cyclotomic
+ones) take the same steps on them.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def Pi_rep(ctx: RacgContext, t) -> dict:
 
 def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
     """Matrix of a cactus word (letterwise product) or of a semidirect
-    element (reflection product times permutation), multiplied on int rows
-    over one denominator; a unit row costs a lookup per factor."""
+    element (reflection product times permutation): `_compose` folds the
+    readings of its factors into the identity's, letter by letter."""
     t = Fraction(t)
     n = len(ctx.conjugates)
     if isinstance(x, CactusWord):
@@ -112,26 +113,13 @@ def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
         keys = [*x.racg_part, None]
     else:
         raise InputError(f"cannot represent object of type {type(x).__name__}")
-    rows, scale = list(range(n)), 1
-    for units, general in map(images.__getitem__, keys):
-        rows = [_row_times(row, scale, units, general, d) for row in rows]
-        scale *= d
-    return tuple(_sparse_row([(row, _ONE)] if type(row) is int else
-                             [(c, Fraction(v, scale)) for c, v in row.items()], n, _ZERO)
-                 for row in rows)
-
-
-def _row_times(row, scale: int, units: list, general: dict, d: int):
-    """A row over scale (its unit column, or {column: nonzero}) times an image over d."""
-    if type(row) is int:
-        u = units[row]
-        return u if u is not None else {c: scale * y for c, y in general[row]}
-    acc = {}
-    for x, v in row.items():
-        u = units[x]
-        for c, y in ((u, d),) if u is not None else general[x]:
-            acc[c] = acc.get(c, 0) + v * y
-    return {c: v for c, v in acc.items() if v}
+    reading, scale = (list(range(n)), {}), 1
+    for key in keys:
+        reading, scale = _compose(reading, scale, images[key], d), scale * d
+    units, general = reading
+    return tuple(_sparse_row([(u, _ONE)] if u is not None else
+                             [(c, Fraction(v, scale)) for c, v in general[i].items()], n, _ZERO)
+                 for i, u in enumerate(units))
 
 
 def _subset_key(I):
@@ -237,14 +225,14 @@ def check_relations(system: CoxeterSystem, rep: dict) -> RelationReport:
     d = d or 1
     for I in keys:
         report.checked += 1
-        if _product(d, im[I], im[I]) != [{i: d * d} for i in range(len(im[I][0]))]:
+        if _compose(im[I], d, im[I], d) != (list(range(len(im[I][0]))), {}):
             report.violations.append(("involution", fmt(I)))
     for a in range(len(keys)):
         for b in range(len(keys)):
             I, J = keys[a], keys[b]
             if a < b and commuting_subsets(system, I, J):
                 report.checked += 1
-                if _product(d, im[I], im[J]) != _product(d, im[J], im[I]):
+                if _compose(im[I], d, im[J], d) != _compose(im[J], d, im[I], d):
                     report.violations.append(("commute", f"{fmt(I)}, {fmt(J)}"))
             if I < J:
                 report.checked += 1
@@ -253,48 +241,57 @@ def check_relations(system: CoxeterSystem, rep: dict) -> RelationReport:
                     report.violations.append(
                         ("missing-conjugate", f"w_{fmt(J)}({fmt(I)}) = {fmt(J2)}")
                     )
-                elif _product(d, im[I], im[J]) != _product(d, im[J], im[J2]):
+                elif _compose(im[I], d, im[J], d) != _compose(im[J], d, im[J2], d):
                     report.violations.append(("nested", f"{fmt(I)} inside {fmt(J)}"))
     return report
 
 
 def _images(rep: dict):
     """(d, {key: (units, general)}): units[i] is the column of the 1 in a
-    shared unit row i, else None, and general[i] the nonzeros of d times
-    row i.  Over Fractions d is the lcm of their denominators, which makes
-    them ints; otherwise d is None and they are the entries."""
+    shared unit row i, else None, and general[i] the {column: nonzero} of
+    d times row i.  Over Fractions d is the lcm of their denominators, which
+    makes them ints; otherwise d is None and they are the entries."""
     images = {}
     for key, mat in rep.items():
         units = [_UNIT_COLUMN.get(id(row)) for row in mat]
-        images[key] = (units, {i: _nonzeros(mat[i]) for i, u in enumerate(units) if u is None})
-    xs = [x for _, general in images.values() for hits in general.values() for _, x in hits]
+        images[key] = units, {i: dict(_nonzeros(mat[i])) for i, u in enumerate(units) if u is None}
+    xs = [x for _, general in images.values() for hits in general.values() for x in hits.values()]
     if not all(type(x) is Fraction for x in xs):
         return None, images
     d = lcm(*{x.denominator for x in xs})
     for _, general in images.values():
         for i, hits in general.items():
-            general[i] = [(c, x.numerator * (d // x.denominator)) for c, x in hits]
+            general[i] = {c: x.numerator * (d // x.denominator) for c, x in hits.items()}
     return d, images
 
 
-def _product(d, a: tuple, b: tuple) -> list:
-    """d^2 M_a M_b, one {column: nonzero} dict per row, for images of
-    `_images` with that d (1 for None): a unit row of M_a reads a row of
-    M_b, and a unit row of M_b adds d*x where a general row adds x*y."""
+def _compose(a, sa, b, sb) -> tuple:
+    """The reading of M_a M_b over sa sb from readings a over sa and b over
+    sb: a unit row i -> j of a reads row j of b, and a general row adds v
+    times row x of b, or sb v at k for a unit row x -> k of b.  A row whose
+    one nonzero is sa sb is a unit row, so equal products read equal."""
     (units, general), (bunits, bgeneral) = a, b
-    out = []
+    out_units, out_general = [], {}
     for i, j in enumerate(units):
         if j is not None:
             k = bunits[j]
-            out.append({k: d * d} if k is not None else {c: d * y for c, y in bgeneral[j]})
-            continue
-        acc = {}
-        for k, x in general[i]:
-            u = bunits[k]
-            for c, y in ((u, d),) if u is not None else bgeneral[k]:
-                acc[c] = acc.get(c, 0) + x * y
-        out.append({c: v for c, v in acc.items() if v != 0})
-    return out
+            if k is not None:
+                out_units.append(k)
+                continue
+            row = {c: sa * y for c, y in bgeneral[j].items()}
+        else:
+            acc = {}
+            for x, v in general[i].items():
+                u = bunits[x]
+                for c, y in ((u, sb),) if u is not None else bgeneral[x].items():
+                    acc[c] = acc.get(c, 0) + v * y
+            row = {c: v for c, v in acc.items() if v != 0}
+        if len(row) == 1 and next(iter(row.values())) == sa * sb:
+            out_units.append(next(iter(row)))
+        else:
+            out_units.append(None)
+            out_general[i] = row
+    return out_units, out_general
 
 
 def stable_lines(rep: dict) -> list:
@@ -395,7 +392,7 @@ def _split_piece(basis: list, units: list, general: dict, d, signs, zero) -> lis
     products = {}
     for i, hits in general.items():
         acc = products[i] = {}
-        for x, m in hits:
+        for x, m in hits.items():
             _add(acc, coords[x], m)
     out = []
     for sign in signs:
@@ -509,7 +506,7 @@ def _pivot_blocks(rep: dict, basis: Sequence, keep, dependent: str) -> dict:
         units, general = images[key]
         column = {}  # column c of d M as (row, nonzero) pairs
         for i, x in enumerate(units):
-            for c, y in [(x, d)] if x is not None else general[i]:
+            for c, y in [(x, d)] if x is not None else general[i].items():
                 column.setdefault(c, []).append((i, y))
         block = [[] for _ in range(k if keep is None else n - k)]
         for q, support in enumerate(supports):
@@ -568,6 +565,8 @@ def quotient_rep(rep: dict, subspace: Sequence, keep: Sequence[int]) -> dict:
 def signed_permutation_check(rep: dict) -> bool:
     """Whether every generator image is a signed permutation matrix."""
     for mat in rep.values():
+        if any(len(row) != len(mat) for row in mat):
+            return False
         hits = [[(i, x) for i, x in enumerate(col) if x != 0] for col in zip(*mat)]
         if any(len(h) != 1 or h[0][1] not in (1, -1) for h in hits):
             return False

@@ -1,6 +1,6 @@
-"""The exact matrix product the tests use, and the elimination and the kernel
-the linalg module used before they passed over the shared zero, kept as an
-oracle.
+"""The exact matrix product and transpose the tests use, and the elimination
+and the kernel the linalg module used before they passed over the shared
+zero, kept as an oracle.
 
 The library has no product: its queries multiply integer rows of their
 own.  `mat_mul` multiplies every nonzero of a by the nonzeros of the
@@ -22,6 +22,10 @@ from gencactus.linalg import _ONE, _ZERO, Matrix, _sparse_row
 
 def _exact_rows(a) -> list[list]:
     return [[Fraction(x) if isinstance(x, int) else x for x in row] for row in a]
+
+
+def transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

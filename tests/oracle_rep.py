@@ -40,10 +40,9 @@ from gencactus.linalg import (
     kernel_basis,
     reduced_basis,
     solve_in_span,
-    transpose,
 )
 from gencactus.racg import InducedAutomorphism, SemidirectElement
-from oracle_linalg import mat_mul
+from oracle_linalg import mat_mul, transpose
 from gencactus.rep import (
     Pi_rep,
     RelationReport,

@@ -22,7 +22,7 @@ from gencactus.coxeter import (
     conjugate_subset,
     longest_element,
 )
-from gencactus.linalg import identity_matrix, transpose
+from gencactus.linalg import identity_matrix
 from gencactus.racg import RacgContext, normal_form, semidirect_mul
 from gencactus.rep import (
     Pi_rep,
@@ -36,7 +36,7 @@ from gencactus.rep import (
 )
 
 from conftest import get_context, get_system
-from oracle_linalg import mat_mul
+from oracle_linalg import mat_mul, transpose
 from oracle_rep import form_on_S
 
 SYSTEMS = [

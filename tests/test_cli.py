@@ -293,6 +293,29 @@ def test_quotient_bad_input_is_a_clean_error(capsys, argv, want, says):
     assert says in err
 
 
+_A3_LINE = "-2/3,-2/3,-2/3,-2/3,-2/3,-2/3,1,1,1,1,0"  # the first A3 stable line of Pi at t = 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-relations", "--system", "A2", "--t=-1/2", "Pi"),
+        ("quotient", "--system", "A3", "--t", "1", "Pi", f"--subspace={_A3_LINE}"),
+        ("quotient", "--system", "A3", "--t", "1", "Pi", f"--restrict={_A3_LINE}",
+         "--restrict", "0,0,0,0,0,0,0,0,0,0,1", "--subspace=-1,0", "--format", "json"),
+        ("rep", "rho", "--system", "A2", "--t=-5/2"),
+    ],
+    ids=["check-relations-t", "quotient-subspace", "restrict", "rep-t"],
+)
+def test_negative_values_read_as_their_equals_form(capsys, argv):
+    # argparse alone would take -1/2 or -2/3,... after --t, --subspace or
+    # --restrict for an option; the two words print what --opt=value prints
+    spaced = [w for word in argv for w in (word.split("=") if word[:2] == "--" else [word])]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and out and not err
+    assert invoke(capsys, *spaced) == (code, out, err)
+
+
 def test_diagram(capsys):
     code, out, _ = invoke(capsys, "diagram", "--system", "A2")
     assert code == 0

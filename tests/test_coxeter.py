@@ -20,8 +20,7 @@ from gencactus.coxeter import (
 )
 from gencactus.errors import CactusError, InfiniteGroupError, InputError
 from gencactus.racg import RacgContext
-from gencactus.linalg import transpose
-from oracle_linalg import mat_mul
+from oracle_linalg import mat_mul, transpose
 from gencactus.scalar import CycloReal, cos_pi_over, scalar_sign
 
 import oracle_groups as og

@@ -15,12 +15,11 @@ from gencactus.linalg import (
     kernel_basis,
     reduced_basis,
     solve_in_span,
-    transpose,
 )
 from gencactus import rep as rep_module
 from gencactus.rep import Pi_rep, check_relations, form_on_fset, rho_rep
 import oracle_linalg
-from oracle_linalg import mat_mul
+from oracle_linalg import mat_mul, transpose
 from oracle_rep import form_on_S, pi_prime, reflection_in_form
 from test_rep import FRESH_T, assert_identical, assert_shared
 from gencactus.scalar import CycloReal, cos_pi_over
@@ -461,18 +460,25 @@ PRODUCT_SYSTEMS = ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "F4", "I2(5)", "I2(
 
 @pytest.mark.parametrize("name", PRODUCT_SYSTEMS)
 def test_products_of_images_match_oracle(system, context, name):
-    # the products the relation checks compare, d^2 M_a M_b on the integer
-    # rows of the images (on their entries, d = 1, for cyclotomic ones)
+    # the readings the relation checks compare, d^2 M_a M_b on the integer
+    # rows of the images (on their entries, d = 1, for cyclotomic ones): a
+    # row is a unit row exactly when its one nonzero is d^2, and a product of
+    # two Pi images has at most 2 general rows
     sys_, ctx = system(name), context(name)
     for t in (Fraction(2), Fraction(5, 2), FRESH_T):
         pi = {s: sys_.reflection_matrix(s, t) for s in range(sys_.rank)}
-        for rep in (rho_rep(sys_, t), Pi_rep(ctx, t), pi):
+        for rep, most in ((rho_rep(sys_, t), None), (Pi_rep(ctx, t), 2), (pi, None)):
             d, images = rep_module._images(rep)
             d = d or 1
             for a, b in itertools.product(rep, repeat=2):
                 want = [{c: d * d * x for c, x in enumerate(row) if x != 0}
                         for row in mat_mul(rep[a], rep[b])]
-                assert rep_module._product(d, images[a], images[b]) == want
+                units, general = rep_module._compose(images[a], d, images[b], d)
+                assert set(general) == {i for i, u in enumerate(units) if u is None}
+                assert [{u: d * d} if u is not None else general[i]
+                        for i, u in enumerate(units)] == want
+                assert all(list(general[i].values()) != [d * d] for i in general)
+                assert most is None or len(general) <= most
 
 
 def _count_fraction_ops(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracle_rep
-from oracle_linalg import mat_mul
+from oracle_linalg import mat_mul, transpose
 from oracle_rep import form_on_S, pi_prime, reflection_in_form
 from gencactus import linalg, rep as rep_module
 from gencactus.cactus import (
@@ -26,7 +26,6 @@ from gencactus.linalg import (
     determinant,
     identity_matrix,
     kernel_basis,
-    transpose,
 )
 from gencactus.racg import SemidirectElement
 from gencactus.scalar import CycloReal
@@ -341,6 +340,10 @@ def test_signed_permutation_degeneration(system, context):
     assert signed_permutation_check(rho_rep(system("A2"), F(0)))
     assert signed_permutation_check(Pi_rep(context("B2"), F(0)))
     assert not signed_permutation_check(rho_rep(system("A2"), F(2)))
+    # a row longer or shorter than the number of rows is not square
+    assert not signed_permutation_check({"x": ((1, 1),)})
+    assert not signed_permutation_check({"x": ((1, 0),)})
+    assert not signed_permutation_check({"x": ((0, 1), (1,))})
 
 
 def test_rho_i25_equals_rho_a2(system):
@@ -727,13 +730,23 @@ def _moved(rep, key, i, j):
     return {k: tuple(map(tuple, mat)) if k == key else m for k, m in rep.items()}
 
 
+def _unshared(rep):
+    # every row a fresh tuple of fresh Fractions: no row is a shared unit row
+    return {key: tuple(tuple(F(x.numerator, x.denominator) for x in row) for row in mat)
+            for key, mat in rep.items()}
+
+
 @pytest.mark.parametrize("name", LADDER)
 def test_check_relations_matches_oracle_at_fresh_t(system, context, name):
     sys_, ctx = system(name), context(name)
     for t in FRESH_TS:
-        for rep in (rho_rep(sys_, t), Pi_rep(ctx, t)):
-            assert rep_module._images(rep)[0] is not None
-            assert assert_report_as_oracle(sys_, rep).ok
+        for shared in (rho_rep(sys_, t), Pi_rep(ctx, t)):
+            for rep in (shared, _unshared(shared)):
+                d, images = rep_module._images(rep)
+                assert d is not None
+                assert (rep is shared) or all(u is None for units, _ in images.values()
+                                              for u in units)
+                assert assert_report_as_oracle(sys_, rep).ok
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "A4"])
