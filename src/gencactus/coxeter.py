@@ -660,10 +660,11 @@ class GroupTable:
         return self.gen_left[s][self.gen_right[s][x]]
 
     def element_index(self, element: GroupElement) -> int:
-        try:
-            return self.index[element.key]
-        except KeyError:
-            raise InputError("element does not belong to this group") from None
+        # a key of another system can name an element here: check the system
+        i = self.index.get(element.key) if element.system == self.system else None
+        if i is None:
+            raise InputError("element does not belong to this group")
+        return i
 
     def subgroup(self, gens: Iterable[int]) -> frozenset[int]:
         """Closure of simple generators (generator indices) inside the group."""

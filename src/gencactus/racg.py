@@ -1,15 +1,17 @@
 """The right-angled system on parabolic conjugates and the cactus embedding.
 
 Everything here needs W finite.  A context enumerates the set S of parabolic
-conjugates w W_I w^-1 once, computes the big right-angled Coxeter matrix M on
-it, and exposes the embedding gamma_I -> (tau_{W_I}, g_I) into the semidirect
-product.  Words in the big group are canonicalized in one pass: letters are
-pushed one at a time onto a word kept reduced and lexicographically least
-among its commutation shuffles, each cancelling or taking its place after a
-back-scan over commuting letters (O(L) per letter).  That solves the word
-problem there and, through the embedding, equality in C_W; `embed` carries
-its running aut part as an element x of W and memoizes each (x, letter) move,
-so a letter costs one lookup and one push.
+conjugates w W_I w^-1 once, each known by its roots +-w(Phi_I), computes the
+big right-angled Coxeter matrix M on it from containment and fixing of those
+root sets, and exposes the embedding gamma_I -> (tau_{W_I}, g_I) into the
+semidirect product.  Words in the big group are canonicalized in one pass:
+letters are pushed one at a time onto a word kept reduced and
+lexicographically least among its commutation shuffles, each cancelling or
+taking its place after a back-scan over commuting letters (O(L) per
+letter).  That solves the word problem there and, through the embedding,
+equality in C_W; `embed` carries its running aut part as an element x of W
+and memoizes each (x, letter) move, so a letter costs one lookup and one
+push.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .cactus import CactusWord
 from .coxeter import (
     CoxeterSystem,
     GroupElement,
-    GroupTable,
     connected_subsets,
     conjugate_subset,
     is_finite_parabolic,
@@ -32,12 +33,15 @@ from .errors import InfiniteGroupError, InputError
 class ParabolicConjugate:
     """A subgroup w W_I w^-1 of the ambient finite group.
 
-    Identity is the element set.
+    Identity is the root set: the ids of the roots +-w(Phi_I), which
+    determine the subgroup.  The element set (table indices), the
+    conjugated simple reflections and the sorted element words are data.
     """
 
-    __slots__ = ("elements", "genset", "words", "table")
+    __slots__ = ("roots", "elements", "genset", "words", "table")
 
-    def __init__(self, elements, genset, words, table):
+    def __init__(self, roots, elements, genset, words, table):
+        self.roots = frozenset(roots)
         self.elements = frozenset(elements)
         self.genset = frozenset(genset)  # conjugated simple reflections
         self.words = words  # sorted tuple of reduced words (index form)
@@ -49,10 +53,10 @@ class ParabolicConjugate:
     def __eq__(self, other):
         if not isinstance(other, ParabolicConjugate):
             return NotImplemented
-        return self.elements == other.elements
+        return self.roots == other.roots
 
     def __hash__(self):
-        return hash(self.elements)
+        return hash(self.roots)
 
     def label(self) -> str:
         system = self.table.system
@@ -64,49 +68,50 @@ class ParabolicConjugate:
         return f"ParabolicConjugate({self.label()})"
 
 
-def _sorted_words(table: GroupTable, elements) -> tuple:
-    return tuple(sorted(table.elements[i].word for i in elements))
-
-
 def build_S(system: CoxeterSystem, family: Sequence[frozenset]):
     """All conjugates of the W_I, I in a family already checked by
     `_checked_family`, from one BFS under conjugation by the simple
     reflections.
 
-    Deduplicated by element set and ordered by (subgroup size, sorted tuple
-    of element reduced words); the ordering is deterministic because BFS
-    enumeration of the ambient group is.  Returns S, the index in S of each
-    element set, the index of each W_I, and for each simple reflection s the
-    permutation of S by conjugation with s, read off the BFS edges.  The
-    group table raises if W is infinite.
+    The BFS is keyed by root sets: W_I's is {x(alpha_i) : x in W_I, i in I},
+    read off the element keys, and s maps a root set id by id through the
+    reflection row of s.  A conjugate's elements and generators are
+    conjugated once, when it is first met.  S is ordered by (subgroup size,
+    sorted tuple of element reduced words); the ordering is deterministic
+    because BFS enumeration of the ambient group is.  Returns S, the index
+    in S of each W_I, and for each simple reflection s the permutation of S
+    by conjugation with s, read off the BFS edges.  The group table raises
+    if W is infinite.
     """
     table = system.group_table()
-    found = {}  # element set -> its position in the BFS queue
-    queue = []  # (element set, its conjugated simple reflections)
+    reflect, conj = system.root_table().reflect, table.conjugate_by_gen
+    found = {}  # root set -> its position in the BFS queue
+    queue = []  # (root set, element set, its conjugated simple reflections)
     for I in family:
         elems = table.subgroup(I)
-        found[elems] = len(queue)
-        queue.append((elems, frozenset(table.simple_index[s] for s in I)))
+        roots = frozenset(table.elements[x].key[i] for x in elems for i in I)
+        found[roots] = len(queue)
+        queue.append((roots, elems, frozenset(table.simple_index[s] for s in I)))
     edges = []  # per queue position: the position of its conjugate by each s
-    for elems, genset in queue:  # a BFS queue: grows while walked
+    for roots, elems, genset in queue:  # a BFS queue: grows while walked
         row = []
         for s in range(system.rank):
-            new_elems = frozenset(table.conjugate_by_gen(s, x) for x in elems)
-            if new_elems not in found:
-                found[new_elems] = len(queue)
-                queue.append((new_elems, frozenset(table.conjugate_by_gen(s, x) for x in genset)))
-            row.append(found[new_elems])
+            new_roots = frozenset([reflect(s, r) for r in roots])
+            if new_roots not in found:
+                found[new_roots] = len(queue)
+                queue.append((new_roots, frozenset([conj(s, x) for x in elems]),
+                              frozenset([conj(s, x) for x in genset])))
+            row.append(found[new_roots])
         edges.append(row)
-    words = [_sorted_words(table, elems) for elems, _ in queue]
-    order = sorted(range(len(queue)), key=lambda p: (len(queue[p][0]), words[p]))
+    words = [tuple(sorted(table.elements[x].word for x in elems)) for _, elems, _ in queue]
+    order = sorted(range(len(queue)), key=lambda p: (len(queue[p][1]), words[p]))
     index = [0] * len(queue)  # queue position -> index in S
     for i, p in enumerate(order):
         index[p] = i
     conjugates = [ParabolicConjugate(*queue[p], words[p], table) for p in order]
-    set_index = {pc.elements: i for i, pc in enumerate(conjugates)}
     base_index = {I: index[p] for p, I in enumerate(family)}
     perms = [tuple(index[edges[p][s]] for p in order) for s in range(system.rank)]
-    return conjugates, set_index, base_index, perms
+    return conjugates, base_index, perms
 
 
 def _checked_family(system, family) -> tuple[frozenset, ...]:
@@ -129,44 +134,38 @@ def _checked_family(system, family) -> tuple[frozenset, ...]:
     return tuple(fam)
 
 
-def big_matrix(conjugates: Sequence[ParabolicConjugate], base: Iterable[int], perms) -> tuple:
+def big_matrix(conjugates: Sequence[ParabolicConjugate], base_index: dict, perms) -> tuple:
     """The right-angled Coxeter matrix on S; entry 0 encodes infinity.
 
-    2 for containment either way, 2 for trivial intersection with elementwise
-    commutation (checked on generating sets), else 0.  The rule is applied
-    only on the rows of the W_I, at their indices base.  Conjugation by W
-    permutes S and keeps M, so every other row is read off a row already
-    built through perms, the simple reflections' permutations of S: row
-    s(P) at column c is row P at column s(c).
+    Read on root sets: 2 for containment either way, 2 when the simple
+    reflections of I fix every root of the other conjugate (those roots are
+    orthogonal to Phi_I, so it meets W_I trivially and commutes with it
+    elementwise), else 0.  The rule is applied only on the rows of the W_I,
+    at their indices base_index[I].  Conjugation by W permutes S and keeps
+    M, so every other row is read off a row already built through perms,
+    the simple reflections' permutations of S: row s(P) at column c is row
+    P at column s(c).
     """
     n = len(conjugates)
     if n == 0:
         return ()
-    table = conjugates[0].table
+    roots = conjugates[0].table.system.root_table()
+    ids = range(len(roots.vectors))
+    sets = [pc.roots for pc in conjugates]
     rows = [None] * n
-    queue = list(base)
-    for k in queue:
-        a = conjugates[k].elements
-        row = [
-            2 if a <= b.elements or b.elements <= a
-            or len(a & b.elements) == 1 and _commute(table, conjugates[k], b) else 0
-            for b in conjugates
-        ]
+    for I, k in base_index.items():
+        fixed = frozenset(r for r in ids if all(roots.reflect(s, r) == r for s in I))
+        a = sets[k]
+        row = [2 if a <= b or b <= a or b <= fixed else 0 for b in sets]
         row[k] = 1
         rows[k] = tuple(row)
+    queue = list(base_index.values())
     for k in queue:  # a BFS queue: grows while walked
         for perm in perms:
             if rows[perm[k]] is None:
                 rows[perm[k]] = tuple(map(rows[k].__getitem__, perm))
                 queue.append(perm[k])
     return tuple(rows)
-
-
-def _commute(table: GroupTable, a: ParabolicConjugate, b: ParabolicConjugate) -> bool:
-    # subgroups commute elementwise iff their generating sets do
-    return all(
-        table.product(x, y) == table.product(y, x) for x in a.genset for y in b.genset
-    )
 
 
 def _push(w: list, x: int, M) -> None:
@@ -306,10 +305,8 @@ class RacgContext:
         self.system = system
         self.table = system.group_table()  # raises if W is infinite
         self.family = _checked_family(system, family)
-        self.conjugates, self.set_index, self.base_index, self._gen_perms = build_S(
-            system, self.family
-        )
-        self.M = big_matrix(self.conjugates, self.base_index.values(), self._gen_perms)
+        self.conjugates, self.base_index, self._gen_perms = build_S(system, self.family)
+        self.M = big_matrix(self.conjugates, self.base_index, self._gen_perms)
         # per letter I: (the index of W_I in S, the table index of w_I)
         self._steps = {
             I: (self.base_index[I], self.table.element_index(longest_element(system, I)))

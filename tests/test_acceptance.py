@@ -262,13 +262,14 @@ def a_basis_permutation(ctx, n):
     """Positions of A_i = {e, (ab)^i a} and the full group in the canonical order."""
     sys_ = ctx.system
     table = ctx.table
+    set_index = {pc.elements: i for i, pc in enumerate(ctx.conjugates)}
     order = []
     for i in range(n):
         word = (0, 1) * i + (0,)
         el = GroupElement.from_word(sys_, word)
         pair = frozenset({0, table.element_index(el)})
-        order.append(ctx.set_index[pair])
-    order.append(ctx.set_index[frozenset(range(len(table.elements)))])
+        order.append(set_index[pair])
+    order.append(set_index[frozenset(range(len(table.elements)))])
     return order
 
 

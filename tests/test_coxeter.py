@@ -588,6 +588,23 @@ def test_group_table_consistency(system):
         assert table.product(i, inverse) == identity
 
 
+def test_element_index_refuses_elements_of_another_system(system):
+    # A3's s1 has the key (3, 4, 2), which is also B3's s1: the key alone
+    # would answer for an element of the wrong group
+    a3, b3 = system("A3"), system("B3")
+    table = b3.group_table()
+    for el in a3.group_table().elements:
+        with pytest.raises(InputError):
+            table.element_index(el)
+    with pytest.raises(InputError):
+        RacgContext(b3).induced_aut(GroupElement.simple(a3, 0))
+    # an equal system built apart is the same group
+    a2, other = CoxeterSystem.from_name("A2"), CoxeterSystem.from_name("A2")
+    assert a2 is not other
+    for i, el in enumerate(other.group_table().elements):
+        assert a2.group_table().element_index(el) == i
+
+
 def test_group_table_conjugation(system):
     sys_ = system("B2")
     table = sys_.group_table()

@@ -130,6 +130,34 @@ def test_m_matrix_off_custom_and_reducible_families_matches_the_full_intersectio
         assert ctx.M == _intersecting_big_matrix(ctx.conjugates, ctx.table)
 
 
+def _reflection_roots(table):
+    """{table index of w s_i w^-1: its roots +-w(alpha_i)}, over every w and i."""
+    out = {}
+    for w, el in enumerate(table.elements):
+        for i, s in enumerate(table.simple_index):
+            ws = table.product(w, s)
+            t = table.product(ws, table.element_index(el.inverse()))
+            out.setdefault(t, set()).update((el.key[i], table.elements[ws].key[i]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "F4", "I2(7)", "A2*A2", "A3 custom"])
+def test_conjugate_roots_are_the_roots_of_its_reflections(name):
+    # a conjugate is known by its roots: the union of +-w(alpha_i) over the
+    # reflections w s_i w^-1 it contains, equal exactly when the element sets are
+    ctx = get_context(name.split()[0])
+    others = ctx.conjugates
+    if name == "A3 custom":
+        ctx = RacgContext(ctx.system, family=A3_CUSTOM)
+    refl = _reflection_roots(ctx.table)
+    for pc in ctx.conjugates:
+        assert pc.roots == frozenset().union(*(refl[x] for x in pc.elements if x in refl))
+    for a, b in itertools.product(ctx.conjugates, others):
+        assert (a == b) == (a.elements == b.elements)
+        if a == b:
+            assert hash(a) == hash(b)
+
+
 def test_conjugates_are_subgroups(context):
     ctx = context("B2")
     table = ctx.table
