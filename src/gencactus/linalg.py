@@ -5,13 +5,12 @@ zero tests reduce to exact scalar equality.  Over Fractions every zero of a
 kernel vector is one shared object (a zero test first asks for it by
 identity) and a kernel vector whose only nonzero is 1 is the shared row of
 `identity_matrix`, whose column `_UNIT_COLUMN` gives by lookup.
-Determinants, kernels and span membership read one Gauss-Jordan
-elimination, fraction-free on integer rows over ints and Fractions
-(`_integer_reduce`), else `_row_reduce`.  The kernel core `integer_kernel`
-reads an int vector per free column off the reduced rows; `kernel_basis`
-reads those as Fractions, so a Fraction is built only for an entry
-returned.  There is no inverse: a solve is one `solve_in_span` over all its
-targets.  Kernels come back as the reduced basis: one vector per free
+Determinants and kernels read one Gauss-Jordan elimination, fraction-free
+on integer rows over ints and Fractions (`_integer_reduce`), else
+`_row_reduce`.  The kernel core `integer_kernel` reads an int vector per
+free column off the reduced rows; `kernel_basis` reads those as Fractions,
+so a Fraction is built only for an entry returned.  There is no inverse
+and no solve.  Kernels come back as the reduced basis: one vector per free
 column, ascending, with 1 on its own free column and 0 on the other free
 columns; `reduced_basis` puts any spanning set in that form.
 """
@@ -238,18 +237,3 @@ def reduced_basis(vectors: Sequence[Vector]) -> list[Vector]:
     rows, pivots = _eliminate([row[::-1] for row in vectors], len(vectors[0]) if vectors else 0)
     return [tuple(row[::-1]) for row in reversed(rows[: len(pivots)])]
 
-
-def solve_in_span(columns: Sequence[Vector], targets: Sequence[Vector]):
-    """Coordinates of each target in the span of the columns, or None.
-
-    columns must be linearly independent (ValueError otherwise).  Returns a
-    list of coefficient vectors X with sum_j X[j]*columns[j] = target, or
-    None when some target falls outside the span.
-    """
-    k = len(columns)
-    rows, pivots = _eliminate(list(zip(*columns, *targets)), k)
-    if len(pivots) < k:
-        raise ValueError("columns are linearly dependent")
-    if any(x != 0 for row in rows[k:] for x in row[k:]):
-        return None
-    return [tuple(row[k + q] for row in rows[:k]) for q in range(len(targets))]

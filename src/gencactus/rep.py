@@ -1,15 +1,17 @@
 """Exact linear representations on the F(S)-indexed and S-indexed spaces.
 
 rho_I is the closed-form reflection 1 - 2 C G^-1 (BC)^T in the span C of
-R e_I + E_I (one k x k solve, k = dim C); a Pi image is unit rows plus the
-one row of a reflection of the big right-angled form, after a permutation.
+R e_I + E_I, one fraction-free elimination of int rows per generator; a Pi
+image is unit rows plus the one row of a reflection of the big
+right-angled form, after a permutation.
 Queries read an image as its unit rows, a lookup each, and the nonzeros of
 its general rows, over ints for rational images (times one common
 denominator), so a Fraction is built only for an entry returned: relation
 checks and `Pi_of` multiply two readings in one `_compose`.  Stable lines
 split the space generator by generator; a unit row is an equation
 v_j = s v_i, which gives the first generator's eigenspaces, and a later one
-splits each piece U by the integer kernel of (M - sI)U.  Restriction and
+splits each piece U by the integer kernel of (M - sI)U, after the rows
+with one nonzero have fixed their unknowns at 0.  Restriction and
 quotient read k pivot coordinates P of the subspace U: O(nnz(M) k) per
 image tests M U in U and gives its coordinates, and the quotient is
 M_KK - U_K U_P^-1 M_PK; that one elimination of U also says whether U is
@@ -40,7 +42,6 @@ from .linalg import (
     integer_kernel,
     kernel_basis,
     reduced_basis,
-    solve_in_span,
 )
 from .racg import RacgContext, SemidirectElement
 
@@ -160,25 +161,27 @@ def _rho_assemble(system, I, t, gram):
             done.add(J2)
             if J2 != J:
                 cols.append((pos[J], pos[J2]))
-    # in ints: gram is q B, so BC and G = C^T B C are both scaled by q
-    bc = [gram[a] if b is None else [x - y for x, y in zip(gram[a], gram[b])] for a, b in cols]
-    restricted = [[v[a] if b is None else v[a] - v[b] for a, b in cols] for v in bc]
     # rho_I = 1 - C Y with G Y = 2 (BC)^T: -1 on span C, +1 on its
-    # B-orthocomplement; G is symmetric, so its rows are its columns
-    try:
-        y = zip(*solve_in_span(restricted, [[2 * v for v in col] for col in zip(*bc)]))
-    except ValueError:
+    # B-orthocomplement.  In ints gram is q B, so the rows [qG | 2q(BC)^T]
+    # hold G = C^T B C (symmetric: its rows are its columns); one
+    # fraction-free elimination leaves row c with a pivot p on column c and
+    # p Y_c beside it, and row r of rho_I is (p e_r -+ p Y_c) / p
+    k = len(cols)
+    bc = [gram[a] if b is None else [x - y for x, y in zip(gram[a], gram[b])] for a, b in cols]
+    rows = [[v[a] if b is None else v[a] - v[b] for a, b in cols] + [2 * x for x in v] for v in bc]
+    if len(_integer_reduce(rows, k)[0]) < k:
         raise DegenerateFormError(
             f"degenerate form at t = {t}: span(e_I, E_I) for I = {system.format_subset(I)}"
-        ) from None
-    rows = list(identity_matrix(n))
-    for (a, b), yrow in zip(cols, y):
-        for r, minus in ((a, True), (b, False)):
+        )
+    out = list(identity_matrix(n))
+    for c, ((a, b), row) in enumerate(zip(cols, rows)):
+        p = row[c]
+        for r, sign in ((a, -1), (b, 1)):
             if r is not None:
-                row = {j: -v if minus else v for j, v in enumerate(yrow) if v is not _ZERO}
-                row[r] = row[r] + 1 if r in row else _ONE
-                rows[r] = _sparse_row([(j, v) for j, v in row.items() if v != 0], n, _ZERO)
-    return tuple(rows)
+                hits = {j: sign * y for j, y in enumerate(row[k:]) if y}
+                hits[r] = hits.get(r, 0) + p
+                out[r] = _sparse_row([(j, Fraction(v, p)) for j, v in hits.items() if v], n, _ZERO)
+    return tuple(out)
 
 
 class RelationReport:
@@ -303,7 +306,8 @@ def stable_lines(rep: dict) -> list:
     s-eigenvector has v_j = s v_i.  For the first generator these equations
     alone give one vector per component of the coordinates they join, and
     only the other rows are eliminated, over those vectors.  Each piece U
-    is then split by the kernel of (M - sI)U, assembled row by row.  Every
+    is then split by the kernel of (M - sI)U, assembled row by row, once
+    its one-entry rows have fixed their unknowns at 0.  Every
     simultaneous eigenvector spans such a line because the generators are
     involutions.  Returns (vector, {key: sign}) pairs: for each surviving
     sign pattern, the `reduced_basis` of its piece, which depends on the
@@ -411,13 +415,23 @@ def _split_piece(basis: list, units: list, general: dict, d, signs, zero) -> lis
             hits = [(q, v) for q, v in acc.items() if v != 0]
             if hits:
                 rows.append(hits)
+        # a row with one nonzero fixes its unknown at 0; dropping the fixed
+        # unknowns from every row, to a fixpoint, leaves the kernel only the
+        # live unknowns and the rows that still bind them
+        dead, fixed = set(), {hits[0][0] for hits in rows if len(hits) == 1}
+        while fixed:
+            dead |= fixed
+            rows = [h for h in ([(q, v) for q, v in hits if q not in fixed] for hits in rows) if h]
+            fixed = {hits[0][0] for hits in rows if len(hits) == 1}
+        live = [q for q in range(len(basis)) if q not in dead]
         if not rows:
-            out.append((sign, basis))
+            out.append((sign, [basis[q] for q in live]))
             continue
         # sparsest first: a sparse pivot row fills in little, and the kernel
         # does not depend on the order of the rows
         rows.sort(key=len)
-        k = len(basis)
+        k, column = len(live), {q: c for c, q in enumerate(live)}
+        rows = [[(column[q], v) for q, v in hits] for hits in rows]
         if type(zero) is int:
             kernel = integer_kernel([list(_sparse_row(hits, k, 0)) for hits in rows], k)
         else:
@@ -425,8 +439,8 @@ def _split_piece(basis: list, units: list, general: dict, d, signs, zero) -> lis
         part = []
         for hits in kernel:
             acc = {}
-            for q, c in hits:
-                _add(acc, basis[q], c)
+            for c, x in hits:
+                _add(acc, basis[live[c]], x)
             v = {x: y for x, y in acc.items() if y != 0}
             g = gcd(*v.values()) if type(zero) is int else 1
             part.append(v if g == 1 else {x: y // g for x, y in v.items()})

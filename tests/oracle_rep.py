@@ -7,8 +7,8 @@ the kernel of the dense n x dim U matrix (M - sI)U, starting from the n x n
 kernels of the first generator; restriction solves the dense images of each
 generator against the basis, one generator at a time; and the quotient
 conjugates each generator by an inverse.  They build on the package's
-exact linear algebra (`kernel_basis`, `solve_in_span`), which has oracles
-of its own in tests/test_linalg.py, on the product `mat_mul` of
+exact `kernel_basis`, which has oracles of its own in tests/test_linalg.py,
+on the product `mat_mul` and the solve `solve_in_span` of
 tests/oracle_linalg.py, and on a plain inverse and matrix-vector product
 of their own.  They are slow (n x n inverses and kernels per generator)
 and plain.  `check_relations` compares Fraction products of the images by
@@ -39,10 +39,9 @@ from gencactus.linalg import (
     identity_matrix,
     kernel_basis,
     reduced_basis,
-    solve_in_span,
 )
 from gencactus.racg import InducedAutomorphism, SemidirectElement
-from oracle_linalg import mat_mul, transpose
+from oracle_linalg import mat_mul, solve_in_span, transpose
 from gencactus.rep import (
     Pi_rep,
     RelationReport,

@@ -417,6 +417,19 @@ def test_rho_degenerate_cases_match_oracle(system, name, t, where):
     assert str(got.value) == str(want.value) == f"degenerate form at t = {t}: {where}"
 
 
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS + ["F4"])
+def test_rho_matches_oracle_at_negative_and_fresh_t(system, name):
+    # rho divides by the pivots of one fraction-free elimination, which can
+    # be negative: at t < 0 the images must still be the oracle's (no form
+    # degenerates at these t)
+    sys_ = system(name)
+    for t in (F(-4099, 1019), F(-7, 3), F(3)):
+        rho = rho_rep(sys_, t)
+        assert_identical(rho, oracle_rep.rho_rep(sys_, t))
+        for m in rho.values():
+            assert_shared(m)
+
+
 def _complements_of_lines(rep, gram):
     # the form-orthocomplement of a stable line is invariant as well
     for vec, _ in stable_lines(rep)[:2]:
@@ -539,6 +552,60 @@ def test_stable_lines_take_no_n_by_n_step(context, monkeypatch):
     assert kernels[0][0] == 1
     assert all(cols < n for _, cols in kernels), kernels
     assert len(scans) <= general, (len(scans), general)
+
+
+@pytest.mark.parametrize("kind, most", [("rho", 8), ("Pi", 7)])
+def test_stable_lines_prune_one_entry_rows_before_the_kernel(system, context, kind, most,
+                                                             monkeypatch):
+    # A4 at a fresh t: a row of (M - sI)U with one nonzero fixes its unknown
+    # at 0, so most splits need no kernel
+    rep = rho_rep(system("A4"), FRESH_T) if kind == "rho" else Pi_rep(context("A4"), FRESH_T)
+    kernels = []
+
+    def integer_kernel(rows, ncols):
+        kernels.append((len(rows), ncols))
+        return linalg.integer_kernel(rows, ncols)
+
+    monkeypatch.setattr(rep_module, "integer_kernel", integer_kernel)
+    lines = stable_lines(rep)
+    monkeypatch.undo()
+    assert_identical(lines, oracle_rep.piece_stable_lines(rep))
+    assert len(kernels) <= most, kernels
+
+
+def _split_without_rows(monkeypatch):
+    """Record the sign of every split whose pruning fixed some unknowns and
+    left the others with no row: its part is those basis vectors as they
+    are, the same objects, and fewer of them."""
+    signs = []
+
+    def split(basis, *args, split=rep_module._split_piece):
+        out = split(basis, *args)
+        ids = {id(v) for v in basis}
+        signs.extend(sign for sign, part in out
+                     if part and len(part) < len(basis) and all(id(v) in ids for v in part))
+        return out
+
+    monkeypatch.setattr(rep_module, "_split_piece", split)
+    return signs
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "H3", "I2(5)"])
+def test_stable_lines_split_without_rows_once_pruned(system, context, name, monkeypatch):
+    # int images (rho and Pi at a fresh t) and CycloReal images (the
+    # reflection representation of H3 and I2(5)), against the eigenspace
+    # oracle, each reaching the split that pruning leaves with no row
+    sys_ = system(name)
+    pi = {s: sys_.reflection_matrix(s, FRESH_T) for s in range(sys_.rank)}
+    cyclotomic = name in ("H3", "I2(5)")
+    reps = [pi] if cyclotomic else [rho_rep(sys_, FRESH_T), Pi_rep(context(name), FRESH_T)]
+    for rep in reps:
+        assert (rep_module._images(rep)[0] is None) == cyclotomic
+        signs = _split_without_rows(monkeypatch)
+        lines = stable_lines(rep)
+        monkeypatch.undo()
+        assert signs, name
+        assert_identical(lines, oracle_rep.stable_lines(rep))
 
 
 @pytest.mark.parametrize("name", ["I2(5)*A1", "H3*A1"])
