@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import CactusError, InfiniteGroupError, InputError
-from .linalg import Matrix
 from .scalar import (
     CycloReal,
     Scalar,
@@ -153,14 +152,14 @@ class CoxeterSystem:
             return self._wrap(-q)
         return -cos_pi_over(m, self.conductor)
 
-    def gram_matrix(self, t) -> Matrix:
+    def gram_matrix(self, t) -> tuple:
         t = Fraction(t)
         return tuple(
             tuple(self.bilinear_entry(i, j, t) for j in range(self.rank))
             for i in range(self.rank)
         )
 
-    def reflection_matrix(self, s: int, t=1) -> Matrix:
+    def reflection_matrix(self, s: int, t=1) -> tuple:
         """Matrix of the simple reflection s at parameter t, columns = images."""
         t = Fraction(t)
         n = self.rank

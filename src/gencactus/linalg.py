@@ -5,24 +5,24 @@ zero tests reduce to exact scalar equality.  Over Fractions every zero of a
 kernel vector is one shared object (a zero test first asks for it by
 identity) and a kernel vector whose only nonzero is 1 is the shared row of
 `identity_matrix`, whose column `_UNIT_COLUMN` gives by lookup.
-Determinants and kernels read one Gauss-Jordan elimination, fraction-free
+Kernels and reduced bases read one Gauss-Jordan elimination, fraction-free
 on integer rows over ints and Fractions (`_integer_reduce`), else
-`_row_reduce`.  The kernel core `integer_kernel` reads an int vector per
-free column off the reduced rows; `kernel_basis` reads those as Fractions,
-so a Fraction is built only for an entry returned.  There is no inverse
-and no solve.  Kernels come back as the reduced basis: one vector per free
-column, ascending, with 1 on its own free column and 0 on the other free
-columns; `reduced_basis` puts any spanning set in that form.
+`_row_reduce`; a rank is the pivot count of the forward half alone.  The
+kernel core `integer_kernel` reads an int vector per free column off the
+reduced rows, and the stable-line split uses it as it is; `kernel_basis`
+reads the eliminated rows, a pivot row of integer rows over its pivot, for
+any entries.  There is no determinant, no inverse and no solve.  Kernels
+come back as the reduced basis: one vector per free column, ascending,
+with 1 on its own free column and 0 on the other free columns;
+`reduced_basis` puts any spanning set in that form.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Sequence
-
-from .scalar import Scalar
 
 Vector = tuple
 Matrix = tuple
@@ -74,31 +74,23 @@ def _row_reduce(rows: list[list], ncols: int):
 
     Each pivot row is scaled to 1 on its pivot and that column is cleared in
     every other row, so the first ncols columns end in reduced row echelon
-    form; any later columns ride along.  Returns the pivot columns and, for
-    a square leading block, its determinant (a zero of the entries' type
-    when the block is singular).  The pivot is the first row at or below
-    the next pivot row with a nonzero in the column.  A zero test first
-    asks whether an entry is the shared zero, which costs no scalar
-    comparison.
+    form; any later columns ride along.  Returns the pivot columns.  The
+    pivot is the first row at or below the next pivot row with a nonzero in
+    the column.  A zero test first asks whether an entry is the shared zero,
+    which costs no scalar comparison.
     """
     pivots = []
-    det = _ONE
     for col in range(ncols):
         r = len(pivots)
-        if r == len(rows):
-            break
         p = next(
             (i for i in range(r, len(rows)) if rows[i][col] is not _ZERO and rows[i][col] != 0),
             None,
         )
         if p is None:
-            det = rows[r][col]
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-            det = -det
         prow = rows[r]
-        det = det * prow[col]
         inv = 1 / prow[col]
         # only the nonzero entries of the pivot row touch the other rows
         nonzero = [(j, x * inv) for j, x in enumerate(prow) if x is not _ZERO and x != 0]
@@ -110,7 +102,7 @@ def _row_reduce(rows: list[list], ncols: int):
                 for j, x in nonzero:
                     row[j] -= f * x
         pivots.append(col)
-    return pivots, det
+    return pivots
 
 
 def _integer_rows(a):
@@ -132,11 +124,10 @@ def _integer_reduce(rows: list[list], ncols: int, jordan: bool = True):
     with a/f = pivot/x in lowest terms, a > 0, and c the content of the
     result when a > 1 (else c = 1 and only the pivot row's nonzeros are
     touched).  A row with 0 there, or above the pivot with jordan False, is
-    left alone.  Returns the pivot columns and (num, den): num/den times the
-    product of the pivots is the determinant of a square leading block.
+    left alone.  Returns the pivot columns.  With jordan False only the rows
+    below each pivot are cleared, which is all a rank needs: the pivot count.
     """
     pivots = []
-    num = den = 1
     for col in range(ncols):
         r = len(pivots)
         p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
@@ -144,7 +135,6 @@ def _integer_reduce(rows: list[list], ncols: int, jordan: bool = True):
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-            num = -num
         prow = rows[r]
         nonzero = [(j, y) for j, y in enumerate(prow) if y]
         for i in range(0 if jordan else r + 1, len(rows)):
@@ -158,9 +148,8 @@ def _integer_reduce(rows: list[list], ncols: int, jordan: bool = True):
                     row[j] -= f * y
                 c = gcd(*row) if a != 1 else 1
                 rows[i] = [x // c for x in row] if c > 1 else row
-                num, den = num * max(c, 1), den * a
         pivots.append(col)
-    return pivots, num, den
+    return pivots
 
 
 def _eliminate(a, ncols: int):
@@ -171,22 +160,11 @@ def _eliminate(a, ncols: int):
     got = _integer_rows(a)
     if got is None:
         rows = _exact_rows(a)
-        return rows, _row_reduce(rows, ncols)[0]
-    rows, pivots = got[0], _integer_reduce(got[0], ncols)[0]
+        return rows, _row_reduce(rows, ncols)
+    rows, pivots = got[0], _integer_reduce(got[0], ncols)
     for k, (row, col) in enumerate(zip(rows, pivots)):
         rows[k] = [Fraction(x, row[col]) if x else _ZERO for x in row]
     return rows, pivots
-
-
-def determinant(a: Matrix) -> Scalar:
-    """Exact determinant; a zero of the entries' type when a is singular."""
-    got = _integer_rows(a)
-    if got is None:
-        return _row_reduce(_exact_rows(a), len(a))[1]
-    (rows, scales), n = got, len(a)
-    pivots, num, den = _integer_reduce(rows, n, jordan=False)
-    diagonal = prod(row[k] for k, row in enumerate(rows))
-    return Fraction(num * diagonal, den * prod(scales)) if len(pivots) == n else _ZERO
 
 
 def integer_kernel(rows: list[list], ncols: int) -> list[list]:
@@ -195,7 +173,7 @@ def integer_kernel(rows: list[list], ncols: int) -> list[list]:
     (column, value) hits, f first.  L is the lcm of the |pivots| of the rows
     with x != 0 in column f, and such a row's pivot column holds -x L / pivot.
     """
-    pivots = _integer_reduce(rows, ncols)[0]
+    pivots = _integer_reduce(rows, ncols)
     out = []
     for free in sorted(set(range(ncols)).difference(pivots)):
         hits = [(col, row[free], row[col]) for row, col in zip(rows, pivots) if row[free]]
@@ -207,12 +185,6 @@ def integer_kernel(rows: list[list], ncols: int) -> list[list]:
 def kernel_basis(a: Matrix) -> list[Vector]:
     """Reduced basis of the right null space (see the module docstring)."""
     ncols = len(a[0]) if a else 0
-    got = _integer_rows(a)
-    if got is not None:
-        return [
-            _sparse_row([(free, _ONE)] + [(c, Fraction(x, scale)) for c, x in hits], ncols, _ZERO)
-            for (free, scale), *hits in integer_kernel(got[0], ncols)
-        ]
     rows, pivots = _eliminate(a, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):

@@ -1,9 +1,10 @@
 """Exact linear representations on the F(S)-indexed and S-indexed spaces.
 
 rho_I is the closed-form reflection 1 - 2 C G^-1 (BC)^T in the span C of
-R e_I + E_I, one fraction-free elimination of int rows per generator; a Pi
-image is unit rows plus the one row of a reflection of the big
-right-angled form, after a permutation.
+R e_I + E_I, one fraction-free elimination of int rows per generator, once
+the pivot count of one forward elimination of the int rows q B (t = p/q)
+has shown the form nondegenerate; a Pi image is unit rows plus the one row
+of a reflection of the big right-angled form, after a permutation.
 Queries read an image as its unit rows, a lookup each, and the nonzeros of
 its general rows, over ints for rational images (times one common
 denominator), so a Fraction is built only for an entry returned: relation
@@ -37,24 +38,12 @@ from .linalg import (
     _integer_rows,
     _row_reduce,
     _sparse_row,
-    determinant,
     identity_matrix,
     integer_kernel,
     kernel_basis,
     reduced_basis,
 )
 from .racg import RacgContext, SemidirectElement
-
-
-def form_on_fset(system: CoxeterSystem, t) -> tuple:
-    """Gram matrix on R^F(S): 1 on the diagonal, 0 on containment or
-    product pairs, -t on every other pair."""
-    t, fset = Fraction(t), connected_subsets(system)
-    return tuple(
-        tuple(_ONE if I == J else
-              _ZERO if I < J or J < I or commuting_subsets(system, I, J) else -t for J in fset)
-        for I in fset
-    )
 
 
 def _form_row(ctx: RacgContext, k: int, perm, diag, off) -> tuple:
@@ -130,19 +119,26 @@ def _subset_key(I):
 def rho_rep(system: CoxeterSystem, t) -> dict:
     """All generator images I -> rho_I at parameter t: -1 on R e_I + E_I,
     with E_I spanned by the e_J - e_{w_I(J)} over proper F(S)-subsets J of
-    I, and +1 on its orthocomplement.  A degenerate form, on the whole space
-    or on that span, is an error: the sum is not direct there."""
+    I, and +1 on its B-orthocomplement, for the form B on R^F(S) (1 on the
+    diagonal, 0 on containment or product pairs, -t elsewhere).  A
+    degenerate form, on the whole space or on that span, is an error: the
+    sum is not direct there."""
     t = Fraction(t)
     gram = _nondegenerate_form(system, t)
     return {I: _rho_assemble(system, I, t, gram) for I in connected_subsets(system)}
 
 
 def _nondegenerate_form(system, t):
-    """q B as int rows, for the form B on R^F(S) at t = p/q."""
-    gram = form_on_fset(system, t)
-    if determinant(gram) == 0:
+    """q B as int rows, for the form B on R^F(S) at t = p/q: q on the
+    diagonal, 0 on containment or product pairs, -p elsewhere.  B is
+    nondegenerate when a forward elimination of a copy finds |F(S)|
+    pivots."""
+    fset, p, q = connected_subsets(system), t.numerator, t.denominator
+    gram = [[q if I == J else 0 if I < J or J < I or commuting_subsets(system, I, J) else -p
+             for J in fset] for I in fset]
+    if len(_integer_reduce([list(row) for row in gram], len(gram), jordan=False)) < len(gram):
         raise DegenerateFormError(f"degenerate form at t = {t}: full space")
-    return [[x.numerator * (t.denominator // x.denominator) for x in row] for row in gram]
+    return gram
 
 
 def _rho_assemble(system, I, t, gram):
@@ -169,7 +165,7 @@ def _rho_assemble(system, I, t, gram):
     k = len(cols)
     bc = [gram[a] if b is None else [x - y for x, y in zip(gram[a], gram[b])] for a, b in cols]
     rows = [[v[a] if b is None else v[a] - v[b] for a, b in cols] + [2 * x for x in v] for v in bc]
-    if len(_integer_reduce(rows, k)[0]) < k:
+    if len(_integer_reduce(rows, k)) < k:
         raise DegenerateFormError(
             f"degenerate form at t = {t}: span(e_I, E_I) for I = {system.format_subset(I)}"
         )
@@ -489,7 +485,7 @@ def _pivot_blocks(rep: dict, basis: Sequence, keep, dependent: str) -> dict:
 
     order = list(range(n)) if keep is None else sorted(set(range(n)).difference(keep)) + keep
     rows = [[u[c] for c in order] + [int(i == j) for j in range(k)] for i, u in enumerate(scaled)]
-    pivots = (_row_reduce if got is None else _integer_reduce)(rows, len(order))[0]
+    pivots = (_row_reduce if got is None else _integer_reduce)(rows, len(order))
     if len(pivots) < k:
         raise SubspaceError(dependent)
     if keep is not None:

@@ -23,6 +23,10 @@ the pivot coordinates is here as well (`in_basis_restrict_rep`,
 dense images of every generator, a quotient's basis being n x n.  So is
 `product_Pi_of`, which multiplies the Fraction images letter by letter
 with `mat_mul`.
+
+The Fraction Gram `form_on_fset` of the form rho preserves is here too:
+rho builds t.denominator times it as int rows and never the Fractions, and
+`_nondegenerate_form` below takes its `determinant`.
 """
 
 from fractions import Fraction
@@ -32,24 +36,35 @@ from gencactus.cactus import CactusWord, commuting_subsets
 from gencactus.coxeter import connected_subsets, conjugate_subset
 from gencactus.errors import DegenerateFormError, InputError, SubspaceError
 from gencactus.linalg import (
+    _ONE,
+    _ZERO,
     _exact_rows,
     _row_reduce,
     _sparse_row,
-    determinant,
     identity_matrix,
     kernel_basis,
     reduced_basis,
 )
 from gencactus.racg import InducedAutomorphism, SemidirectElement
-from oracle_linalg import mat_mul, solve_in_span, transpose
+from oracle_linalg import determinant, mat_mul, solve_in_span, transpose
 from gencactus.rep import (
     Pi_rep,
     RelationReport,
     _check_lengths,
     _nonzeros,
     _pi_image,
-    form_on_fset,
 )
+
+
+def form_on_fset(system, t) -> tuple:
+    """Gram matrix on R^F(S): 1 on the diagonal, 0 on containment or
+    product pairs, -t on every other pair."""
+    t, fset = Fraction(t), connected_subsets(system)
+    return tuple(
+        tuple(_ONE if I == J else
+              _ZERO if I < J or J < I or commuting_subsets(system, I, J) else -t for J in fset)
+        for I in fset
+    )
 
 
 def mat_vec(a, v):
@@ -60,7 +75,7 @@ def mat_inverse(a):
     """Exact inverse; ValueError when a is singular."""
     n = len(a)
     rows = [row + list(e) for row, e in zip(_exact_rows(a), identity_matrix(n))]
-    if len(_row_reduce(rows, n)[0]) < n:
+    if len(_row_reduce(rows, n)) < n:
         raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in rows)
 

@@ -27,7 +27,6 @@ from gencactus.racg import RacgContext, normal_form, semidirect_mul
 from gencactus.rep import (
     Pi_rep,
     check_relations,
-    form_on_fset,
     quotient_rep,
     restrict_rep,
     rho_rep,
@@ -37,7 +36,7 @@ from gencactus.rep import (
 
 from conftest import get_context, get_system
 from oracle_linalg import mat_mul, transpose
-from oracle_rep import form_on_S
+from oracle_rep import form_on_S, form_on_fset
 
 SYSTEMS = [
     "A1", "A2", "A3", "A4", "B2", "B3",

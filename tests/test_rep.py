@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 import oracle_rep
-from oracle_linalg import mat_mul, transpose
-from oracle_rep import form_on_S, pi_prime, reflection_in_form
+from oracle_linalg import determinant, mat_mul, transpose
+from oracle_rep import form_on_S, form_on_fset, pi_prime, reflection_in_form
 from gencactus import linalg, rep as rep_module
 from gencactus.cactus import (
     CactusWord,
@@ -23,7 +23,6 @@ from gencactus.errors import (
 )
 from gencactus.linalg import (
     _ZERO,
-    determinant,
     identity_matrix,
     kernel_basis,
 )
@@ -34,7 +33,6 @@ from gencactus.rep import (
     RelationReport,
     Pi_rep,
     check_relations,
-    form_on_fset,
     quotient_rep,
     restrict_rep,
     rho_rep,
@@ -57,6 +55,7 @@ def test_form_on_fset_a2(system):
         (F(0), F(0), F(1)),
     )
     assert determinant(gram) == 1 - t * t
+    assert rep_module._nondegenerate_form(a2, t) == [[1, -2, 0], [-2, 1, 0], [0, 0, 1]]
     assert [a2.format_subset(I) for I in connected_subsets(a2)] == ["{s1}", "{s2}", "{s1,s2}"]
 
 
@@ -114,17 +113,23 @@ def test_rho_degenerate_at_unit_parameter(system):
 
 
 def test_rho_checks_the_full_form_once(system, monkeypatch):
+    # one elimination sees |F(S)| rows per rho_rep: the int rows q B at
+    # t = p/q, as they arrive; every other one eliminates a span of one I
     sys_ = system("A4")
-    gram = form_on_fset(sys_, F(2))
+    n = len(connected_subsets(sys_))
     full = []
 
-    def counting(m):
-        full.append(m == gram)
-        return determinant(m)
+    def integer_reduce(rows, *args, reduce=linalg._integer_reduce, **kwargs):
+        if len(rows) == n:
+            full.append([list(row) for row in rows])
+        return reduce(rows, *args, **kwargs)
 
-    monkeypatch.setattr(rep_module, "determinant", counting)
-    rho = rho_rep(sys_, F(2))
-    assert full.count(True) == 1 and len(full) == 1
+    monkeypatch.setattr(rep_module, "_integer_reduce", integer_reduce)
+    for t in (F(2), FRESH_T, F(-4099, 1019)):
+        full.clear()
+        rho_rep(sys_, t)
+        want = [[x * t.denominator for x in row] for row in form_on_fset(sys_, t)]
+        assert full == [want] and all(type(x) is int for row in full[0] for x in row)
     with pytest.raises(DegenerateFormError, match="^degenerate form at t = 1: full space$"):
         rho_rep(sys_, F(1))
 
