@@ -53,9 +53,9 @@ class CoxeterSystem:
 
     matrix[i][j] is the order of s_i s_j; 0 means infinite.  `_cache` holds
     the derived data that is reused, and only this module reads or writes
-    it.  Its six key kinds are "roots" (the root table), "table" (the group
-    table), "fset" (F(S) as a tuple), ("finite", I) (whether W_I is finite),
-    ("longest", I) (w_I) and ("longest_roots", I) (`longest_root_map`).
+    it.  Its five key kinds are "roots" (the root table), "table" (the group
+    table), "fset" (F(S) as a tuple), ("longest", I) (w_I) and
+    ("longest_roots", I) (`longest_root_map`).
     """
 
     def __init__(self, labels: Sequence[str], matrix: Sequence[Sequence[int]]):
@@ -345,6 +345,8 @@ class GroupElement:
 
     @classmethod
     def from_word(cls, system: CoxeterSystem, word: Iterable[int]) -> "GroupElement":
+        word = tuple(word)
+        _checked_subset(system, word)
         roots = system.root_table()
         return cls(system, roots.apply(roots.identity, word))
 
@@ -385,6 +387,15 @@ class GroupElement:
         return "<" + " ".join(self.system.labels[s] for s in self.word) + ">"
 
 
+def _checked_subset(system: CoxeterSystem, subset: Iterable[int]) -> frozenset[int]:
+    """The subset as a frozenset; InputError unless each entry is in range(rank)."""
+    subset = frozenset(subset)
+    for i in subset:
+        if type(i) is not int or not 0 <= i < system.rank:
+            raise InputError(f"not a generator index of {system!r}: {i!r}")
+    return subset
+
+
 def is_finite_parabolic(system: CoxeterSystem, subset: Iterable[int]) -> bool:
     """Whether the parabolic subgroup on the subset is finite.
 
@@ -392,13 +403,8 @@ def is_finite_parabolic(system: CoxeterSystem, subset: Iterable[int]) -> bool:
     A, B, D, E, F, H or I (the classification of finite Coxeter groups), so
     the answer is read off the bonds with integers only.
     """
-    subset = frozenset(subset)
-    key = ("finite", subset)
-    if key not in system._cache:
-        system._cache[key] = all(
-            _finite_component(system, comp) for comp in _diagram_components(system, subset)
-        )
-    return system._cache[key]
+    subset = _checked_subset(system, subset)
+    return all(_finite_component(system, comp) for comp in _diagram_components(system, subset))
 
 
 def _finite_component(system: CoxeterSystem, comp: set[int]) -> int:
@@ -438,23 +444,17 @@ def _finite_component(system: CoxeterSystem, comp: set[int]) -> int:
     return {(2, 3, 3): 51_840, (2, 3, 4): 2_903_040, (2, 3, 5): 696_729_600}.get(arms, 0)
 
 
-def _diagram_components(system: CoxeterSystem, subset: frozenset[int]) -> list[set[int]]:
-    # bond of order >= 3 (or infinite) is an edge of the diagram
+def _diagram_components(system: CoxeterSystem, subset: Iterable[int]) -> list[set[int]]:
+    # a bond of order >= 3, or infinite, is an edge of the diagram
     remaining = set(subset)
     comps = []
     while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for u in list(remaining):
-                m = system.m(v, u)
-                if m >= 3 or m == 0:
-                    remaining.remove(u)
-                    comp.add(u)
-                    frontier.append(u)
-        comps.append(comp)
+        comp = [remaining.pop()]
+        for v in comp:  # a BFS queue: grows while walked
+            linked = {u for u in remaining if system.m(v, u) != 2}
+            remaining -= linked
+            comp += linked
+        comps.append(set(comp))
     return comps
 
 
@@ -462,21 +462,21 @@ def connected_subsets(system: CoxeterSystem) -> tuple[frozenset[int], ...]:
     """F(S): all subsets that generate a finite parabolic with no direct-product
     split, as one immutable tuple shared by every caller.
 
-    The no-split condition is evaluated as connectivity of the induced Coxeter
-    diagram.  Sorted by size, then lexicographically.
+    The no-split condition is connectivity of the induced Coxeter diagram.
+    W_I <= W_J for I in J, so level k + 1 is the finite extensions of level k
+    by one diagram neighbour: at most rank finiteness checks per member.
+    Sorted by size, then lexicographically.
     """
     if "fset" in system._cache:
         return system._cache["fset"]
+    n = system.rank
+    linked = [{v for v in range(n) if system.m(u, v) != 2} for u in range(n)]
+    level = [frozenset({u}) for u in range(n)]
     out = []
-    indices = range(system.rank)
-    for size in range(1, system.rank + 1):
-        for combo in itertools.combinations(indices, size):
-            subset = frozenset(combo)
-            if len(_diagram_components(system, subset)) != 1:
-                continue
-            if not is_finite_parabolic(system, subset):
-                continue
-            out.append(subset)
+    while level:
+        out += level
+        grown = {I | {v} for I in level for u in I for v in linked[u] - I}
+        level = [J for J in grown if _finite_component(system, J)]
     out.sort(key=lambda s: (len(s), tuple(sorted(s))))
     fset = system._cache["fset"] = tuple(out)
     return fset
@@ -489,7 +489,7 @@ def longest_element(system: CoxeterSystem, subset: Iterable[int]) -> GroupElemen
     generator in the subset that increases length, until every generator in
     the subset is a descent.
     """
-    subset = frozenset(subset)
+    subset = _checked_subset(system, subset)
     key = ("longest", subset)
     if key in system._cache:
         return system._cache[key]
@@ -542,7 +542,7 @@ def conjugate_subset(
     the outer subset.  Defined whenever the image consists of generators
     again, which holds for inner subsets of the outer one: w s w = s_v iff
     w(alpha_s) = +-alpha_v."""
-    outer = frozenset(outer)
+    outer = _checked_subset(system, outer)
     inner = frozenset(inner)
     if not inner <= outer:
         raise InputError("inner subset must lie inside the outer subset")
@@ -668,17 +668,13 @@ class GroupTable:
     def subgroup(self, gens: Iterable[int]) -> frozenset[int]:
         """Closure of simple generators (generator indices) inside the group."""
         gens = sorted(gens)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for s in gens:
-                    j = self.gen_right[s][i]
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
+        queue, seen = [0], {0}
+        for i in queue:  # a BFS queue: grows while walked
+            for s in gens:
+                j = self.gen_right[s][i]
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
         return frozenset(seen)
 
 

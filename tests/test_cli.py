@@ -39,6 +39,22 @@ def test_fset_json(capsys):
     assert ["s1", "s2", "s3"] in data["fset"]
 
 
+def test_fset_at_rank_20_in_a_fresh_process():
+    # F(S) of A20 is its 210 intervals; no step of a fresh `fset` is 2^rank
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "gencactus.cli", "--system", "A20", "fset"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 210
+    assert lines[0] == "{s1}" and lines[-1] == "{" + ",".join(f"s{i}" for i in range(1, 21)) + "}"
+
+
 def test_flags_on_either_side(capsys):
     code1, out1, _ = invoke(capsys, "--system", "A2", "fset")
     code2, out2, _ = invoke(capsys, "fset", "--system", "A2")

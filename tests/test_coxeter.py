@@ -476,17 +476,65 @@ def diagram_connected(sys_, subset):
     return seen == subset
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "H3", "A1*A1", "I2(7)"])
-def test_connected_subsets_against_definition(system, name):
-    sys_ = system(name)
-    got = connected_subsets(sys_)
-    expect = [
+def fset_by_definition(sys_):
+    # every subset in turn, by size then lexicographically: F(S)'s own order
+    return tuple(
         I
         for I in og.all_subsets(sys_.rank)
         if diagram_connected(sys_, I) and is_finite_parabolic(sys_, I)
-    ]
-    assert set(got) == set(expect)
-    assert got == tuple(sorted(got, key=lambda I: (len(I), sorted(I))))
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A3", "B3", "H3", "A1*A1", "I2(7)", "D4", "F4", "H4", "E6", "E7", "E8", "I2(5)*A3",
+     "A4*A4"],
+)
+def test_connected_subsets_against_definition(system, name):
+    sys_ = system(name)
+    assert connected_subsets(sys_) == fset_by_definition(sys_)
+
+
+def test_connected_subsets_against_definition_on_random_matrices():
+    # every other matrix leans towards 2 and 3, so that F(S) is not only the
+    # singletons and its infinite subsets sit at every level
+    rng = random.Random(2027)
+    infinite_bonds = 0
+    for k in range(60):
+        rank = rng.randint(2, 9)
+        labels = LABELS if k % 2 else (2, 2, 2, 2, 3, 3, 4, 5, 6, 0)
+        sys_ = matrix_system(rank, [rng.choice(labels) for _ in range(rank * (rank - 1) // 2)])
+        infinite_bonds += any(0 in row for row in sys_.matrix)
+        assert connected_subsets(sys_) == fset_by_definition(sys_), sys_.matrix
+    assert infinite_bonds >= 30
+
+
+def test_connected_subsets_check_each_extension_once(monkeypatch):
+    # a cold A16 F(S): each member is extended by at most rank neighbours,
+    # where a scan of every subset walks the diagram 2^16 times
+    sys_ = CoxeterSystem.from_name("A16")
+    calls = []
+    for name in ("_finite_component", "_diagram_components"):
+        def counted(system, subset, step=getattr(coxeter, name)):
+            calls.append(subset)
+            return step(system, subset)
+
+        monkeypatch.setattr(coxeter, name, counted)
+    fset = connected_subsets(sys_)
+    monkeypatch.undo()
+    assert len(fset) == 16 * 17 // 2
+    assert len(calls) <= sys_.rank * len(fset), len(calls)
+
+
+def test_finiteness_is_not_cached():
+    # F(S) asks each subset once, and w_I is cached under its own key
+    sys_ = CoxeterSystem.from_name("B4")
+    for I in og.all_subsets(sys_.rank):
+        is_finite_parabolic(sys_, I)
+    connected_subsets(sys_)
+    longest_element(sys_, range(4))
+    kinds = {key if isinstance(key, str) else key[0] for key in sys_._cache}
+    assert kinds == {"roots", "fset", "longest"}
 
 
 def test_connected_excludes_infinite_edge():
@@ -560,6 +608,23 @@ def test_conjugate_subset(system):
     assert conjugate_subset(b2, frozenset({0, 1}), frozenset({0})) == frozenset({0})
     with pytest.raises(InputError):
         conjugate_subset(a3, frozenset({0}), frozenset({1}))
+
+
+ENTRY_POINTS = {
+    "is_finite_parabolic": lambda sys_, i: is_finite_parabolic(sys_, [0, i]),
+    "longest_element": lambda sys_, i: longest_element(sys_, [i]),
+    "conjugate_subset": lambda sys_, i: conjugate_subset(sys_, [i], [i]),
+    "from_word": lambda sys_, i: GroupElement.from_word(sys_, [0, i]),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 7, True, 1.0, "s1"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_generator_indices_are_checked(system, entry, bad):
+    # unchecked, a negative index wraps around to the last generator, and
+    # one past the rank raises a bare IndexError or passes as finite
+    with pytest.raises(InputError, match="not a generator index"):
+        ENTRY_POINTS[entry](system("A3"), bad)
 
 
 def test_conjugate_subset_involution(system):
