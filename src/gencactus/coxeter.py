@@ -129,7 +129,7 @@ class CoxeterSystem:
         return frozenset(self.label_index(p) for p in parts)
 
     def format_subset(self, subset: Iterable[int]) -> str:
-        return "{" + ",".join(self.labels[i] for i in sorted(subset)) + "}"
+        return "{" + ",".join(self.labels[i] for i in sorted(_checked_subset(self, subset))) + "}"
 
     # -- scalars ---------------------------------------------------------------
 
@@ -396,6 +396,11 @@ def _checked_subset(system: CoxeterSystem, subset: Iterable[int]) -> frozenset[i
     return subset
 
 
+def _subset_key(subset):
+    """The F(S) order: by size, then lexicographically."""
+    return (len(subset), sorted(subset))
+
+
 def is_finite_parabolic(system: CoxeterSystem, subset: Iterable[int]) -> bool:
     """Whether the parabolic subgroup on the subset is finite.
 
@@ -477,7 +482,7 @@ def connected_subsets(system: CoxeterSystem) -> tuple[frozenset[int], ...]:
         out += level
         grown = {I | {v} for I in level for u in I for v in linked[u] - I}
         level = [J for J in grown if _finite_component(system, J)]
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    out.sort(key=_subset_key)
     fset = system._cache["fset"] = tuple(out)
     return fset
 
@@ -667,7 +672,7 @@ class GroupTable:
 
     def subgroup(self, gens: Iterable[int]) -> frozenset[int]:
         """Closure of simple generators (generator indices) inside the group."""
-        gens = sorted(gens)
+        gens = sorted(_checked_subset(self.system, gens))
         queue, seen = [0], {0}
         for i in queue:  # a BFS queue: grows while walked
             for s in gens:

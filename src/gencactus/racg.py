@@ -22,6 +22,7 @@ from .cactus import CactusWord
 from .coxeter import (
     CoxeterSystem,
     GroupElement,
+    _subset_key,
     connected_subsets,
     conjugate_subset,
     is_finite_parabolic,
@@ -117,7 +118,7 @@ def build_S(system: CoxeterSystem, family: Sequence[frozenset]):
 def _checked_family(system, family) -> tuple[frozenset, ...]:
     if family is None:
         return connected_subsets(system)
-    fam = sorted({frozenset(I) for I in family}, key=lambda I: (len(I), sorted(I)))
+    fam = sorted({frozenset(I) for I in family}, key=_subset_key)
     full = frozenset(range(system.rank))
     for I in fam:
         if not I or not I <= full:

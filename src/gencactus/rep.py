@@ -11,14 +11,16 @@ denominator), so a Fraction is built only for an entry returned: relation
 checks and `Pi_of` multiply two readings in one `_compose`.  Stable lines
 split the space generator by generator; a unit row is an equation
 v_j = s v_i, which gives the first generator's eigenspaces, and a later one
-splits each piece U by the integer kernel of (M - sI)U, after the rows
-with one nonzero have fixed their unknowns at 0.  Restriction and
+splits each piece U by the kernel of (M - sI)U, after the rows with one
+nonzero have fixed their unknowns at 0.  Restriction and
 quotient read k pivot coordinates P of the subspace U: O(nnz(M) k) per
 image tests M U in U and gives its coordinates, and the quotient is
 M_KK - U_K U_P^-1 M_PK; that one elimination of U also says whether U is
 independent and transverse to the kept axes.  Results share the zero and
-the unit rows of `identity_matrix`; images with other entries (cyclotomic
-ones) take the same steps on them.
+the unit rows of `identity_matrix`.  Images with other entries (cyclotomic
+ones) take the same steps on them: every elimination is the fraction-free
+`linalg._integer_reduce` and every kernel `linalg.integer_kernel`, whatever
+the entries.
 """
 
 from __future__ import annotations
@@ -28,19 +30,18 @@ from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .cactus import CactusWord, commuting_subsets
-from .coxeter import CoxeterSystem, connected_subsets, conjugate_subset
+from .coxeter import CoxeterSystem, _subset_key, connected_subsets, conjugate_subset
 from .errors import DegenerateFormError, InputError, SubspaceError
 from .linalg import (
     _ONE,
     _UNIT_COLUMN,
     _ZERO,
+    _div,
     _integer_reduce,
     _integer_rows,
-    _row_reduce,
     _sparse_row,
     identity_matrix,
     integer_kernel,
-    kernel_basis,
     reduced_basis,
 )
 from .racg import RacgContext, SemidirectElement
@@ -110,10 +111,6 @@ def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
     return tuple(_sparse_row([(u, _ONE)] if u is not None else
                              [(c, Fraction(v, scale)) for c, v in general[i].items()], n, _ZERO)
                  for i, u in enumerate(units))
-
-
-def _subset_key(I):
-    return (len(I), sorted(I))
 
 
 def rho_rep(system: CoxeterSystem, t) -> dict:
@@ -428,12 +425,8 @@ def _split_piece(basis: list, units: list, general: dict, d, signs, zero) -> lis
         rows.sort(key=len)
         k, column = len(live), {q: c for c, q in enumerate(live)}
         rows = [[(column[q], v) for q, v in hits] for hits in rows]
-        if type(zero) is int:
-            kernel = integer_kernel([list(_sparse_row(hits, k, 0)) for hits in rows], k)
-        else:
-            kernel = map(_nonzeros, kernel_basis([_sparse_row(hits, k, zero) for hits in rows]))
         part = []
-        for hits in kernel:
+        for hits in integer_kernel([list(_sparse_row(hits, k, 0)) for hits in rows], k):
             acc = {}
             for c, x in hits:
                 _add(acc, basis[live[c]], x)
@@ -468,7 +461,8 @@ def _pivot_blocks(rep: dict, basis: Sequence, keep, dependent: str) -> dict:
     L (w - sum_j (w_{P_j} / p_j) u'_j) is 0 for w = M u_q in U, and on K is
     L (w_K - U_K U_P^-1 w_P) for w a column of M, the quotient block.  For
     images over d and a rational basis it is all ints: u_j times the lcm
-    s_j of its denominators, L the lcm of the |p_j|."""
+    s_j of its denominators, L the lcm of the |p_j|; for other entries
+    L = 1 and each w_{P_j} is divided by p_j."""
     keys = list(rep)
     n, k = len(rep[keys[0]]), len(basis)
     d, images = _images(rep)
@@ -485,7 +479,7 @@ def _pivot_blocks(rep: dict, basis: Sequence, keep, dependent: str) -> dict:
 
     order = list(range(n)) if keep is None else sorted(set(range(n)).difference(keep)) + keep
     rows = [[u[c] for c in order] + [int(i == j) for j in range(k)] for i, u in enumerate(scaled)]
-    pivots = (_row_reduce if got is None else _integer_reduce)(rows, len(order))
+    pivots = _integer_reduce(rows, len(order))
     if len(pivots) < k:
         raise SubspaceError(dependent)
     if keep is not None:
@@ -495,7 +489,7 @@ def _pivot_blocks(rep: dict, basis: Sequence, keep, dependent: str) -> dict:
             raise SubspaceError("chosen axes are not transverse to the subspace")
     L = 1 if got is None else lcm(*[row[c] for row, c in zip(rows, pivots)])
     supports = [_nonzeros(u) for u in scaled]
-    reducers = [(order[c], 1 if got is None else L // row[c], _nonzeros(row[n:]),
+    reducers = [(order[c], _div(1, row[c]) if got is None else L // row[c], _nonzeros(row[n:]),
                  [(order[x], y) for x, y in enumerate(row[:n]) if y != 0])
                 for row, c in zip(rows, pivots)]
 

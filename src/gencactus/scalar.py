@@ -106,6 +106,9 @@ class CycloReal:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 

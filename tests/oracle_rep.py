@@ -8,9 +8,9 @@ kernels of the first generator; restriction solves the dense images of each
 generator against the basis, one generator at a time; and the quotient
 conjugates each generator by an inverse.  They build on the package's
 exact `kernel_basis`, which has oracles of its own in tests/test_linalg.py,
-on the product `mat_mul` and the solve `solve_in_span` of
-tests/oracle_linalg.py, and on a plain inverse and matrix-vector product
-of their own.  They are slow (n x n inverses and kernels per generator)
+on the product `mat_mul`, the solve `solve_in_span` and the elimination
+`_row_reduce` of tests/oracle_linalg.py, and on a plain inverse (by that
+elimination) and matrix-vector product of their own.  They are slow (n x n inverses and kernels per generator)
 and plain.  `check_relations` compares Fraction products of the images by
 `mat_mul`.  The dense form on S and the dense reflection and permutation
 matrices, whose product the Pi images equal, are here too, as are
@@ -38,15 +38,20 @@ from gencactus.errors import DegenerateFormError, InputError, SubspaceError
 from gencactus.linalg import (
     _ONE,
     _ZERO,
-    _exact_rows,
-    _row_reduce,
     _sparse_row,
     identity_matrix,
     kernel_basis,
     reduced_basis,
 )
 from gencactus.racg import InducedAutomorphism, SemidirectElement
-from oracle_linalg import determinant, mat_mul, solve_in_span, transpose
+from oracle_linalg import (
+    _exact_rows,
+    _row_reduce,
+    determinant,
+    mat_mul,
+    solve_in_span,
+    transpose,
+)
 from gencactus.rep import (
     Pi_rep,
     RelationReport,
@@ -75,7 +80,7 @@ def mat_inverse(a):
     """Exact inverse; ValueError when a is singular."""
     n = len(a)
     rows = [row + list(e) for row, e in zip(_exact_rows(a), identity_matrix(n))]
-    if len(_row_reduce(rows, n)) < n:
+    if len(_row_reduce(rows, n)[0]) < n:
         raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in rows)
 

@@ -521,6 +521,30 @@ def test_finite_irrational_query_does_not_import_mpmath(argv):
     assert fresh_interpreter(code).splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("name", ["H3", "I2(8)", "B4"])
+def test_cyclotomic_rep_queries_do_not_import_mpmath(name):
+    # the one elimination tests cyclotomic entries for zero and never orders
+    # one, which would load mpmath to certify the sign
+    code = (
+        "import sys\n"
+        "from gencactus import CoxeterSystem\n"
+        "from gencactus.linalg import kernel_basis, reduced_basis\n"
+        "from gencactus.rep import quotient_rep, stable_lines\n"
+        f"system = CoxeterSystem.from_name({name!r})\n"
+        "n = system.rank\n"
+        "pi = {s: system.reflection_matrix(s, 2) for s in range(n)}\n"
+        "stable_lines(pi)\n"
+        "assert len(quotient_rep(pi, pi[0], [])[0]) == 0\n"
+        "assert len(quotient_rep(pi, [], list(range(n)))[0]) == n\n"
+        "for m in pi.values():\n"
+        "    shifted = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]\n"
+        "    assert len(kernel_basis(shifted)) == n - 1\n"
+        "    assert len(reduced_basis(m)) == n\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    assert fresh_interpreter(code).splitlines()[-1] == "False"
+
+
 def test_cli_import_does_not_import_dataclasses():
     code = "import sys\nimport gencactus.cli\nprint('dataclasses' in sys.modules)\n"
     assert fresh_interpreter(code).splitlines()[-1] == "False"

@@ -615,6 +615,8 @@ ENTRY_POINTS = {
     "longest_element": lambda sys_, i: longest_element(sys_, [i]),
     "conjugate_subset": lambda sys_, i: conjugate_subset(sys_, [i], [i]),
     "from_word": lambda sys_, i: GroupElement.from_word(sys_, [0, i]),
+    "subgroup": lambda sys_, i: sys_.group_table().subgroup([0, i]),
+    "format_subset": lambda sys_, i: sys_.format_subset([0, i]),
 }
 
 

@@ -9,8 +9,6 @@ import sympy
 from gencactus.linalg import (
     _ZERO,
     _eliminate,
-    _exact_rows,
-    _row_reduce,
     identity_matrix,
     kernel_basis,
     reduced_basis,
@@ -395,16 +393,22 @@ def _oracle_matrix(rng, kind, n, m, density, rank=None):
 
 
 def assert_same_reduction(a, ncols):
-    got, want = [list(row) for row in a], [list(row) for row in a]
-    assert_identical(_row_reduce(got, ncols), oracle_linalg._row_reduce(want, ncols)[0])
-    assert_identical(got, want)
+    # the pivots of the one elimination, and each pivot row over its pivot,
+    # equal the oracle's reduced rows in value; over rationals in type too,
+    # and every zero of those rows is the shared zero
+    rows, pivots = _eliminate(a, ncols)
+    want = oracle_linalg._exact_rows(a)
+    assert pivots == oracle_linalg._row_reduce(want, ncols)[0]
+    assert rows[: len(pivots)] == want[: len(pivots)]
+    assert all(x is _ZERO for row in rows[: len(pivots)] for x in row if not x)
+    if all(type(x) is Fraction for row in want for x in row):
+        assert_identical(rows[: len(pivots)], want[: len(pivots)])
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "cyclo", "mixed"])
 def test_row_reduce_matches_oracle(kind):
-    # pivots and every entry, in value and type; square, wide
-    # and tall, sparse and dense, full rank and rank-deficient, with columns
-    # past ncols riding along
+    # square, wide and tall, sparse and dense, full rank and rank-deficient,
+    # with columns past ncols riding along
     rng = random.Random(f"reduce-{kind}")
     for _ in range(150 if kind in ("int", "fraction") else 40):
         n, m = rng.randint(1, 7), rng.randint(1, 7)
@@ -431,9 +435,9 @@ def _python_numbers(rng, kind, a):
 
 @pytest.mark.parametrize("kind", ["int", "bool", "fraction", "cyclo", "mixed"])
 def test_exact_rows_and_kernels_match_oracle(kind):
-    # the rows, pivots and kernels read from `_exact_rows` equal
-    # the oracle's in value and type; over Fractions, ints and bools every
-    # zero of a kernel vector is the shared zero
+    # kernels and reduced bases of ints, bools, Fractions and cyclotomic
+    # entries equal the oracle's in value, over rationals in type too; every
+    # zero of their vectors is the shared zero, whatever the entries
     rng = random.Random(f"exact-{kind}")
     for _ in range(150 if kind in ("int", "bool", "fraction") else 40):
         n, m = rng.randint(1, 7), rng.randint(1, 7)
@@ -441,18 +445,40 @@ def test_exact_rows_and_kernels_match_oracle(kind):
         base = "fraction" if kind in ("int", "bool") else kind
         a = _oracle_matrix(rng, base, n, m, rng.choice([0.2, 0.5, 1.0]), rank)
         a = _python_numbers(rng, kind, a) if base != kind else a
-        assert_identical(_exact_rows(a), oracle_linalg._exact_rows(a))
-        got, want = _exact_rows(a), oracle_linalg._exact_rows(a)
-        assert_identical(_row_reduce(got, m), oracle_linalg._row_reduce(want, m)[0])
-        assert_identical(got, want)
-        basis = kernel_basis(a)
-        assert_identical(basis, oracle_linalg.kernel_basis(a))
+        basis, reduced = kernel_basis(a), reduced_basis(a)
+        assert basis == oracle_linalg.kernel_basis(a)
+        assert reduced == oracle_linalg.reduced_basis(a)
+        assert all(x is _ZERO for v in basis + reduced for x in v if x == 0)
         if kind in ("int", "bool", "fraction"):
-            assert all(x is _ZERO for v in basis for x in v if x == 0)
+            assert_identical(basis, oracle_linalg.kernel_basis(a))
             # a kernel vector is a unit vector only for a zero column of a,
             # and kernel_basis does not share those
             if basis and all(any(x != 0 for x in col) for col in zip(*a)):
                 assert_shared(basis)
+
+
+def test_rows_of_bools_ints_and_cyclotomic_entries_divide_exactly():
+    # ints and bools stay next to CycloReals in a row, and a quotient of two
+    # of them is a Fraction: true division would give True / 2 = 0.5
+    c = cos_pi_over(5)
+    got = reduced_basis([(c, True, 2)])
+    assert got == [(c / 2, Fraction(1, 2), 1)]
+    assert [type(x) for x in got[0]] == [CycloReal, Fraction, Fraction]
+    # a bool pivot: each kernel entry is an int over it
+    got = kernel_basis(((True, 3, c),))
+    assert got == [(-3, 1, 0), (-c, 0, 1)]
+    assert [type(x) for x in got[0]] == [Fraction] * 3
+    # int pivots of a fraction-free elimination over a bool and a CycloReal
+    rows, pivots = _eliminate(((True, 2, c), (0, 3, True)), 3)
+    assert pivots == [0, 1]
+    assert rows == [[1, 0, (3 * c - 2) / 3], [0, 1, Fraction(1, 3)]]
+    assert type(rows[1][2]) is Fraction
+    got = kernel_basis(((True, 2, c), (0, 3, True)))
+    assert got == [(-(3 * c - 2) / 3, Fraction(-1, 3), 1)]
+    assert [type(x) for x in got[0]] == [CycloReal, Fraction, Fraction]
+    # a scaled row of ints loses its content next to a row holding a CycloReal
+    a = ((3, 1, 0, 1), (2, 6, 4, 0), (0, 0, c, 1))
+    assert kernel_basis(a) == oracle_linalg.kernel_basis(a)
 
 
 PRODUCT_SYSTEMS = ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "F4", "I2(5)", "I2(8)"]

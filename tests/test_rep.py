@@ -14,7 +14,7 @@ from gencactus.cactus import (
     is_pure,
     parse_word,
 )
-from gencactus.coxeter import GroupElement, connected_subsets, longest_element
+from gencactus.coxeter import GroupElement, _subset_key, connected_subsets, longest_element
 from gencactus.errors import (
     DegenerateFormError,
     InputError,
@@ -714,6 +714,25 @@ def test_restrict_and_quotient_match_oracle_on_cyclotomic_pi(system, name):
             _quotients_by(pi, vec)
 
 
+@pytest.mark.parametrize("name", ["B3", "H3", "B4", "F4", "H4", "I2(5)", "I2(8)"])
+def test_reflection_reps_match_oracle_on_the_cyclotomic_ladder(system, name):
+    # the one fraction-free elimination on CycloReal entries, against the
+    # oracle's, which scales each pivot row to 1: stable lines, the whole
+    # space in cyclotomic bases with its quotients by nothing and by all of
+    # it, and a line that is not invariant and a basis that is dependent
+    sys_ = system(name)
+    n = sys_.rank
+    pi = {s: sys_.reflection_matrix(s, 2) for s in range(n)}
+    assert_identical(stable_lines(pi), oracle_rep.stable_lines(pi))
+    for basis in (pi[0], mat_mul(pi[0], pi[n - 1]), transpose(pi[1])):
+        again = assert_same_change(restrict_rep, oracle_rep.restrict_rep, pi, basis)
+        assert_same_change(quotient_rep, oracle_rep.quotient_rep, again, [], list(range(n)))
+        assert_same_change(quotient_rep, oracle_rep.quotient_rep, pi, basis, [])
+    for basis in (pi[0][:1], pi[0][:2] + pi[0][:1]):
+        assert_same_change(restrict_rep, oracle_rep.restrict_rep, pi, basis)
+        assert_same_change(quotient_rep, oracle_rep.quotient_rep, pi, basis, list(range(1, n)))
+
+
 def test_restrict_and_quotient_errors_match_oracle(context):
     ctx = context("A2")
     Pi = Pi_rep(ctx, F(2))
@@ -1034,7 +1053,7 @@ def _semidirect_elements(ctx, words):
 def test_pi_of_matches_the_letterwise_product(context, name):
     ctx = context(name)
     rng = random.Random(f"pi-of-{name}")
-    family = sorted(ctx.family, key=rep_module._subset_key)
+    family = sorted(ctx.family, key=_subset_key)
     for t in PI_OF_TS:
         words = [CactusWord(ctx.system, [rng.choice(family) for _ in range(L)]) for L in (0, 1, 8, 40)]
         for x in words + list(_semidirect_elements(ctx, words)):
@@ -1073,7 +1092,7 @@ def test_word_problem_agrees_with_pi_at_one(context, name):
     ctx = context(name)
     sys_ = ctx.system
     rng = random.Random(f"word-problem-{name}")
-    family = sorted(ctx.family, key=rep_module._subset_key)
+    family = sorted(ctx.family, key=_subset_key)
     answers = []
     for L in (6, 20, 40):
         for _ in range(2):

@@ -113,6 +113,14 @@ def test_sign_against_mpmath_intervals():
         assert v.sign() == expect
 
 
+def test_truthiness_is_nonzero_without_a_sign():
+    # a zero test by truthiness, as for int and Fraction, that decides no sign
+    x = cos_pi_over(7)
+    assert x and not (x - x) and not CycloReal(12, [0, 0, 0])
+    assert bool(x * 0 + Fraction(-1, 3)) and not x.lift(28) * 0
+    assert (x - x)._sign is None and x._sign is None
+
+
 def test_hash_agrees_with_equality_across_conductors():
     c = cos_pi_over(4)
     lifted = c.lift(16)
