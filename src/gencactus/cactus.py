@@ -13,6 +13,7 @@ from typing import Iterable, Optional
 from .coxeter import (
     CoxeterSystem,
     GroupElement,
+    commuting_subsets,
     connected_subsets,
     conjugate_subset,
     longest_root_map,
@@ -94,13 +95,6 @@ def parse_word(system: CoxeterSystem, text: str) -> CactusWord:
 
 def format_word(word: CactusWord) -> str:
     return " ".join("g" + word.system.format_subset(l) for l in word.letters)
-
-
-def commuting_subsets(system: CoxeterSystem, I: frozenset, J: frozenset) -> bool:
-    """Whether W_{I u J} = W_I x W_J: disjoint and every cross bond is 2."""
-    if I & J:
-        return False
-    return all(system.m(s, t) == 2 for s in I for t in J)
 
 
 def apply_relation(word: CactusWord, position: int) -> CactusWord:

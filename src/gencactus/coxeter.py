@@ -53,9 +53,10 @@ class CoxeterSystem:
 
     matrix[i][j] is the order of s_i s_j; 0 means infinite.  `_cache` holds
     the derived data that is reused, and only this module reads or writes
-    it.  Its five key kinds are "roots" (the root table), "table" (the group
-    table), "fset" (F(S) as a tuple), ("longest", I) (w_I) and
-    ("longest_roots", I) (`longest_root_map`).
+    it.  Its six key kinds are "roots" (the root table), "table" (the group
+    table), "fset" (F(S) as a tuple), ("longest", I) (w_I),
+    ("longest_roots", I) (`longest_root_map`) and ("presentation", family)
+    (`presentation`).
     """
 
     def __init__(self, labels: Sequence[str], matrix: Sequence[Sequence[int]]):
@@ -563,6 +564,48 @@ def conjugate_subset(
         else:
             raise ArithmeticError("conjugate of a generator is not a generator")
     return frozenset(out)
+
+
+def commuting_subsets(system: CoxeterSystem, I: frozenset, J: frozenset) -> bool:
+    """Whether W_{I u J} = W_I x W_J: disjoint and every cross bond is 2."""
+    if I & J:
+        return False
+    return all(system.m(s, t) == 2 for s in I for t in J)
+
+
+class Presentation:
+    """The relations of C_W over a family of subsets in the F(S) order: each
+    pair I before J that commutes as (I, J, None) and each nested pair I < J
+    as (I, J, w_J(I)), in the order `rep.check_relations` reports them; the
+    `pattern` of the form on R^family, 1 where it is -t and 0 elsewhere;
+    and `orbits[i]`, the positions (j, j2), j < j2, of each w_I-orbit
+    {J, w_I(J)} of two proper subsets of I."""
+
+    __slots__ = ("family", "relations", "pattern", "orbits")
+
+    def __init__(self, system: CoxeterSystem, family: tuple):
+        pos, n = {I: i for i, I in enumerate(family)}, len(family)
+        self.family, self.relations, self.orbits = family, [], [[] for _ in family]
+        for a, b in itertools.combinations(range(n), 2):
+            I, J = family[a], family[b]
+            if commuting_subsets(system, I, J):
+                self.relations.append((I, J, None))
+            if I < J:
+                J2 = conjugate_subset(system, J, I)
+                self.relations.append((I, J, J2))
+                if pos.get(J2, -1) > a:
+                    self.orbits[b].append((a, pos[J2]))
+        zeros = {(I, J) for I, J, _ in self.relations}
+        self.pattern = [[int(I != J and (I, J) not in zeros and (J, I) not in zeros)
+                         for J in family] for I in family]
+
+
+def presentation(system: CoxeterSystem, family: Optional[Iterable] = None) -> Presentation:
+    """The `Presentation` over a family (default F(S)), built once for each."""
+    family = connected_subsets(system) if family is None else tuple(sorted(family, key=_subset_key))
+    if ("presentation", family) not in system._cache:
+        system._cache["presentation", family] = Presentation(system, family)
+    return system._cache["presentation", family]
 
 
 # the largest |W| listed element by element: E6 (51,840) passes, E7 does not

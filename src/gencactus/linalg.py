@@ -8,9 +8,10 @@ identity), and a kernel vector whose only nonzero is 1 is the shared row of
 `identity_matrix`, whose column `_UNIT_COLUMN` gives by lookup.  The one
 elimination is the fraction-free Gauss-Jordan `_integer_reduce`, on int
 rows (rational rows times the lcm of their denominators) or on the entries
-as they are; it orders ints only, and a rank is the pivot count of its
-forward half.  `kernel_basis` reads the kernel core `integer_kernel`, and
-`reduced_basis` the eliminated rows over their pivots.  There is no
+as they are, each pivot that is not an int divided out of its row; it
+orders ints only, and a rank is the pivot count of its forward half.
+`kernel_basis` reads the kernel core `integer_kernel`, and `reduced_basis`
+the eliminated rows over their pivots.  There is no
 determinant, no inverse and no solve.  Kernels come back as the reduced
 basis: one vector per free column, ascending, with 1 on its own free column
 and 0 on the other free columns; `reduced_basis` puts any spanning set in
@@ -84,6 +85,8 @@ def _integer_reduce(rows: list[list], ncols: int, jordan: bool = True):
     """Fraction-free Gauss-Jordan elimination in place on rows of exact
     entries.
 
+    A pivot that is not an int is divided out of its row first, once, so
+    every pivot is an int and a cyclotomic entry does not grow step by step.
     A row holding x in the pivot column becomes a*row - f*pivot_row: with
     a/f = pivot/x in lowest terms and a > 0 when both are ints, else with
     a = pivot and f = x, so only an int is ever ordered.  A row of ints is
@@ -103,6 +106,10 @@ def _integer_reduce(rows: list[list], ncols: int, jordan: bool = True):
             rows[r], rows[p] = rows[p], rows[r]
         prow = rows[r]
         pivot = prow[col]
+        if type(pivot) is not int:
+            inverse = _div(1, pivot)
+            prow = rows[r] = [x * inverse if x else x for x in prow]
+            prow[col] = pivot = 1
         nonzero = [(j, y) for j, y in enumerate(prow) if y]
         for i in range(0 if jordan else r + 1, len(rows)):
             row, f = rows[i], rows[i][col]
@@ -139,21 +146,16 @@ def _eliminate(a, ncols: int):
 def integer_kernel(rows: list[list], ncols: int) -> list[list]:
     """The right null space of rows, which it eliminates in place: per free
     column f, ascending, the `kernel_basis` vector of f times s as
-    (column, value) hits, f first.  Over int pivots s is the lcm L of the
-    |pivots| of the rows with x != 0 in column f, and such a row's pivot
-    column holds -x L / pivot, an int on int rows; over other pivots s = 1
-    and it holds -x / pivot.
+    (column, value) hits, f first.  s is the lcm L of the |pivots| (all
+    ints) of the rows with x != 0 in column f, and such a row's pivot
+    column holds -x L / pivot, an int on int rows.
     """
     pivots = _integer_reduce(rows, ncols)
-    ints = all(type(row[col]) is int for row, col in zip(rows, pivots))
     out = []
     for free in sorted(set(range(ncols)).difference(pivots)):
         hits = [(col, row[free], row[col]) for row, col in zip(rows, pivots) if row[free]]
-        if ints:
-            scale = lcm(*[p for _, _, p in hits])
-            out.append([(free, scale)] + [(col, -x * (scale // p)) for col, x, p in hits])
-        else:
-            out.append([(free, 1)] + [(col, -_div(x, p)) for col, x, p in hits])
+        scale = lcm(*[p for _, _, p in hits])
+        out.append([(free, scale)] + [(col, -x * (scale // p)) for col, x, p in hits])
     return out
 
 

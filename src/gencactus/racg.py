@@ -24,9 +24,9 @@ from .coxeter import (
     GroupElement,
     _subset_key,
     connected_subsets,
-    conjugate_subset,
     is_finite_parabolic,
     longest_element,
+    presentation,
 )
 from .errors import InfiniteGroupError, InputError
 
@@ -125,13 +125,9 @@ def _checked_family(system, family) -> tuple[frozenset, ...]:
             raise InputError("family subsets must be nonempty subsets of S")
         if not is_finite_parabolic(system, I):
             raise InfiniteGroupError(f"infinite parabolic: {system.format_subset(I)}")
-    fam_set = set(fam)
-    for I in fam:
-        for J in fam:
-            if I < J and conjugate_subset(system, J, I) not in fam_set:
-                raise InputError(
-                    "family is not closed under conjugation by longest elements"
-                )
+    closed = {*fam, None}
+    if any(J2 not in closed for _, _, J2 in presentation(system, fam).relations):
+        raise InputError("family is not closed under conjugation by longest elements")
     return tuple(fam)
 
 

@@ -1,26 +1,26 @@
 """Exact linear representations on the F(S)-indexed and S-indexed spaces.
 
-rho_I is the closed-form reflection 1 - 2 C G^-1 (BC)^T in the span C of
-R e_I + E_I, one fraction-free elimination of int rows per generator, once
-the pivot count of one forward elimination of the int rows q B (t = p/q)
-has shown the form nondegenerate; a Pi image is unit rows plus the one row
-of a reflection of the big right-angled form, after a permutation.
-Queries read an image as its unit rows, a lookup each, and the nonzeros of
-its general rows, over ints for rational images (times one common
-denominator), so a Fraction is built only for an entry returned: relation
-checks and `Pi_of` multiply two readings in one `_compose`.  Stable lines
-split the space generator by generator; a unit row is an equation
-v_j = s v_i, which gives the first generator's eigenspaces, and a later one
-splits each piece U by the kernel of (M - sI)U, after the rows with one
-nonzero have fixed their unknowns at 0.  Restriction and
-quotient read k pivot coordinates P of the subspace U: O(nnz(M) k) per
-image tests M U in U and gives its coordinates, and the quotient is
-M_KK - U_K U_P^-1 M_PK; that one elimination of U also says whether U is
-independent and transverse to the kept axes.  Results share the zero and
-the unit rows of `identity_matrix`.  Images with other entries (cyclotomic
-ones) take the same steps on them: every elimination is the fraction-free
-`linalg._integer_reduce` and every kernel `linalg.integer_kernel`, whatever
-the entries.
+A query reads an image as the column of each shared unit row of
+`identity_matrix` and the nonzeros of its general rows, as ints over one
+denominator d for rational images; relation checks and `Pi_of` multiply
+two readings in one `_compose`.  rho and Pi are built as readings, which
+their `_Rep` keeps, and `_matrix` makes every matrix returned from one; a
+hand-built or edited rep is read row by row (`_images`).  What does not
+depend on t comes from `coxeter.presentation`.  rho_I is the closed-form
+reflection 1 - 2 C G^-1 (BC)^T in the span C of R e_I + E_I, one
+fraction-free elimination of int rows per generator, once a forward
+elimination of the int rows q B (t = p/q) has shown the form
+nondegenerate; a Pi image is unit rows plus one row of a reflection of the
+big right-angled form, after a permutation.  Stable lines split the space
+generator by generator; a unit row is an equation v_j = s v_i, which gives
+the first generator's eigenspaces, and a later one splits each piece U by
+the kernel of (M - sI)U, after the rows with one nonzero have fixed their
+unknowns at 0.  Restriction and quotient read k pivot coordinates P of U:
+O(nnz(M) k) per image tests M U in U and gives its coordinates, and the
+quotient is M_KK - U_K U_P^-1 M_PK; that one elimination of U also says
+whether U is independent and transverse to the kept axes.  Results share
+the zero and the unit rows of `identity_matrix`.  Cyclotomic images take
+the same steps on their entries (`linalg._integer_reduce`, `integer_kernel`).
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-from .cactus import CactusWord, commuting_subsets
-from .coxeter import CoxeterSystem, _subset_key, connected_subsets, conjugate_subset
+from .cactus import CactusWord
+from .coxeter import CoxeterSystem, presentation
 from .errors import DegenerateFormError, InputError, SubspaceError
 from .linalg import (
     _ONE,
     _UNIT_COLUMN,
     _ZERO,
-    _div,
     _integer_reduce,
     _integer_rows,
     _sparse_row,
@@ -47,26 +46,42 @@ from .linalg import (
 from .racg import RacgContext, SemidirectElement
 
 
-def _form_row(ctx: RacgContext, k: int, perm, diag, off) -> tuple:
-    """Row k of the matrix with diag on the diagonal, off where M is infinite
-    and 0 elsewhere, read through perm: column c holds column perm[c]."""
-    mrow = ctx.M[k]
-    hits = [(c, diag if p == k else off) for c, p in enumerate(perm) if p == k or mrow[p] == 0]
-    return _sparse_row([(c, v) for c, v in hits if v != 0], len(mrow), _ZERO)
+class _Rep(dict):
+    """The matrices of readings over d; `reading` keeps d, the readings and
+    the matrices they describe."""
+
+    __slots__ = ("reading", "__weakref__")
+
+    def __init__(self, d, images: dict):
+        super().__init__((key, _matrix(image, d)) for key, image in images.items())
+        self.reading = d, images, tuple(self.values())
 
 
-def _pi_image(ctx: RacgContext, k: Optional[int], perm: Sequence[int], t: Fraction) -> tuple:
-    """sigma_k P_g: the reflection x -> x - 2 B(x, e_k) e_k in the form on S
-    after the permutation e_j -> e_{g(j)}, or P_g alone when k is None.  Off
-    row k, row i is the unit row at g^-1(i); row k is e_k - 2 (row k of the
-    form) read through g."""
-    units = identity_matrix(len(perm))
-    rows = list(units)
-    for j, p in enumerate(perm):
-        rows[p] = units[j]
-    if k is not None:
-        rows[k] = _form_row(ctx, k, perm, Fraction(-1), 2 * t)
+def _matrix(image, d) -> tuple:
+    """The matrix of a reading (units, general) over d, unit rows shared."""
+    units, general = image
+    ones = identity_matrix(len(units))
+    rows = [None if u is None else ones[u] for u in units]
+    for i, hits in general.items():
+        value = {v: Fraction(v, d) for v in set(hits.values())}
+        rows[i] = _sparse_row([(c, value[v]) for c, v in hits.items()], len(ones), _ZERO)
     return tuple(rows)
+
+
+def _pi_image(ctx: RacgContext, k: Optional[int], perm: Sequence[int], two_t: Fraction) -> tuple:
+    """The reading over the denominator d of 2t of sigma_k P_g: x -> x -
+    2 B(x, e_k) e_k in the form on S after e_j -> e_{g(j)}, or P_g alone
+    when k is None.  Row i != k is the unit row at g^-1(i); row k, e_k - 2
+    (row k of the form) read through g, is -1 where g(c) = k, 2t where M is
+    infinite at g(c), else 0."""
+    units = [None] * len(perm)
+    for j, p in enumerate(perm):
+        units[p] = j
+    if k is None:
+        return units, {}
+    units[k], mrow, d, off = None, ctx.M[k], two_t.denominator, two_t.numerator
+    return units, {k: {c: -d if p == k else off
+                       for c, p in enumerate(perm) if p == k or off and mrow[p] == 0}}
 
 
 def Pi_rep(ctx: RacgContext, t) -> dict:
@@ -75,10 +90,9 @@ def Pi_rep(ctx: RacgContext, t) -> dict:
     key = ("Pi", t)
     cached = ctx.caches.get(key)
     if cached is None:
-        cached = ctx.caches[key] = {
-            I: _pi_image(ctx, letter.racg_part[0], letter.aut_part.perm, t)
-            for I, letter in ctx.letters.items()
-        }
+        two_t = 2 * t
+        cached = ctx.caches[key] = _Rep(two_t.denominator, {
+            I: _pi_image(ctx, *x.racg_part, x.aut_part.perm, two_t) for I, x in ctx.letters.items()})
     return cached
 
 
@@ -99,18 +113,16 @@ def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
     elif isinstance(x, SemidirectElement):
         if x.context is not ctx:
             raise InputError("element from a different context")
-        d, images = _images({i: _pi_image(ctx, i, range(n), t) for i in set(x.racg_part)}
-                            | {None: _pi_image(ctx, None, x.aut_part.perm, t)})
+        two_t = 2 * t
+        d, images = two_t.denominator, {i: _pi_image(ctx, i, range(n), two_t) for i in set(x.racg_part)}
+        images[None] = _pi_image(ctx, None, x.aut_part.perm, two_t)
         keys = [*x.racg_part, None]
     else:
         raise InputError(f"cannot represent object of type {type(x).__name__}")
     reading, scale = (list(range(n)), {}), 1
     for key in keys:
         reading, scale = _compose(reading, scale, images[key], d), scale * d
-    units, general = reading
-    return tuple(_sparse_row([(u, _ONE)] if u is not None else
-                             [(c, Fraction(v, scale)) for c, v in general[i].items()], n, _ZERO)
-                 for i, u in enumerate(units))
+    return _matrix(reading, scale)
 
 
 def rho_rep(system: CoxeterSystem, t) -> dict:
@@ -121,8 +133,14 @@ def rho_rep(system: CoxeterSystem, t) -> dict:
     degenerate form, on the whole space or on that span, is an error: the
     sum is not direct there."""
     t = Fraction(t)
-    gram = _nondegenerate_form(system, t)
-    return {I: _rho_assemble(system, I, t, gram) for I in connected_subsets(system)}
+    gram, pres = _nondegenerate_form(system, t), presentation(system)
+    built = {I: _rho_assemble(system, I, t, gram, [(i, None), *pres.orbits[i]])
+             for i, I in enumerate(pres.family)}
+    d = lcm(*[abs(p) // gcd(p, *hits.values())
+              for _, general in built.values() for p, hits in general.values()])
+    return _Rep(d, {I: (units, {r: {c: v * d // p for c, v in hits.items()}
+                                for r, (p, hits) in general.items()})
+                    for I, (units, general) in built.items()})
 
 
 def _nondegenerate_form(system, t):
@@ -130,51 +148,40 @@ def _nondegenerate_form(system, t):
     diagonal, 0 on containment or product pairs, -p elsewhere.  B is
     nondegenerate when a forward elimination of a copy finds |F(S)|
     pivots."""
-    fset, p, q = connected_subsets(system), t.numerator, t.denominator
-    gram = [[q if I == J else 0 if I < J or J < I or commuting_subsets(system, I, J) else -p
-             for J in fset] for I in fset]
+    p, q = t.numerator, t.denominator
+    gram = [[q * (i == j) - p * x for j, x in enumerate(row)]
+            for i, row in enumerate(presentation(system).pattern)]
     if len(_integer_reduce([list(row) for row in gram], len(gram), jordan=False)) < len(gram):
         raise DegenerateFormError(f"degenerate form at t = {t}: full space")
     return gram
 
 
-def _rho_assemble(system, I, t, gram):
-    fset = connected_subsets(system)
-    pos = {S: i for i, S in enumerate(fset)}
-    n = len(fset)
-    # the spanning columns of R e_I + E_I: e_I, then e_J - e_J2 for each
-    # w_I-orbit {J, J2} of proper subsets; the orbits are disjoint, so every
-    # coordinate lies in the support of at most one column
-    cols = [(pos[I], None)]
-    done = set()
-    for J in fset:
-        if J < I and J not in done:
-            J2 = conjugate_subset(system, I, J)
-            done.add(J)
-            done.add(J2)
-            if J2 != J:
-                cols.append((pos[J], pos[J2]))
+def _rho_assemble(system, I, t, gram, cols):
+    """rho_I as unit columns and general rows {r: (p, {column: nonzero})}
+    over their own int p.  cols span R e_I + E_I: e_a for I at (a, None) and
+    e_a - e_b for each w_I-orbit (a, b); their supports are disjoint."""
+    n, k = len(gram), len(cols)
     # rho_I = 1 - C Y with G Y = 2 (BC)^T: -1 on span C, +1 on its
     # B-orthocomplement.  In ints gram is q B, so the rows [qG | 2q(BC)^T]
     # hold G = C^T B C (symmetric: its rows are its columns); one
     # fraction-free elimination leaves row c with a pivot p on column c and
     # p Y_c beside it, and row r of rho_I is (p e_r -+ p Y_c) / p
-    k = len(cols)
     bc = [gram[a] if b is None else [x - y for x, y in zip(gram[a], gram[b])] for a, b in cols]
     rows = [[v[a] if b is None else v[a] - v[b] for a, b in cols] + [2 * x for x in v] for v in bc]
     if len(_integer_reduce(rows, k)) < k:
         raise DegenerateFormError(
             f"degenerate form at t = {t}: span(e_I, E_I) for I = {system.format_subset(I)}"
         )
-    out = list(identity_matrix(n))
+    units, general = list(range(n)), {}
     for c, ((a, b), row) in enumerate(zip(cols, rows)):
         p = row[c]
         for r, sign in ((a, -1), (b, 1)):
             if r is not None:
-                hits = {j: sign * y for j, y in enumerate(row[k:]) if y}
-                hits[r] = hits.get(r, 0) + p
-                out[r] = _sparse_row([(j, Fraction(v, p)) for j, v in hits.items() if v], n, _ZERO)
-    return tuple(out)
+                hits = {j: v for j, y in enumerate(row[k:]) if (v := sign * y + p * (j == r))}
+                units[r] = next(iter(hits)) if list(hits.values()) == [p] else None
+                if units[r] is None:
+                    general[r] = p, hits
+    return units, general
 
 
 class RelationReport:
@@ -209,36 +216,28 @@ def check_relations(system: CoxeterSystem, rep: dict) -> RelationReport:
     """Verify the defining relations on generator images.
 
     (a) every image squares to the identity, (b) product pairs commute,
-    (c) nested pairs satisfy M_I M_J = M_J M_{w_J(I)}.  Violations are
+    (c) nested pairs satisfy M_I M_J = M_J M_{w_J(I)}, as the
+    `presentation` over the keys of rep lists them.  Violations are
     reported, not raised.
     """
     report = RelationReport()
     if not rep:
         return report
-    keys = sorted(rep, key=_subset_key)
+    pres = presentation(system, rep)
     fmt = system.format_subset
     d, im = _images(rep)
     d = d or 1
-    for I in keys:
+    for I in pres.family:
         report.checked += 1
         if _compose(im[I], d, im[I], d) != (list(range(len(im[I][0]))), {}):
             report.violations.append(("involution", fmt(I)))
-    for a in range(len(keys)):
-        for b in range(len(keys)):
-            I, J = keys[a], keys[b]
-            if a < b and commuting_subsets(system, I, J):
-                report.checked += 1
-                if _compose(im[I], d, im[J], d) != _compose(im[J], d, im[I], d):
-                    report.violations.append(("commute", f"{fmt(I)}, {fmt(J)}"))
-            if I < J:
-                report.checked += 1
-                J2 = conjugate_subset(system, J, I)
-                if J2 not in rep:
-                    report.violations.append(
-                        ("missing-conjugate", f"w_{fmt(J)}({fmt(I)}) = {fmt(J2)}")
-                    )
-                elif _compose(im[I], d, im[J], d) != _compose(im[J], d, im[J2], d):
-                    report.violations.append(("nested", f"{fmt(I)} inside {fmt(J)}"))
+    for I, J, J2 in pres.relations:  # M_I M_J = M_J M_I, or M_J M_{w_J(I)}
+        report.checked += 1
+        if J2 is not None and J2 not in rep:
+            report.violations.append(("missing-conjugate", f"w_{fmt(J)}({fmt(I)}) = {fmt(J2)}"))
+        elif _compose(im[I], d, im[J], d) != _compose(im[J], d, im[I if J2 is None else J2], d):
+            report.violations.append(("commute", f"{fmt(I)}, {fmt(J)}") if J2 is None
+                                     else ("nested", f"{fmt(I)} inside {fmt(J)}"))
     return report
 
 
@@ -246,7 +245,12 @@ def _images(rep: dict):
     """(d, {key: (units, general)}): units[i] is the column of the 1 in a
     shared unit row i, else None, and general[i] the {column: nonzero} of
     d times row i.  Over Fractions d is the lcm of their denominators, which
-    makes them ints; otherwise d is None and they are the entries."""
+    makes them ints; otherwise d is None and they are the entries.  A `_Rep`
+    keeps its own while each key maps to the matrix it was built with."""
+    carried = getattr(rep, "reading", None)
+    if carried and len(rep) == len(carried[2]) and all(
+            k is a and m is b for k, a, m, b in zip(rep, carried[1], rep.values(), carried[2])):
+        return carried[:2]
     images = {}
     for key, mat in rep.items():
         units = [_UNIT_COLUMN.get(id(row)) for row in mat]
@@ -459,10 +463,10 @@ def _pivot_blocks(rep: dict, basis: Sequence, keep, dependent: str) -> dict:
     or hold a pivot.  That reduces U to rows u'_j with pivot p_j on P_j and
     0 on the rest of P; then
     L (w - sum_j (w_{P_j} / p_j) u'_j) is 0 for w = M u_q in U, and on K is
-    L (w_K - U_K U_P^-1 w_P) for w a column of M, the quotient block.  For
-    images over d and a rational basis it is all ints: u_j times the lcm
-    s_j of its denominators, L the lcm of the |p_j|; for other entries
-    L = 1 and each w_{P_j} is divided by p_j."""
+    L (w_K - U_K U_P^-1 w_P) for w a column of M, the quotient block, with
+    L the lcm of the |p_j| (ints for any entries).  For images over d and a
+    rational basis it is all ints: u_j times the lcm s_j of its
+    denominators."""
     keys = list(rep)
     n, k = len(rep[keys[0]]), len(basis)
     d, images = _images(rep)
@@ -487,9 +491,9 @@ def _pivot_blocks(rep: dict, basis: Sequence, keep, dependent: str) -> dict:
             raise SubspaceError("complement has the wrong dimension")
         if len(order) > n or any(c >= k for c in pivots):  # U_P is not square or singular
             raise SubspaceError("chosen axes are not transverse to the subspace")
-    L = 1 if got is None else lcm(*[row[c] for row, c in zip(rows, pivots)])
+    L = lcm(*[row[c] for row, c in zip(rows, pivots)])
     supports = [_nonzeros(u) for u in scaled]
-    reducers = [(order[c], _div(1, row[c]) if got is None else L // row[c], _nonzeros(row[n:]),
+    reducers = [(order[c], L // row[c], _nonzeros(row[n:]),
                  [(order[x], y) for x, y in enumerate(row[:n]) if y != 0])
                 for row, c in zip(rows, pivots)]
 

@@ -22,7 +22,8 @@ the pivot coordinates is here as well (`in_basis_restrict_rep`,
 `in_basis_quotient_rep`): one elimination of the whole basis against the
 dense images of every generator, a quotient's basis being n x n.  So is
 `product_Pi_of`, which multiplies the Fraction images letter by letter
-with `mat_mul`.
+with `mat_mul`, and a semidirect element's dense reflections
+`reflection_in_form` and permutation `pi_prime`.
 
 The Fraction Gram `form_on_fset` of the form rho preserves is here too:
 rho builds t.denominator times it as int rows and never the Fractions, and
@@ -57,7 +58,6 @@ from gencactus.rep import (
     RelationReport,
     _check_lengths,
     _nonzeros,
-    _pi_image,
 )
 
 
@@ -443,8 +443,8 @@ def product_Pi_of(ctx, x, t):
     if isinstance(x, SemidirectElement):
         if x.context is not ctx:
             raise InputError("element from a different context")
-        acc = identity_matrix(n)
+        acc, gram = identity_matrix(n), form_on_S(ctx, t)
         for i in x.racg_part:
-            acc = mat_mul(acc, _pi_image(ctx, i, range(n), t))
-        return mat_mul(acc, _pi_image(ctx, None, x.aut_part.perm, t))
+            acc = mat_mul(acc, reflection_in_form(gram, i))
+        return mat_mul(acc, pi_prime(x.aut_part.perm))
     raise InputError(f"cannot represent object of type {type(x).__name__}")

@@ -9,6 +9,7 @@ import sympy
 from gencactus.linalg import (
     _ZERO,
     _eliminate,
+    _integer_reduce,
     identity_matrix,
     kernel_basis,
     reduced_basis,
@@ -294,6 +295,21 @@ def _cyclo_matrix(rng, c, n, m, rank=None):
         rows.append([sum((w * row[j] for w, row in zip(weights, rows)), c * 0) for j in range(m)])
     rng.shuffle(rows)
     return tuple(tuple(row) for row in rows)
+
+
+def test_dense_cyclotomic_elimination_ends_in_reduced_echelon_form():
+    # a dense 8 x 9 matrix over Q(cos pi/8) on 1, c, c^2, c^3: each pivot
+    # that is not an int is divided out of its row once, so the eliminated
+    # rows are the reduced echelon form itself and their coefficients never
+    # grow past it; kernel and reduced basis equal the oracle's
+    a = _cyclo_matrix(random.Random("dense-cyclo-8x9"), cos_pi_over(8), 8, 9)
+    rows = [list(row) for row in a]
+    pivots = _integer_reduce(rows, 9)
+    want = oracle_linalg._exact_rows(a)
+    assert pivots == oracle_linalg._row_reduce(want, 9)[0] == list(range(8))
+    assert rows == want
+    assert kernel_basis(a) == oracle_linalg.kernel_basis(a)
+    assert reduced_basis(a) == oracle_linalg.reduced_basis(a)
 
 
 @pytest.mark.parametrize("m", [5, 8])

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -6,15 +8,24 @@ import pytest
 import oracle_rep
 from oracle_linalg import determinant, mat_mul, transpose
 from oracle_rep import form_on_S, form_on_fset, pi_prime, reflection_in_form
-from gencactus import linalg, rep as rep_module
+from gencactus import coxeter as coxeter_module, linalg, rep as rep_module
 from gencactus.cactus import (
     CactusWord,
     apply_relation,
+    commuting_subsets,
     evaluate_to_coxeter,
     is_pure,
     parse_word,
 )
-from gencactus.coxeter import GroupElement, _subset_key, connected_subsets, longest_element
+from gencactus.coxeter import (
+    CoxeterSystem,
+    GroupElement,
+    _subset_key,
+    conjugate_subset,
+    connected_subsets,
+    longest_element,
+    presentation,
+)
 from gencactus.errors import (
     DegenerateFormError,
     InputError,
@@ -26,7 +37,7 @@ from gencactus.linalg import (
     identity_matrix,
     kernel_basis,
 )
-from gencactus.racg import SemidirectElement
+from gencactus.racg import RacgContext, SemidirectElement
 from gencactus.scalar import CycloReal
 from gencactus.rep import (
     Pi_of,
@@ -367,8 +378,9 @@ ORACLE_TS = [F(2), F(5, 2), F(0), F(1, 3), FRESH_T]
 
 
 def assert_identical(got, want):
-    """Equal in value and in type, element by element and in order."""
-    assert type(got) is type(want)
+    """Equal in value and in type, element by element and in order; the
+    dict subclass rho_rep and Pi_rep return counts as a dict."""
+    assert type(got) is type(want) or (type(got), type(want)) == (rep_module._Rep, dict)
     if isinstance(got, (tuple, list)):
         assert len(got) == len(want)
         for x, y in zip(got, want):
@@ -1111,3 +1123,167 @@ def test_word_problem_agrees_with_pi_at_one(context, name):
                     assert evaluate_to_coxeter(w) == value
                     assert is_pure(w) == value.is_identity()
     assert answers.count(True) >= 6 and False in answers
+
+
+# -- rho and Pi as their readings, and the presentation of C_W -----------------
+
+READING_SYSTEMS = ["A2", "A4", "B3", "H3", "D4", "B4", "F4", "H4"]
+READING_TS = [F(2), F(5432, 1021), F(-7, 3)]
+
+
+def _described(reading):
+    """The matrices a reading (d, images) describes: per key and row, the
+    column of a unit row, or the general row's nonzeros as Fractions."""
+    d, images = reading
+    return {key: [u if u is not None else {c: F(v, d) for c, v in general[i].items()}
+                  for i, u in enumerate(units)]
+            for key, (units, general) in images.items()}
+
+
+@pytest.mark.parametrize("name", READING_SYSTEMS)
+def test_carried_readings_describe_the_matrices(system, context, name):
+    # the reading rho and Pi carry, against a fresh reading of the same
+    # matrices: the same unit rows and the same general rows in value
+    sys_, ctx = system(name), context(name)
+    for t in READING_TS:
+        for rep in (rho_rep(sys_, t), Pi_rep(ctx, t)):
+            assert rep_module._images(rep)[1] is rep.reading[1]
+            fresh = rep_module._images(dict(rep))
+            assert _described(rep.reading[:2]) == _described(fresh)
+            assert rep == dict(rep) and repr(rep) == repr(dict(rep))
+        ctx.caches.clear()
+
+
+@pytest.mark.parametrize("build", ["rho", "Pi"])
+def test_an_edited_library_rep_is_read_again(system, build):
+    # edited in place, with no dict(...) copy, a library rep no longer
+    # matches its reading: the report reads the matrices as they now are
+    sys_ = system("A2")
+    ctx = RacgContext(sys_)  # its own Pi cache, not the shared context's
+    rep = rho_rep(sys_, F(2)) if build == "rho" else Pi_rep(ctx, F(2))
+    rep[S1] = tuple(tuple(2 * x for x in row) for row in rep[S1])
+    report = check_relations(sys_, rep)
+    assert ("involution", "{s1}") in report.violations
+    assert report == oracle_rep.check_relations(sys_, dict(rep))
+    del rep[S2]
+    report = check_relations(sys_, rep)
+    assert ("missing-conjugate", "w_{s1,s2}({s1}) = {s2}") in report.violations
+    assert report == oracle_rep.check_relations(sys_, dict(rep))
+
+
+def _enumerated_presentation(sys_, family):
+    # the relations in the order the loops over pairs used to meet them,
+    # the form's pattern and the w_I-orbits, each found directly
+    keys = sorted(family, key=_subset_key)
+    relations = []
+    for a, I in enumerate(keys):
+        for J in keys[a + 1:]:
+            if commuting_subsets(sys_, I, J):
+                relations.append((I, J, None))
+            if I < J:
+                relations.append((I, J, conjugate_subset(sys_, J, I)))
+    pattern = [[int(I != J and not (I < J or J < I or commuting_subsets(sys_, I, J)))
+                for J in keys] for I in keys]
+    orbits = []
+    for I in keys:
+        pairs, done = [], set()
+        for J in keys:
+            J2 = conjugate_subset(sys_, I, J) if J < I else None
+            if J2 is not None and J not in done and J2 in keys:
+                done |= {J, J2}
+                if J2 != J:
+                    pairs.append((keys.index(J), keys.index(J2)))
+        orbits.append(pairs)
+    return tuple(keys), relations, pattern, orbits
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_presentation_matches_a_direct_enumeration(system, name):
+    sys_ = system(name)
+    pres = presentation(sys_)
+    got = (pres.family, pres.relations, pres.pattern, pres.orbits)
+    assert got == _enumerated_presentation(sys_, connected_subsets(sys_))
+    assert pres is presentation(sys_, reversed(connected_subsets(sys_)))
+    report = check_relations(sys_, rho_rep(sys_, FRESH_T))
+    assert report.ok and report.checked == len(pres.family) + len(pres.relations)
+
+
+def test_presentation_of_a_custom_family_is_the_closure_check(monkeypatch):
+    # the context's closure check builds the presentation its relation
+    # checks read, and a family that is not closed is refused from it
+    a3 = CoxeterSystem.from_name("A3")
+    family = [frozenset({0}), frozenset({1}), frozenset({2}), frozenset({0, 1, 2})]
+    ctx = RacgContext(a3, family=family)
+    pres = presentation(a3, ctx.family)
+    got = (pres.family, pres.relations, pres.pattern, pres.orbits)
+    assert got == _enumerated_presentation(a3, family)
+    calls = _count_presentation_calls(monkeypatch)
+    report = check_relations(a3, Pi_rep(ctx, F(2)))
+    assert report.ok and report.checked == len(family) + len(pres.relations)
+    assert calls == {"conjugate_subset": 0, "commuting_subsets": 0}
+    with pytest.raises(InputError, match="not closed"):
+        RacgContext(a3, family=family[:3] + [frozenset({0, 1})] + family[3:])
+
+
+def _count_presentation_calls(monkeypatch):
+    calls = {"conjugate_subset": 0, "commuting_subsets": 0}
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(coxeter_module, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(coxeter_module, name, counting)
+    return calls
+
+
+def test_a_second_query_reads_the_presentation(monkeypatch):
+    # once built, the presentation serves every later rho_rep and relation
+    # check on the system: neither enumerates a relation again
+    a4 = CoxeterSystem.from_name("A4")
+    ctx = RacgContext(a4)
+    assert check_relations(a4, rho_rep(a4, F(2))).ok
+    calls = _count_presentation_calls(monkeypatch)
+    for t in READING_TS:
+        assert check_relations(a4, rho_rep(a4, t)).ok
+        assert check_relations(a4, Pi_rep(ctx, t)).ok
+    assert calls == {"conjugate_subset": 0, "commuting_subsets": 0}
+
+
+@pytest.mark.parametrize("build", ["rho", "Pi"])
+def test_stable_lines_and_quotient_read_no_matrix(system, context, build, monkeypatch):
+    # a library rep is read from its reading: no row of its matrices goes
+    # through `_nonzeros`, which a fresh reading calls on every general row
+    sys_, ctx = system("B3"), context("B3")
+    rep = rho_rep(sys_, FRESH_T) if build == "rho" else Pi_rep(ctx, FRESH_T)
+    rows = {id(row) for m in rep.values() for row in m}
+    seen = []
+    nonzeros = rep_module._nonzeros
+
+    def recording(row):
+        seen.append(id(row))
+        return nonzeros(row)
+
+    monkeypatch.setattr(rep_module, "_nonzeros", recording)
+    lines = stable_lines(rep)
+    vec = lines[0][0]
+    p = next(i for i, x in enumerate(vec) if x != 0)
+    quotient_rep(rep, [vec], [i for i in range(len(vec)) if i != p])
+    assert not rows.intersection(seen)
+    stable_lines(dict(rep))  # the probe sees a fresh reading
+    assert rows.intersection(seen)
+
+
+def test_library_reps_do_not_outlive_their_callers(system):
+    # nothing but the caller, and a context's Pi cache, keeps a rep alive
+    sys_ = system("A3")
+    ref = weakref.ref(rho_rep(sys_, F(2)))
+    gc.collect()
+    assert ref() is None
+    ctx = RacgContext(sys_)
+    rep = Pi_rep(ctx, F(2))
+    ref = weakref.ref(rep)
+    del rep
+    gc.collect()
+    assert ref() is not None
+    ctx.caches.clear()
+    gc.collect()
+    assert ref() is None
