@@ -2,13 +2,14 @@
 
 One binary, subcommand style.  Output is deterministic; rationals print as
 exact "p/q" strings and cyclotomic scalars as c(k,N) polynomials.  Exit
-codes: 0 success, 1 domain errors, 2 usage errors.
+codes: 0 success, 1 domain errors, 2 usage errors.  A command imports the
+layers it runs when it runs: racg for the embedding, rep and linalg for the
+representations, so a process compiles nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -24,17 +25,7 @@ from .cactus import (
 )
 from .coxeter import CoxeterSystem, connected_subsets, is_finite_parabolic, longest_element
 from .errors import CactusError, InfiniteGroupError, InputError
-from .racg import RacgContext
-from .rep import (
-    Pi_rep,
-    check_relations,
-    quotient_rep,
-    restrict_rep,
-    rho_rep,
-    stable_lines,
-)
 from .scalar import format_scalar
-from .linalg import reduced_basis
 
 
 def _add_common(parser, suppress: bool) -> None:
@@ -107,6 +98,8 @@ def _system_from_args(args) -> CoxeterSystem:
     if not spec:
         raise InputError("missing --system")
     if os.path.isfile(spec):
+        import json
+
         try:
             with open(spec) as fh:
                 data = json.load(fh)
@@ -124,7 +117,9 @@ def _t_from_args(args) -> Fraction:
         raise InputError(f"bad rational for --t: {raw!r}") from None
 
 
-def _context(system, args) -> RacgContext:
+def _context(system, args):
+    from .racg import RacgContext
+
     max_len = getattr(args, "max_len", None)
     if max_len is not None:
         # W is exhausted within max_len iff it is finite and w0 is no longer
@@ -150,16 +145,19 @@ def _matrix_rows(mat) -> list:
 
 def _emit(args, payload: dict, text: str) -> int:
     if getattr(args, "fmt", "text") == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         print(text)
     return 0
 
 
-def _emit_matrices(args, payload: dict, header: list, named: dict) -> int:
-    """Emit named matrices after payload's keys (json) or after the header
-    lines, each as its name and then one tab-separated line per row (text)."""
-    payload["matrices"] = [{"generator": k, "rows": _matrix_rows(m)} for k, m in named.items()]
+def _emit_matrices(args, payload: dict, header: list, rep: dict, name) -> int:
+    """Emit the matrices of rep after payload's keys (json) or after the
+    header lines, each as the name of its key and then one tab-separated
+    line per row (text)."""
+    payload["matrices"] = [{"generator": name(k), "rows": _matrix_rows(m)} for k, m in rep.items()]
     lines = list(header)
     for entry in payload["matrices"]:
         lines.append(entry["generator"])
@@ -171,16 +169,16 @@ def _word_str(system, element) -> str:
     return " ".join(system.labels[i] for i in element.word) if element.word else "e"
 
 
-def _rep_map(args, system, kind, t):
-    if kind == "rho":
-        rep = rho_rep(system, t)
-        return {("g" + system.format_subset(I)): m for I, m in rep.items()}, rep
-    if kind == "Pi":
-        ctx = _context(system, args)
-        rep = Pi_rep(ctx, t)
-        return {("g" + system.format_subset(I)): m for I, m in rep.items()}, rep
-    rep = {s: system.reflection_matrix(s, t) for s in range(system.rank)}
-    return {system.labels[s]: m for s, m in rep.items()}, rep
+def _rep(args, system, kind, t):
+    """The images of kind at t as the library keys them (a letter's subset,
+    or a generator's index for pi), and the printed name of a key."""
+    if kind == "pi":
+        return ({s: system.reflection_matrix(s, t) for s in range(system.rank)},
+                system.labels.__getitem__)
+    from .rep import Pi_rep, rho_rep
+
+    rep = rho_rep(system, t) if kind == "rho" else Pi_rep(_context(system, args), t)
+    return rep, lambda I: "g" + system.format_subset(I)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -253,14 +251,16 @@ def _cmd_normalize(args) -> int:
 def _cmd_rep(args) -> int:
     system = _system_from_args(args)
     t = _t_from_args(args)
-    named, _ = _rep_map(args, system, args.kind, t)
-    return _emit_matrices(args, {"kind": args.kind, "t": str(t)}, [], named)
+    rep, name = _rep(args, system, args.kind, t)
+    return _emit_matrices(args, {"kind": args.kind, "t": str(t)}, [], rep, name)
 
 
 def _cmd_check_relations(args) -> int:
     system = _system_from_args(args)
     t = _t_from_args(args)
-    _, rep = _rep_map(args, system, args.kind, t)
+    from .rep import check_relations
+
+    rep, _ = _rep(args, system, args.kind, t)
     report = check_relations(system, rep)
     payload = {
         "checked": report.checked,
@@ -273,13 +273,15 @@ def _cmd_check_relations(args) -> int:
 def _cmd_stable_lines(args) -> int:
     system = _system_from_args(args)
     t = _t_from_args(args)
-    named, _ = _rep_map(args, system, args.kind, t)
-    lines = stable_lines(named)
+    from .rep import stable_lines
+
+    rep, name = _rep(args, system, args.kind, t)
+    lines = stable_lines(rep)
     payload = {
         "lines": [
             {
                 "vector": [format_scalar(x) for x in vec],
-                "signs": {name: sign for name, sign in signs.items()},
+                "signs": {name(k): sign for k, sign in signs.items()},
             }
             for vec, signs in lines
         ]
@@ -287,12 +289,14 @@ def _cmd_stable_lines(args) -> int:
     text_lines = []
     for vec, signs in lines:
         coords = ",".join(format_scalar(x) for x in vec)
-        sig = " ".join(f"{name}:{'+1' if s > 0 else '-1'}" for name, s in signs.items())
+        sig = " ".join(f"{name(k)}:{'+1' if s > 0 else '-1'}" for k, s in signs.items())
         text_lines.append(f"{coords}  {sig}")
     return _emit(args, payload, "\n".join(text_lines) if text_lines else "none")
 
 
 def _default_keep(subspace, dim):
+    from .linalg import reduced_basis
+
     # the axes that are no vector's own coordinate in the reduced basis: the
     # first axes transverse to the subspace
     own = {max(i for i, x in enumerate(v) if x != 0) for v in reduced_basis(subspace)}
@@ -302,11 +306,13 @@ def _default_keep(subspace, dim):
 def _cmd_quotient(args) -> int:
     system = _system_from_args(args)
     t = _t_from_args(args)
-    named, _ = _rep_map(args, system, args.kind, t)
-    dim = len(next(iter(named.values())))
+    from .rep import quotient_rep, restrict_rep
+
+    rep, name = _rep(args, system, args.kind, t)
+    dim = len(next(iter(rep.values())))
     if args.restrict:
         basis = [_parse_vector(v, dim) for v in args.restrict]
-        named = restrict_rep(named, basis)
+        rep = restrict_rep(rep, basis)
         dim = len(basis)
     subspace = [_parse_vector(v, dim) for v in args.subspace]
     if args.keep is not None:
@@ -316,9 +322,9 @@ def _cmd_quotient(args) -> int:
             raise InputError(f"bad --keep list: {args.keep!r}") from None
     else:
         keep = _default_keep(subspace, dim)
-    quotient = quotient_rep(named, subspace, keep)
+    quotient = quotient_rep(rep, subspace, keep)
     header = [f"keep: {','.join(str(i) for i in keep)}"]
-    return _emit_matrices(args, {"keep": keep}, header, quotient)
+    return _emit_matrices(args, {"keep": keep}, header, quotient, name)
 
 
 def _cmd_diagram(args) -> int:

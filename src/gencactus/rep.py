@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .cactus import CactusWord
 from .coxeter import CoxeterSystem, presentation
@@ -43,7 +43,9 @@ from .linalg import (
     integer_kernel,
     reduced_basis,
 )
-from .racg import RacgContext, SemidirectElement
+
+if TYPE_CHECKING:  # rho needs no embedding: racg is imported where Pi_of reads one
+    from .racg import RacgContext, SemidirectElement
 
 
 class _Rep(dict):
@@ -100,6 +102,8 @@ def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
     """Matrix of a cactus word (letterwise product) or of a semidirect
     element (reflection product times permutation): `_compose` folds the
     readings of its factors into the identity's, letter by letter."""
+    from .racg import SemidirectElement
+
     t = Fraction(t)
     n = len(ctx.conjugates)
     if isinstance(x, CactusWord):

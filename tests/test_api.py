@@ -1,11 +1,14 @@
 """The package root exports the documented API and nothing else."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gencactus
 
@@ -31,13 +34,9 @@ def root_imports(path: Path) -> set[str]:
     }
 
 
-def test_import_binds_the_submodules():
-    # a fresh interpreter, so no other test has imported a submodule first
-    code = (
-        "import gencactus\n"
-        "for name in ('cactus', 'coxeter', 'errors', 'racg', 'rep', 'scalar'):\n"
-        "    getattr(gencactus, name).__name__\n"
-    )
+def fresh(code: str) -> str:
+    """stdout of code in a fresh interpreter, where no other test has
+    imported a submodule or read a name of the package first."""
     done = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
@@ -46,6 +45,62 @@ def test_import_binds_the_submodules():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_binds_the_submodules():
+    fresh(
+        "import gencactus\n"
+        "for name in ('cactus', 'coxeter', 'errors', 'linalg', 'racg', 'rep', 'scalar'):\n"
+        "    getattr(gencactus, name).__name__\n"
+    )
+
+
+def test_import_loads_no_submodule_until_one_is_read():
+    out = fresh(
+        "import sys\n"
+        "import gencactus\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gencactus.')))\n"
+        "gencactus.CactusWord\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gencactus.')))\n"
+    )
+    assert out.splitlines() == [
+        "[]", "['gencactus.cactus', 'gencactus.coxeter', 'gencactus.errors', 'gencactus.scalar']"
+    ]
+
+
+def test_each_name_is_the_object_its_submodule_defines():
+    # the lazy table names, for every exported name, the submodule that
+    # defines it, not one that re-exports it
+    assert list(gencactus._HOME) == gencactus.__all__
+    for name, home in gencactus._HOME.items():
+        module = importlib.import_module(f"gencactus.{home}")
+        value = getattr(gencactus, name)
+        assert value is getattr(module, name)
+        assert value.__module__ == module.__name__, name
+
+
+def test_star_import_and_dir_list_every_name():
+    out = fresh(
+        "import gencactus\n"
+        "listed = dir(gencactus)\n"
+        "names = {}\n"
+        "exec('from gencactus import *', names)\n"
+        "print(sorted(set(names) - {'__builtins__'}))\n"
+        "print(sorted(set(gencactus.__all__) - set(listed)))\n"
+    )
+    star, unlisted = out.splitlines()
+    assert star == str(sorted(gencactus.__all__))
+    assert unlisted == "[]"
+    assert set(gencactus.__all__) | {"rep", "linalg"} <= set(dir(gencactus))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'mat_mul'"):
+        gencactus.mat_mul
+    assert not hasattr(gencactus, "cli_main")
+    # a private name of a submodule is not re-exported
+    assert not hasattr(gencactus, "_Rep")
 
 
 def test_all_is_the_readme_list():

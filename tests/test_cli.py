@@ -16,6 +16,7 @@ from gencactus.cli import _default_keep, run
 from gencactus.coxeter import connected_subsets
 from gencactus.errors import SubspaceError
 from gencactus.linalg import identity_matrix
+from gencactus import rep as rep_module
 from gencactus.rep import quotient_rep
 from test_coxeter import affine_triangle
 
@@ -497,6 +498,76 @@ def test_rational_query_does_not_import_mpmath():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def modules_loaded(*argv):
+    """The gencactus modules a fresh `python -m gencactus.cli` process
+    imports for argv, as its -X importtime report lists them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gencactus.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    names = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {name.split(".")[1] for name in names if name.startswith("gencactus.")}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["fset"], {"racg", "rep", "linalg"}),
+        (["eval", "g{s1} g{s1,s2}"], {"racg", "rep", "linalg"}),
+        (["pure", "g{s1} g{s1,s2}"], {"racg", "rep", "linalg"}),
+        (["longest", "{s1,s2}"], {"racg", "rep", "linalg"}),
+        (["rep", "pi"], {"racg", "rep", "linalg"}),
+        (["dict-a", "s_{1,2}"], {"racg", "rep", "linalg"}),
+        (["equal", "g{s1} g{s1,s2}", "g{s1,s2} g{s2}"], {"rep", "linalg"}),
+        (["sset"], {"rep", "linalg"}),
+        (["normalize", "g{s1} g{s1,s2}"], {"rep", "linalg"}),
+        (["rep", "rho"], {"racg"}),
+        (["stable-lines", "rho"], {"racg"}),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
+    # `-m` runs cli.py as __main__, so the report lists no gencactus.cli
+    loaded = modules_loaded("--system", "A2", *argv)
+    assert not loaded & unloaded, sorted(loaded & unloaded)
+    assert loaded | unloaded == {"cactus", "coxeter", "errors", "scalar", "racg", "rep", "linalg"}
+
+
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("rho", ["stable-lines", "rho"]),
+        ("Pi", ["stable-lines", "Pi"]),
+        ("Pi", ["check-relations", "Pi"]),
+        ("rho", ["quotient", "rho"]),
+        ("Pi", ["quotient", "Pi"]),
+    ],
+)
+def test_rep_commands_start_from_the_carried_reading(capsys, monkeypatch, kind, argv):
+    # the CLI hands the library rep itself to the rep queries and names its
+    # keys only when printing, so no query reads an image afresh
+    if argv[0] == "quotient":
+        code, out, _ = invoke(capsys, "--system", "A3", "stable-lines", kind)
+        argv = argv + ["--subspace", out.split()[0]]
+    reads = []
+
+    def images(rep, read=rep_module._images):
+        got = read(rep)
+        reads.append(got[1] is getattr(rep, "reading", (None, None))[1])
+        return got
+
+    monkeypatch.setattr(rep_module, "_images", images)
+    code, out, _ = invoke(capsys, "--system", "A3", *argv)
+    monkeypatch.undo()
+    assert code == 0 and reads and all(reads), reads
+    assert (code, out) == invoke(capsys, "--system", "A3", *argv)[:2]
 
 
 @pytest.mark.parametrize(

@@ -14,9 +14,10 @@ from gencactus.linalg import (
     kernel_basis,
     reduced_basis,
 )
-from gencactus import rep as rep_module
+from gencactus import linalg, rep as rep_module
 from gencactus.errors import DegenerateFormError
-from gencactus.rep import Pi_rep, check_relations, rho_rep
+from gencactus.racg import RacgContext
+from gencactus.rep import Pi_rep, check_relations, rho_rep, stable_lines
 import oracle_linalg
 from oracle_linalg import determinant, mat_mul, solve_in_span, transpose
 from oracle_rep import form_on_S, form_on_fset, pi_prime, reflection_in_form
@@ -636,3 +637,73 @@ def test_integer_elimination_matches_oracle_on_big_entries(shape):
                               for j in range(m)))
         rng.shuffle(rows)
         assert_eliminations_match_oracle(tuple(rows), _targets(rng, tuple(rows)))
+
+
+# -- the kept identities --------------------------------------------------------
+
+BOUND = 600  # entries: a 24 x 24 identity fits, a 25 x 25 one is kept alone
+
+
+@pytest.fixture
+def small_identity_bound(monkeypatch):
+    """The kept identities bounded at BOUND entries for one test; those kept
+    before it are kept again after it, with their rows' lookup."""
+    kept, columns = dict(linalg._IDENTITIES), dict(linalg._UNIT_COLUMN)
+    monkeypatch.setattr(linalg, "_IDENTITY_CELLS", BOUND)
+    linalg._IDENTITIES.clear()
+    linalg._UNIT_COLUMN.clear()
+    yield
+    linalg._IDENTITIES.clear()
+    linalg._IDENTITIES.update(kept)
+    linalg._UNIT_COLUMN.clear()
+    linalg._UNIT_COLUMN.update(columns)
+
+
+def test_kept_identities_stay_within_their_bound(small_identity_bound):
+    rng = random.Random("identity-widths")
+    for n in [rng.randint(1, 30) for _ in range(400)]:
+        ident = identity_matrix(n)
+        assert identity_matrix(n) is ident
+        assert ident == tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+        kept = linalg._IDENTITIES
+        assert kept[n] is ident
+        assert sum(k * k for k in kept) <= BOUND or list(kept) == [n]
+        # the lookup holds the rows of the kept identities and nothing else
+        assert linalg._UNIT_COLUMN == {
+            id(row): j for rows in kept.values() for j, row in enumerate(rows)
+        }
+    # the widest go first
+    identity_matrix(25)
+    for n in (5, 10, 20, 8):
+        identity_matrix(n)
+    assert sorted(linalg._IDENTITIES) == [5, 8, 10, 20]
+    identity_matrix(12)
+    assert sorted(linalg._IDENTITIES) == [5, 8, 10, 12]
+
+
+def test_a_row_in_the_place_of_an_evicted_unit_row_reads_as_general(small_identity_bound):
+    # CPython gives a freed tuple's memory to the next tuple of its size, so
+    # the rows of a fresh diagonal matrix often take the ids of the unit
+    # rows of an identity that just went; each must still read as general
+    for n in range(2, 25):
+        identity_matrix(n)
+        identity_matrix(25)  # evicts every other identity, whose rows die
+        diag = tuple(tuple(Fraction(i + 2) if i == j else _ZERO for j in range(n))
+                     for i in range(n))
+        d, images = rep_module._images({"g": diag})
+        units, general = images["g"]
+        assert units == [None] * n
+        assert general == {i: {i: (i + 2) * d} for i in range(n)} and d == 1
+
+
+def test_a_rep_reads_the_same_after_its_identity_goes(system, small_identity_bound):
+    # a context of its own, so no shared cache keeps a Pi built on the
+    # identities of this test
+    sys_ = system("A3")
+    for rep in (rho_rep(sys_, FRESH_T), Pi_rep(RacgContext(sys_), FRESH_T)):
+        plain = dict(rep)
+        before = check_relations(sys_, plain), stable_lines(plain)
+        identity_matrix(25)  # evicts every other identity; plain's unit rows live on
+        assert not any(id(row) in linalg._UNIT_COLUMN for m in plain.values() for row in m)
+        assert (check_relations(sys_, plain), stable_lines(plain)) == before
+        assert stable_lines(rep) == before[1]

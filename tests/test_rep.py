@@ -1027,16 +1027,16 @@ def test_h4_stable_lines_and_quotient_cache_only_the_quotient_width(context, mon
 
     monkeypatch.setattr(linalg, "identity_matrix", recording)
     monkeypatch.setattr(rep_module, "identity_matrix", recording)
-    before = identity_matrix.cache_info().currsize
+    before = len(linalg._IDENTITIES)
     lines = stable_lines(Pi)
-    assert widths == [] and identity_matrix.cache_info().currsize == before
+    assert widths == [] and len(linalg._IDENTITIES) == before
     vec = lines[0][0]
     n = len(vec)
     p = next(i for i, x in enumerate(vec) if x != 0)
     keep = [i for i in range(n) if i != p]
     got = quotient_rep(Pi, [vec], keep)
     assert set(widths) == {n - 1}
-    assert identity_matrix.cache_info().currsize <= before + 1
+    assert len(linalg._IDENTITIES) <= before + 1
     monkeypatch.undo()
     # `assert_identical` and `assert_shared` read 4.8 M entries one by one;
     # this reads them by identity, and every zero of either side is `_ZERO`
