@@ -29,9 +29,10 @@ class CactusWord:
     use RacgContext.cactus_equal for equality in the group.
 
     The default alphabet is F(S).  Passing alphabet= substitutes another
-    family of subsets (it must still consist of finite-type subsets); this
-    backs the dihedral n = 2 reading where the full generator set is kept
-    even though it splits as a product.
+    family of subsets, and the constructor checks only that each letter
+    belongs to it; `RacgContext(family=...)` is what checks that a family
+    is of finite type.  This backs the dihedral n = 2 reading where the
+    full generator set is kept even though it splits as a product.
     """
 
     __slots__ = ("system", "letters")

@@ -51,32 +51,33 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(root, suppress=False)
     sub = root.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help_, *positional):
+    def cmd(name, handler, help_, *positional):
         p = sub.add_parser(name, help=help_)
         _add_common(p, suppress=True)
         for arg_name, arg_kw in positional:
             p.add_argument(arg_name, **arg_kw)
+        p.set_defaults(run=handler)
         return p
 
-    cmd("fset", "list the connected finite-type subsets F(S)")
-    cmd("longest", "reduced word of the longest element of W_I",
+    cmd("fset", _cmd_fset, "list the connected finite-type subsets F(S)")
+    cmd("longest", _cmd_longest, "reduced word of the longest element of W_I",
         ("subset", {"help": "subset like {s1,s2}"}))
-    cmd("sset", "list the parabolic conjugates S and the big matrix M")
-    cmd("eval", "image of a cactus word in W",
+    cmd("sset", _cmd_sset, "list the parabolic conjugates S and the big matrix M")
+    cmd("eval", _cmd_eval, "image of a cactus word in W",
         ("word", {"help": "cactus word like 'g{s1} g{s1,s2}'"}))
-    cmd("pure", "whether a cactus word lies in the pure cactus group",
+    cmd("pure", _cmd_pure, "whether a cactus word lies in the pure cactus group",
         ("word", {}))
-    cmd("equal", "whether two cactus words are equal in the cactus group",
+    cmd("equal", _cmd_equal, "whether two cactus words are equal in the cactus group",
         ("word1", {}), ("word2", {}))
-    cmd("normalize", "canonical semidirect form of a cactus word",
+    cmd("normalize", _cmd_normalize, "canonical semidirect form of a cactus word",
         ("word", {}))
-    cmd("rep", "generator matrices of a representation",
+    cmd("rep", _cmd_rep, "generator matrices of a representation",
         ("kind", {"choices": ["rho", "pi", "Pi"]}))
-    cmd("check-relations", "verify the defining relations on generator images",
+    cmd("check-relations", _cmd_check_relations, "verify the defining relations on generator images",
         ("kind", {"choices": ["rho", "Pi"]}))
-    cmd("stable-lines", "lines preserved by every generator, with signs",
+    cmd("stable-lines", _cmd_stable_lines, "lines preserved by every generator, with signs",
         ("kind", {"choices": ["rho", "Pi"]}))
-    q = cmd("quotient", "action induced on the quotient by an invariant subspace",
+    q = cmd("quotient", _cmd_quotient, "action induced on the quotient by an invariant subspace",
             ("kind", {"choices": ["rho", "Pi"], "nargs": "?", "default": "Pi"}))
     q.add_argument("--subspace", action="append", required=True, metavar="VEC",
                    help="subspace vector as comma-separated rationals; repeatable")
@@ -84,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="first restrict to the span of these vectors; repeatable")
     q.add_argument("--keep", default=None, metavar="I,J,...",
                    help="coordinate axes representing the quotient (default: first transverse axes)")
-    cmd("diagram", "DOT graph of the commutation relations in M")
-    cmd("dict-a", "translate s_{p,q} to a gamma letter and back (type A)",
+    cmd("diagram", _cmd_diagram, "DOT graph of the commutation relations in M")
+    cmd("dict-a", _cmd_dict_a, "translate s_{p,q} to a gamma letter and back (type A)",
         ("item", {"help": "s_{p,q} or g{...}"}))
     return root
 
@@ -94,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _system_from_args(args) -> CoxeterSystem:
-    spec = getattr(args, "system", None)
+    spec = args.system
     if not spec:
         raise InputError("missing --system")
     if os.path.isfile(spec):
@@ -109,18 +110,10 @@ def _system_from_args(args) -> CoxeterSystem:
     return CoxeterSystem.from_name(spec)
 
 
-def _t_from_args(args) -> Fraction:
-    raw = getattr(args, "t", "2")
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"bad rational for --t: {raw!r}") from None
-
-
 def _context(system, args):
     from .racg import RacgContext
 
-    max_len = getattr(args, "max_len", None)
+    max_len = args.max_len
     if max_len is not None:
         # W is exhausted within max_len iff it is finite and w0 is no longer
         full = range(system.rank)
@@ -144,7 +137,7 @@ def _matrix_rows(mat) -> list:
 
 
 def _emit(args, payload: dict, text: str) -> int:
-    if getattr(args, "fmt", "text") == "json":
+    if args.fmt == "json":
         import json
 
         print(json.dumps(payload, indent=2))
@@ -169,39 +162,40 @@ def _word_str(system, element) -> str:
     return " ".join(system.labels[i] for i in element.word) if element.word else "e"
 
 
-def _rep(args, system, kind, t):
-    """The images of kind at t as the library keys them (a letter's subset,
-    or a generator's index for pi), and the printed name of a key."""
-    if kind == "pi":
+def _rep(args, system):
+    """The images of args.kind at --t as the library keys them (a letter's
+    subset, or a generator's index for pi), the printed name of a key, and t."""
+    try:
+        t = Fraction(args.t)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad rational for --t: {args.t!r}") from None
+    if args.kind == "pi":
         return ({s: system.reflection_matrix(s, t) for s in range(system.rank)},
-                system.labels.__getitem__)
+                system.labels.__getitem__, t)
     from .rep import Pi_rep, rho_rep
 
-    rep = rho_rep(system, t) if kind == "rho" else Pi_rep(_context(system, args), t)
-    return rep, lambda I: "g" + system.format_subset(I)
+    rep = rho_rep(system, t) if args.kind == "rho" else Pi_rep(_context(system, args), t)
+    return rep, lambda I: "g" + system.format_subset(I), t
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_fset(args) -> int:
-    system = _system_from_args(args)
+def _cmd_fset(args, system) -> int:
     fset = connected_subsets(system)
     payload = {"fset": [sorted(system.labels[i] for i in I) for I in fset]}
     text = "\n".join(system.format_subset(I) for I in fset)
     return _emit(args, payload, text)
 
 
-def _cmd_longest(args) -> int:
-    system = _system_from_args(args)
+def _cmd_longest(args, system) -> int:
     subset = system.parse_subset(args.subset)
     w = longest_element(system, subset)
     word = _word_str(system, w)
     return _emit(args, {"word": word, "length": len(w.word)}, word)
 
 
-def _cmd_sset(args) -> int:
-    system = _system_from_args(args)
+def _cmd_sset(args, system) -> int:
     ctx = _context(system, args)
     payload = ctx.sset_json()
     lines = []
@@ -213,22 +207,19 @@ def _cmd_sset(args) -> int:
     return _emit(args, payload, "\n".join(lines))
 
 
-def _cmd_eval(args) -> int:
-    system = _system_from_args(args)
+def _cmd_eval(args, system) -> int:
     word = parse_word(system, args.word)
     el = evaluate_to_coxeter(word)
     text = _word_str(system, el)
     return _emit(args, {"word": text, "length": len(el.word)}, text)
 
 
-def _cmd_pure(args) -> int:
-    system = _system_from_args(args)
+def _cmd_pure(args, system) -> int:
     result = is_pure(parse_word(system, args.word))
     return _emit(args, {"pure": result}, "true" if result else "false")
 
 
-def _cmd_equal(args) -> int:
-    system = _system_from_args(args)
+def _cmd_equal(args, system) -> int:
     ctx = _context(system, args)
     u = parse_word(system, args.word1)
     v = parse_word(system, args.word2)
@@ -236,8 +227,7 @@ def _cmd_equal(args) -> int:
     return _emit(args, {"equal": result}, "true" if result else "false")
 
 
-def _cmd_normalize(args) -> int:
-    system = _system_from_args(args)
+def _cmd_normalize(args, system) -> int:
     ctx = _context(system, args)
     el = ctx.embed(parse_word(system, args.word))
     payload = el.to_json()
@@ -248,19 +238,15 @@ def _cmd_normalize(args) -> int:
     return _emit(args, payload, text)
 
 
-def _cmd_rep(args) -> int:
-    system = _system_from_args(args)
-    t = _t_from_args(args)
-    rep, name = _rep(args, system, args.kind, t)
+def _cmd_rep(args, system) -> int:
+    rep, name, t = _rep(args, system)
     return _emit_matrices(args, {"kind": args.kind, "t": str(t)}, [], rep, name)
 
 
-def _cmd_check_relations(args) -> int:
-    system = _system_from_args(args)
-    t = _t_from_args(args)
+def _cmd_check_relations(args, system) -> int:
     from .rep import check_relations
 
-    rep, _ = _rep(args, system, args.kind, t)
+    rep, _, _ = _rep(args, system)
     report = check_relations(system, rep)
     payload = {
         "checked": report.checked,
@@ -270,12 +256,10 @@ def _cmd_check_relations(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_stable_lines(args) -> int:
-    system = _system_from_args(args)
-    t = _t_from_args(args)
+def _cmd_stable_lines(args, system) -> int:
     from .rep import stable_lines
 
-    rep, name = _rep(args, system, args.kind, t)
+    rep, name, _ = _rep(args, system)
     lines = stable_lines(rep)
     payload = {
         "lines": [
@@ -303,12 +287,10 @@ def _default_keep(subspace, dim):
     return [i for i in range(dim) if i not in own]
 
 
-def _cmd_quotient(args) -> int:
-    system = _system_from_args(args)
-    t = _t_from_args(args)
+def _cmd_quotient(args, system) -> int:
     from .rep import quotient_rep, restrict_rep
 
-    rep, name = _rep(args, system, args.kind, t)
+    rep, name, _ = _rep(args, system)
     dim = len(next(iter(rep.values())))
     if args.restrict:
         basis = [_parse_vector(v, dim) for v in args.restrict]
@@ -327,8 +309,7 @@ def _cmd_quotient(args) -> int:
     return _emit_matrices(args, {"keep": keep}, header, quotient, name)
 
 
-def _cmd_diagram(args) -> int:
-    system = _system_from_args(args)
+def _cmd_diagram(args, system) -> int:
     ctx = _context(system, args)
     lines = ["graph sset {"]
     for i, pc in enumerate(ctx.conjugates):
@@ -343,8 +324,7 @@ def _cmd_diagram(args) -> int:
     return 0
 
 
-def _cmd_dict_a(args) -> int:
-    system = _system_from_args(args)
+def _cmd_dict_a(args, system) -> int:
     item = args.item.strip()
     if item.startswith("g{"):
         back = type_a_dictionary(system, "to_classical")
@@ -362,23 +342,6 @@ def _cmd_dict_a(args) -> int:
     return _emit(args, {"letter": letter}, letter)
 
 
-_DISPATCH = {
-    "fset": _cmd_fset,
-    "longest": _cmd_longest,
-    "sset": _cmd_sset,
-    "eval": _cmd_eval,
-    "pure": _cmd_pure,
-    "equal": _cmd_equal,
-    "normalize": _cmd_normalize,
-    "rep": _cmd_rep,
-    "check-relations": _cmd_check_relations,
-    "stable-lines": _cmd_stable_lines,
-    "quotient": _cmd_quotient,
-    "diagram": _cmd_diagram,
-    "dict-a": _cmd_dict_a,
-}
-
-
 def run(argv=None) -> int:
     parser = _build_parser()
     # argparse reads a value such as -1/2 or -2/3,1 as an option: join it to its flag
@@ -394,7 +357,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args, _system_from_args(args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -805,7 +805,7 @@ def _system_from_name(name: str) -> CoxeterSystem:
             for j in range(r):
                 big[offset + i][offset + j] = mat[i][j]
         if len(parsed) == 1:
-            if r == 2 and _NAME_RE.match(factors[k]) and factors[k].startswith("I2"):
+            if factors[k].startswith("I2"):  # matched _NAME_RE, so I2(m)
                 labels += ["a", "b"]
             else:
                 labels += [f"s{i + 1}" for i in range(r)]

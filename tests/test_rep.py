@@ -498,6 +498,20 @@ def test_stable_lines_match_oracle_on_cyclotomic_pi(system, name):
         assert_identical(stable_lines(pi), oracle_rep.stable_lines(pi))
 
 
+def test_stable_lines_of_a_three_cycle_keep_only_the_plus_line():
+    # the unit rows of a 3-cycle join its coordinates into one odd cycle,
+    # so v_j = -v_i around it forces v = 0: no -1 line, only (1, 1, 1).
+    # The unit-row kernel of _split_piece would drop a -1 vector as well, so
+    # the odd-cycle rule of _unit_solutions is checked on its own first
+    assert rep_module._unit_solutions([1, 2, 0], -1, 0) == []
+    assert rep_module._unit_solutions([1, 2, 0], 1, 0) == [{0: 1, 1: 1, 2: 1}]
+    e = identity_matrix(3)
+    rep = {"g": (e[1], e[2], e[0])}
+    lines = stable_lines(rep)
+    assert lines == [((F(1), F(1), F(1)), {"g": 1})]
+    assert_identical(lines, oracle_rep.stable_lines(rep))
+
+
 # -- stable lines against the piece-splitting oracle ------------------------------
 
 PIECE_SYSTEMS = ["A2", "A3", "B3", "H3", "A4", "D4", "B4", "F4", "I2(5)", "I2(8)", "A1*A1"]

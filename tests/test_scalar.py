@@ -106,6 +106,25 @@ def test_sign_certification_near_value():
     assert scalar_sign(Fraction(0)) == 0
 
 
+def test_sign_doubles_the_precision_until_the_interval_excludes_zero(monkeypatch):
+    # cos(pi/5) is half the golden ratio, and F(62)/F(61) falls short of it
+    # by about 7e-26, so x is about 3.6e-26: a 64-bit interval around x
+    # holds 0, and the 128-bit one certifies its sign
+    fib = [0, 1]
+    while len(fib) < 63:
+        fib.append(fib[-1] + fib[-2])
+    x = cos_pi_over(5) - Fraction(fib[62], 2 * fib[61])
+    precs = []
+
+    def interval_value(self, prec, read=CycloReal._interval_value):
+        precs.append(prec)
+        return read(self, prec)
+
+    monkeypatch.setattr(CycloReal, "_interval_value", interval_value)
+    assert x.sign() == 1 and precs == [64, 128]
+    assert mpmath.mpf(0) < x.to_mpf(300) < mpmath.mpf("4e-26")
+
+
 def test_sign_against_mpmath_intervals():
     for m in (5, 7, 8, 12):
         v = cos_pi_over(m) - Fraction(1, 3)
