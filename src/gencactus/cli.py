@@ -23,8 +23,8 @@ from .cactus import (
     parse_word,
     type_a_dictionary,
 )
-from .coxeter import CoxeterSystem, connected_subsets, is_finite_parabolic, longest_element
-from .errors import CactusError, InfiniteGroupError, InputError
+from .coxeter import CoxeterSystem, connected_subsets, enumerate_group, longest_element
+from .errors import CactusError, InputError
 from .scalar import format_scalar
 
 
@@ -113,12 +113,8 @@ def _system_from_args(args) -> CoxeterSystem:
 def _context(system, args):
     from .racg import RacgContext
 
-    max_len = args.max_len
-    if max_len is not None:
-        # W is exhausted within max_len iff it is finite and w0 is no longer
-        full = range(system.rank)
-        if not is_finite_parabolic(system, full) or longest_element(system, full).length > max_len:
-            raise InfiniteGroupError(f"group not exhausted within length {max_len}")
+    if args.max_len is not None:
+        enumerate_group(system, args.max_len)  # reads the table the context reuses
     return RacgContext(system)
 
 

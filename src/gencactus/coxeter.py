@@ -325,8 +325,8 @@ _ROOT_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 class GroupElement:
     """Element w of W, keyed by the root ids of w(alpha_1), ..., w(alpha_n),
     which determine w; equality and hashing use the key.  `word` is the reduced
-    word the element was built with (BFS in `enumerate_group`, greedy ascent in
-    `longest_element`), else the greedy smallest-right-descent word.
+    word the element was built with (the BFS of `GroupTable`, greedy ascent
+    in `longest_element`), else the greedy smallest-right-descent word.
     """
 
     __slots__ = ("system", "key", "_word")
@@ -613,80 +613,66 @@ _MAX_ORDER = 10**5
 
 
 def enumerate_group(system: CoxeterSystem, max_length: Optional[int] = None) -> list[GroupElement]:
-    """All elements of the (finite) group W, in BFS order (see `_walk`).
+    """All elements of the (finite) group W, in the BFS order of its `GroupTable`.
 
-    With max_length set, raises if the group is not exhausted within that
-    radius; without it, a group of more than `_MAX_ORDER` elements is
-    refused before the walk.  A bounded walk is refused once it has listed
-    more than `_MAX_ORDER` elements.
+    With max_length set, W is exhausted within that radius iff it is finite
+    and its longest element is no longer; else InfiniteGroupError, decided
+    before the size and the walk.
     """
-    return _walk(system, max_length)[0]
+    if max_length is not None:
+        full = range(system.rank)
+        if not is_finite_parabolic(system, full) or longest_element(system, full).length > max_length:
+            raise InfiniteGroupError(f"group not exhausted within length {max_length}")
+    return list(system.group_table().elements)
 
 
-def _walk(system: CoxeterSystem, max_length: Optional[int] = None):
-    """BFS over right multiplication, generators in index order, deduplicated
-    by key: the elements in BFS order, the index of each key, and gen_right,
-    gen_right[s][i] the index of w_i s.
+class GroupTable:
+    """Index tables for a finite Coxeter group.
 
-    The first visit of an element happens at its length, so stored words are
+    Infinite W, and W of more than `_MAX_ORDER` elements, are refused before
+    the walk.  Elements are indexed in the order of one BFS over right
+    multiplication, generators in index order, deduplicated by key.  The
+    first visit of an element happens at its length, so stored words are
     reduced.  Each ascent w < ws is one product, which also fills the
-    descent (ws)s = w, so every entry of gen_right is set once the walk ends.
+    descent (ws)s = w, so every entry of `gen_right` (gen_right[s][i] the
+    index of w_i s) is set once the walk ends.  Left multiplication by a
+    generator is filled from it in BFS order, one lookup per entry.
+    Products and conjugations cost one lookup per letter.
     """
-    n = system.rank
-    if max_length is None:
+
+    def __init__(self, system: CoxeterSystem):
+        n = system.rank
         comps = _diagram_components(system, frozenset(range(n)))
         order = math.prod(_finite_component(system, comp) for comp in comps)
         if not order:
             raise InfiniteGroupError(f"infinite group: {system.format_subset(range(n))}")
         if order > _MAX_ORDER:
             raise CactusError(f"group too large: |W| = {order} exceeds the limit of {_MAX_ORDER}")
-    roots = system.root_table()
-    negative = roots.negative
-    identity = GroupElement.identity(system)
-    elements = [identity]
-    index = {identity.key: 0}
-    right = [[0] * n]  # right[i][s]: the index of w_i s
-    for i, el in enumerate(elements):  # a BFS queue: grows while walked
-        # the first element past max_length: its whole level is listed by now
-        if max_length is not None and len(el.word) > max_length:
-            raise InfiniteGroupError(f"group not exhausted within length {max_length}")
-        for s in range(n):
-            if negative[el.key[s]]:
-                continue
-            key = roots.right_mul(el.key, s)
-            j = index.get(key)
-            if j is None:
-                j = index[key] = len(elements)
-                elements.append(GroupElement(system, key, el.word + (s,)))
-                right.append([0] * n)
-                if j >= _MAX_ORDER:
-                    raise CactusError(
-                        f"group too large: more than {_MAX_ORDER} elements"
-                        f" within length {max_length}"
-                    )
-            right[i][s] = j
-            right[j][s] = i
-    return elements, index, [list(col) for col in zip(*right)]
-
-
-class GroupTable:
-    """Index tables for a finite Coxeter group.
-
-    Elements are indexed in BFS order, and `gen_right` is the one walk's
-    record of right multiplication by each generator (see `_walk`).  Left
-    multiplication by a generator is filled from it in BFS order, one
-    lookup per entry.  Products and conjugations cost one lookup per letter.
-    """
-
-    def __init__(self, system: CoxeterSystem):
         self.system = system
-        self.elements, self.index, self.gen_right = _walk(system)
-        right = self.gen_right
-        self.simple_index = [right[s][0] for s in range(system.rank)]
+        roots = system.root_table()
+        negative = roots.negative
+        identity = GroupElement.identity(system)
+        self.elements = elements = [identity]
+        self.index = index = {identity.key: 0}
+        right = [[0] * n]  # right[i][s]: the index of w_i s
+        for i, el in enumerate(elements):  # a BFS queue: grows while walked
+            for s in range(n):
+                if negative[el.key[s]]:
+                    continue
+                key = roots.right_mul(el.key, s)
+                j = index.get(key)
+                if j is None:
+                    j = index[key] = len(elements)
+                    elements.append(GroupElement(system, key, el.word + (s,)))
+                    right.append([0] * n)
+                right[i][s] = j
+                right[j][s] = i
+        self.gen_right = right = [list(col) for col in zip(*right)]
+        self.simple_index = [right[s][0] for s in range(n)]
         # w_i = w_p t with t the last letter of w_i and p < i in BFS order,
         # so s w_i = (s w_p) t is one lookup in a row already filled
         steps = [(right[el.word[-1]], right[el.word[-1]][i])
-                 for i, el in enumerate(self.elements) if i]
+                 for i, el in enumerate(elements) if i]
         self.gen_left = []
         for first in self.simple_index:
             row = [first]

@@ -13,7 +13,7 @@ import pytest
 import oracle_rep
 from gencactus.cactus import CactusWord, evaluate_to_coxeter, format_word, is_pure
 from gencactus.cli import _default_keep, run
-from gencactus.coxeter import connected_subsets
+from gencactus.coxeter import GroupTable, connected_subsets
 from gencactus.errors import SubspaceError
 from gencactus.linalg import identity_matrix
 from gencactus import rep as rep_module
@@ -441,6 +441,26 @@ def test_e8_commands_without_the_group_table(capsys, argv, want):
 def test_max_len_allows_exact_closure(capsys):
     code, out, _ = invoke(capsys, "sset", "--system", "A2", "--max-len", "3")
     assert code == 0
+
+
+def test_max_len_is_read_only_by_commands_that_list_w(capsys, monkeypatch):
+    # A2's w0 has length 3: fset and the rho forms list no element of W
+    for argv in (("fset",), ("rep", "rho")):
+        code, out, _ = invoke(capsys, *argv, "--system", "A2", "--max-len", "2")
+        assert code == 0 and out
+    for argv in (("sset",), ("rep", "Pi")):
+        code, out, err = invoke(capsys, *argv, "--system", "A2", "--max-len", "2")
+        assert code == 1 and out == "" and "not exhausted" in err
+    builds = []
+    init = GroupTable.__init__
+
+    def counted(self, system):
+        builds.append(system)
+        init(self, system)
+
+    monkeypatch.setattr(GroupTable, "__init__", counted)
+    code, _, _ = invoke(capsys, "sset", "--system", "A2", "--max-len", "3")
+    assert code == 0 and len(builds) == 1
 
 
 def test_max_len_on_infinite_system_file(capsys, tmp_path):

@@ -182,7 +182,7 @@ def test_oversized_group_is_refused_before_enumeration(name):
         with pytest.raises(CactusError, match=says) as err:
             build(sys_)
         assert type(err.value) is CactusError
-    # a bounded walk is not refused up front: it stops at its radius
+    # the radius is checked before the size
     with pytest.raises(InfiniteGroupError, match="not exhausted within length 3"):
         enumerate_group(sys_, max_length=3)
 
@@ -192,29 +192,58 @@ def test_e6_is_enumerated(system):
 
 
 def test_oversized_bounded_walk_is_refused():
-    # a radius past the length of w0 (120) would list all of E8
+    # a radius past the length of w0 (120) would list all of E8: refused up front
     start = time.perf_counter()
-    with pytest.raises(CactusError, match="group too large: more than 100000 elements") as err:
+    says = r"group too large: \|W\| = 696729600 exceeds the limit of 100000"
+    with pytest.raises(CactusError, match=says) as err:
         enumerate_group(CoxeterSystem.from_name("E8"), max_length=200)
     assert type(err.value) is CactusError
     assert time.perf_counter() - start < 30
 
 
 def test_bounded_walk_is_refused_just_past_the_limit(monkeypatch):
-    b4 = CoxeterSystem.from_name("B4")
     monkeypatch.setattr(coxeter, "_MAX_ORDER", 384)
-    assert len(enumerate_group(b4, max_length=16)) == 384
+    b4 = CoxeterSystem.from_name("B4")
+    assert len(enumerate_group(b4)) == len(enumerate_group(b4, max_length=16)) == 384
+    # the table is cached per system: a fresh B4 meets the lowered limit
     monkeypatch.setattr(coxeter, "_MAX_ORDER", 383)
-    with pytest.raises(CactusError, match="more than 383 elements within length 16"):
-        enumerate_group(b4, max_length=16)
+    with pytest.raises(CactusError, match=r"\|W\| = 384 exceeds the limit of 383"):
+        enumerate_group(CoxeterSystem.from_name("B4"), max_length=16)
 
 
-@pytest.mark.parametrize("name, radius, order", [("B4", 16, 384), ("E6", 36, 51_840)])
-def test_bounded_walk_at_the_longest_length_lists_the_group(name, radius, order):
-    # 16 and 36 are the lengths of w0 in B4 and E6
-    assert len(enumerate_group(CoxeterSystem.from_name(name), max_length=radius)) == order
+@pytest.mark.parametrize("name", ["A2", "A4", "B3", "H3", "D4", "B4", "F4", "H4", "E6"])
+def test_bounded_walk_at_the_longest_length_lists_the_group(name):
+    # the radius of W read off the walk itself: the length of its last level
+    table = GroupTable(CoxeterSystem.from_name(name))
+    radius = table.elements[-1].length
+    assert len(enumerate_group(CoxeterSystem.from_name(name), max_length=radius)) == len(table)
     with pytest.raises(InfiniteGroupError):
         enumerate_group(CoxeterSystem.from_name(name), max_length=radius - 1)
+
+
+def hyperbolic_triangle():
+    return CoxeterSystem(("a", "b", "c"), ((1, 3, 3), (3, 1, 7), (3, 7, 1)))
+
+
+@pytest.mark.parametrize(
+    "build, radius",
+    [(infinite_dihedral, 10), (affine_triangle, 50), (affine_triangle, 400),
+     (hyperbolic_triangle, 10)],
+)
+def test_bounded_walk_of_an_infinite_group_is_refused_before_any_product(
+    build, radius, monkeypatch
+):
+    calls = []
+    right_mul = coxeter.RootTable.right_mul
+
+    def counted(self, key, s):
+        calls.append(s)
+        return right_mul(self, key, s)
+
+    monkeypatch.setattr(coxeter.RootTable, "right_mul", counted)
+    with pytest.raises(InfiniteGroupError, match=f"group not exhausted within length {radius}$"):
+        enumerate_group(build(), max_length=radius)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["A2", "A4", "B3", "H3", "D4", "B4", "F4", "H4", "E6"])
