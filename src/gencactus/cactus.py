@@ -2,7 +2,7 @@
 
 Words are the currency here; canonical forms and the word problem live in the
 racg module.  A letter is a subset I in F(S) (connected, finite parabolic),
-stored as a frozenset of generator indices.
+stored as its alphabet's own frozenset of generator indices.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from .coxeter import (
     CoxeterSystem,
     GroupElement,
     commuting_subsets,
-    connected_subsets,
     conjugate_subset,
+    letter_table,
     longest_root_map,
 )
 from .errors import InputError, RelationApplicationError
@@ -33,23 +33,22 @@ class CactusWord:
     belongs to it; `RacgContext(family=...)` is what checks that a family
     is of finite type.  This backs the dihedral n = 2 reading where the
     full generator set is kept even though it splits as a product.
+
+    Each stored letter is the alphabet's own frozenset (F(S)'s from
+    `letter_table`), found by one dict lookup, so a word of any length
+    holds at most one set object per distinct letter.
     """
 
     __slots__ = ("system", "letters")
 
     def __init__(self, system: CoxeterSystem, letters: Iterable[frozenset] = (), alphabet=None):
-        letters = tuple(frozenset(l) for l in letters)
         if alphabet is not _TRUSTED:
-            valid = connected_subsets(system) if alphabet is None else frozenset(
-                frozenset(a) for a in alphabet
-            )
-            for l in letters:
-                if l not in valid:
-                    raise InputError(
-                        f"letter outside the generating family: {system.format_subset(l)}"
-                    )
+            table = letter_table(system) if alphabet is None else {
+                I: I for I in map(_as_subset, alphabet)
+            }
+            letters = [_letter(system, table, l) for l in letters]
         object.__setattr__(self, "system", system)
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", tuple(letters))
 
     def __setattr__(self, name, value):
         raise AttributeError("CactusWord is immutable")
@@ -84,6 +83,29 @@ class CactusWord:
         return f"CactusWord({format_word(self)!r})"
 
 
+def _as_subset(letter) -> frozenset:
+    try:
+        return frozenset(letter)
+    except TypeError:
+        raise InputError(f"a letter must be a set of generator indices, not {letter!r}") from None
+
+
+def _letter(system: CoxeterSystem, table: dict, letter) -> frozenset:
+    """The table's own object equal to letter (a frozenset, or any iterable
+    of generator indices); InputError when there is none."""
+    try:
+        return table[letter]
+    except (KeyError, TypeError):  # not a member, or unhashable such as a list
+        pass
+    subset = _as_subset(letter)
+    try:
+        return table[subset]
+    except KeyError:
+        raise InputError(
+            f"letter outside the generating family: {system.format_subset(subset)}"
+        ) from None
+
+
 def parse_word(system: CoxeterSystem, text: str) -> CactusWord:
     """Parse the word grammar: whitespace-separated letters `g{s1,s2}`."""
     letters = []
@@ -102,14 +124,17 @@ def apply_relation(word: CactusWord, position: int) -> CactusWord:
     """Rewrite (gamma_I, gamma_J) at position to (gamma_J, gamma_{w_J(I)}).
 
     Applies when I is contained in J, or when the parabolics commute (then
-    w_J(I) = I and the pair just swaps).  Left-to-right only.
+    w_J(I) = I and the pair just swaps).  Left-to-right only.  w_J(I) is
+    stored as F(S)'s own object whenever it lies in F(S), as it does when I
+    does: w_J permutes the diagram of J.
     """
     sys_ = word.system
     if not 0 <= position <= len(word) - 2:
         raise RelationApplicationError("relation not applicable")
     I, J = word.letters[position], word.letters[position + 1]
     if I <= J:
-        new_pair = (J, conjugate_subset(sys_, J, I))
+        K = conjugate_subset(sys_, J, I)
+        new_pair = (J, letter_table(sys_).get(K, K))
     elif commuting_subsets(sys_, I, J):
         new_pair = (J, I)
     else:

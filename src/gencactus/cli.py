@@ -49,11 +49,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="cactus groups over Coxeter systems: words, embeddings, representations",
     )
     _add_common(root, suppress=False)
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common, suppress=True)
     sub = root.add_subparsers(dest="command", required=True)
 
     def cmd(name, handler, help_, *positional):
-        p = sub.add_parser(name, help=help_)
-        _add_common(p, suppress=True)
+        p = sub.add_parser(name, help=help_, parents=[common])
         for arg_name, arg_kw in positional:
             p.add_argument(arg_name, **arg_kw)
         p.set_defaults(run=handler)

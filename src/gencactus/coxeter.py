@@ -53,10 +53,10 @@ class CoxeterSystem:
 
     matrix[i][j] is the order of s_i s_j; 0 means infinite.  `_cache` holds
     the derived data that is reused, and only this module reads or writes
-    it.  Its six key kinds are "roots" (the root table), "table" (the group
-    table), "fset" (F(S) as a tuple), ("longest", I) (w_I),
-    ("longest_roots", I) (`longest_root_map`) and ("presentation", family)
-    (`presentation`).
+    it.  Its seven key kinds are "roots" (the root table), "table" (the
+    group table), "fset" (F(S) as a tuple), "letters" (`letter_table`),
+    ("longest", I) (w_I), ("longest_roots", I) (`longest_root_map`) and
+    ("presentation", family) (`presentation`).
     """
 
     def __init__(self, labels: Sequence[str], matrix: Sequence[Sequence[int]]):
@@ -486,6 +486,15 @@ def connected_subsets(system: CoxeterSystem) -> tuple[frozenset[int], ...]:
     out.sort(key=_subset_key)
     fset = system._cache["fset"] = tuple(out)
     return fset
+
+
+def letter_table(system: CoxeterSystem) -> dict[frozenset[int], frozenset[int]]:
+    """F(S) as a table from each member to itself: one lookup swaps a subset
+    equal to an F(S) letter for the very object `connected_subsets` holds,
+    so every word over F(S) shares one frozenset per letter."""
+    if "letters" not in system._cache:
+        system._cache["letters"] = {I: I for I in connected_subsets(system)}
+    return system._cache["letters"]
 
 
 def longest_element(system: CoxeterSystem, subset: Iterable[int]) -> GroupElement:

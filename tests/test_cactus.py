@@ -52,6 +52,83 @@ def test_word_validation(system):
     assert len(w) == 1
 
 
+@pytest.mark.parametrize("letters, alphabet, named", [
+    ([0], None, "0"), ([None], None, "None"), ([], [0], "0"),
+])
+def test_malformed_letter_is_an_input_error_naming_it(system, letters, alphabet, named):
+    with pytest.raises(InputError, match=f"not {named}$"):
+        CactusWord(system("A2"), letters, alphabet=alphabet)
+
+
+def test_a_letter_equal_to_an_fset_letter_is_stored_as_fsets_own(system):
+    # frozenset({True}) == {1}, but its member prints as no generator index
+    a2 = system("A2")
+    w = CactusWord(a2, [frozenset({True})])
+    assert w.letters[0] is connected_subsets(a2)[1]
+    assert repr(w) == "CactusWord('g{s2}')"
+    assert format_word(w) == "g{s2}"
+
+
+def _fresh(letter):
+    return frozenset(list(letter))  # frozenset(a frozenset) is that very object
+
+
+def _held_by(word, family):
+    return all(any(l is I for I in family) for l in word)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "H3", "A1*A1"])
+def test_every_way_to_make_a_word_stores_fsets_own_letters(system, name):
+    sys_ = system(name)
+    fset = connected_subsets(sys_)
+    built = [
+        CactusWord(sys_, [_fresh(I) for I in fset]),
+        CactusWord(sys_, [sorted(I) for I in fset]),
+        parse_word(sys_, " ".join("g" + sys_.format_subset(I) for I in fset)),
+    ]
+    for w in built:
+        assert w.letters == fset and _held_by(w, fset)
+        assert _held_by(w * w, fset) and _held_by(w.inverse(), fset)
+    moved = 0
+    for I in fset:
+        for J in fset:
+            try:
+                w = apply_relation(CactusWord(sys_, [_fresh(I), _fresh(J)]), 0)
+            except RelationApplicationError:
+                continue
+            assert _held_by(w, fset)
+            moved += 1
+    assert moved >= len(fset)  # at least each I before itself
+
+
+def test_a_custom_alphabet_stores_its_own_letters(system):
+    # the dihedral n = 2 reading of A1*A1 keeps the disconnected {a, b}
+    a1a1 = system("A1*A1")
+    family = (frozenset({0}), frozenset({1}), frozenset({0, 1}))
+    w = CactusWord(a1a1, [_fresh(I) for I in family * 3], alphabet=family)
+    assert _held_by(w, family) and _held_by(w * w.inverse(), family)
+    with pytest.raises(InputError, match="outside the generating family"):
+        CactusWord(a1a1, [frozenset({0, 1})])
+
+
+def test_a_long_word_keeps_one_set_per_distinct_letter(system):
+    import tracemalloc
+
+    a2 = system("A2")
+    fset, n = connected_subsets(a2), 10**5
+    CactusWord(a2, fset)  # builds the letter table outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        w = CactusWord(a2, (_fresh(fset[i % len(fset)]) for i in range(n)))
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(w) == n and _held_by(w, fset)
+    # the tuple of n 8-byte pointers, and no frozenset (216 bytes) per letter
+    assert kept < 10 * n, kept
+
+
 def test_word_algebra(system):
     a2 = system("A2")
     u = parse_word(a2, "g{s1} g{s2}")
