@@ -585,10 +585,11 @@ def commuting_subsets(system: CoxeterSystem, I: frozenset, J: frozenset) -> bool
 class Presentation:
     """The relations of C_W over a family of subsets in the F(S) order: each
     pair I before J that commutes as (I, J, None) and each nested pair I < J
-    as (I, J, w_J(I)), in the order `rep.check_relations` reports them; the
-    `pattern` of the form on R^family, 1 where it is -t and 0 elsewhere;
-    and `orbits[i]`, the positions (j, j2), j < j2, of each w_I-orbit
-    {J, w_I(J)} of two proper subsets of I."""
+    as (I, J, w_J(I)), the family's own member when w_J(I) is in it, in the
+    order `rep.check_relations` reports them; the `pattern` of the form on
+    R^family, 1 where it is -t and 0 elsewhere; and `orbits[i]`, the
+    positions (j, j2), j < j2, of each w_I-orbit {J, w_I(J)} of two proper
+    subsets of I."""
 
     __slots__ = ("family", "relations", "pattern", "orbits")
 
@@ -601,6 +602,7 @@ class Presentation:
                 self.relations.append((I, J, None))
             if I < J:
                 J2 = conjugate_subset(system, J, I)
+                J2 = family[pos[J2]] if J2 in pos else J2
                 self.relations.append((I, J, J2))
                 if pos.get(J2, -1) > a:
                     self.orbits[b].append((a, pos[J2]))
@@ -610,8 +612,17 @@ class Presentation:
 
 
 def presentation(system: CoxeterSystem, family: Optional[Iterable] = None) -> Presentation:
-    """The `Presentation` over a family (default F(S)), built once for each."""
-    family = connected_subsets(system) if family is None else tuple(sorted(family, key=_subset_key))
+    """The `Presentation` over a family (default F(S)), built once for each;
+    InputError naming the first member that is not a set of generator indices."""
+    if family is None:
+        family = connected_subsets(system)
+    else:
+        family = tuple(family)
+        for I in family:
+            if not isinstance(I, frozenset) or not all(
+                    type(i) is int and 0 <= i < system.rank for i in I):
+                raise InputError(f"not a set of generator indices of {system!r}: {I!r}")
+        family = tuple(sorted(family, key=_subset_key))
     if ("presentation", family) not in system._cache:
         system._cache["presentation", family] = Presentation(system, family)
     return system._cache["presentation", family]

@@ -5,17 +5,16 @@ zero test is truthiness, exact for every scalar type, and two ints divide
 as a Fraction (`_div`).  Every zero of a kernel or reduced-basis vector is
 the shared `_ZERO`, whatever the entries (a zero test first asks for it by
 identity), and a kernel vector whose only nonzero is 1 is the shared row of
-`identity_matrix`, whose column `_UNIT_COLUMN` gives by lookup while that
-identity is kept (up to a bound on their entries).  The one elimination is
-the fraction-free Gauss-Jordan `_integer_reduce`, on int rows (rational
-rows times the lcm of their denominators) or on the entries as they are,
-each pivot that is not an int divided out of its row; it orders ints only,
-and a rank is the pivot count of its forward half.  `kernel_basis` reads
-the kernel core `integer_kernel`, and `reduced_basis` the eliminated rows
-over their pivots.  There is no determinant, no inverse and no solve.
-Kernels come back as the reduced basis: one vector per free column,
-ascending, with 1 on its own free column and 0 on the other free columns;
-`reduced_basis` puts any spanning set in that form.
+`identity_matrix`, kept in `_IDENTITIES` up to a bound on their entries.
+The one elimination is the fraction-free Gauss-Jordan `_integer_reduce`, on
+int rows (rational rows times the lcm of their denominators) or on the
+entries as they are, each pivot that is not an int divided out of its row;
+it orders ints only, and a rank is the pivot count of its forward half.
+`kernel_basis` reads the kernel core `integer_kernel`, and `reduced_basis`
+the eliminated rows over their pivots.  There is no determinant, no inverse
+and no solve.  Kernels come back as the reduced basis: one vector per free
+column, ascending, with 1 on its own free column and 0 on the other free
+columns; `reduced_basis` puts any spanning set in that form.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ def _div(x, p):
 # share stay
 _IDENTITIES: dict[int, Matrix] = {}
 _IDENTITY_CELLS = 1 << 21
-# id of each row of every identity in `_IDENTITIES` -> the column of its 1.
-# A row leaves with its identity, so an id here is always of a live unit
-# row: an evicted row that dies cannot pass its id to a general row
-_UNIT_COLUMN: dict[int, int] = {}
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -57,13 +52,11 @@ def identity_matrix(n: int) -> Matrix:
         for k in sorted(_IDENTITIES, reverse=True):
             if cells <= _IDENTITY_CELLS:
                 break
-            for row in _IDENTITIES.pop(k):
-                del _UNIT_COLUMN[id(row)]
+            del _IDENTITIES[k]
             cells -= k * k
         rows = _IDENTITIES[n] = tuple(
             tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
         )
-        _UNIT_COLUMN.update((id(row), j) for j, row in enumerate(rows))
     return rows
 
 

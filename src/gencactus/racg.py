@@ -1,14 +1,14 @@
 """The right-angled system on parabolic conjugates and the cactus embedding.
 
 Everything here needs W finite.  A context enumerates the set S of parabolic
-conjugates w W_I w^-1 once, each known by its roots +-w(Phi_I), computes the
-big right-angled Coxeter matrix M on it from containment and fixing of those
-root sets, and exposes the embedding gamma_I -> (tau_{W_I}, g_I) into the
-semidirect product.  Words in the big group are canonicalized in one pass:
-letters are pushed one at a time onto a word kept reduced and
-lexicographically least among its commutation shuffles, each cancelling or
-taking its place after a back-scan over commuting letters (O(L) per
-letter).  That solves the word problem there and, through the embedding,
+conjugates w W_I w^-1 once, each known by its roots +-w(Phi_I), in the same
+walk computes the big right-angled Coxeter matrix M on it from containment
+and fixing of those root sets, and exposes the embedding gamma_I ->
+(tau_{W_I}, g_I) into the semidirect product.  Words in the big group are
+canonicalized in one pass: letters are pushed one at a time onto a word
+kept reduced and lexicographically least among its commutation shuffles,
+each cancelling or taking its place after a back-scan over commuting
+letters (O(L) per letter).  That solves the word problem there and, through the embedding,
 equality in C_W; `embed` carries its running aut part as an element x of W
 and memoizes each (x, letter) move, so a letter costs one lookup and one
 push.
@@ -34,9 +34,10 @@ from .errors import InfiniteGroupError, InputError
 class ParabolicConjugate:
     """A subgroup w W_I w^-1 of the ambient finite group.
 
-    Identity is the root set: the ids of the roots +-w(Phi_I), which
-    determine the subgroup.  The element set (table indices), the
-    conjugated simple reflections and the sorted element words are data.
+    Identity is the system and the root set: the ids of the roots
+    +-w(Phi_I), which determine the subgroup.  The element set (table
+    indices), the conjugated simple reflections and the sorted element
+    words are data.
     """
 
     __slots__ = ("roots", "elements", "genset", "words", "table")
@@ -54,7 +55,7 @@ class ParabolicConjugate:
     def __eq__(self, other):
         if not isinstance(other, ParabolicConjugate):
             return NotImplemented
-        return self.roots == other.roots
+        return self.roots == other.roots and self.table.system == other.table.system
 
     def __hash__(self):
         return hash(self.roots)
@@ -71,21 +72,27 @@ class ParabolicConjugate:
 
 def build_S(system: CoxeterSystem, family: Sequence[frozenset]):
     """All conjugates of the W_I, I in a family already checked by
-    `_checked_family`, from one BFS under conjugation by the simple
-    reflections.
+    `_checked_family`, and the right-angled Coxeter matrix M on them, from
+    one BFS under conjugation by the simple reflections.
 
     The BFS is keyed by root sets: W_I's is {x(alpha_i) : x in W_I, i in I},
     read off the element keys, and s maps a root set id by id through the
     reflection row of s.  A conjugate's elements and generators are
-    conjugated once, when it is first met.  S is ordered by (subgroup size,
-    sorted tuple of element reduced words); the ordering is deterministic
-    because BFS enumeration of the ambient group is.  Returns S, the index
-    in S of each W_I, and for each simple reflection s the permutation of S
-    by conjugation with s, read off the BFS edges.  The group table raises
-    if W is infinite.
+    conjugated once, when it is first met as s(P), P its BFS parent.  S is
+    ordered by (subgroup size, sorted tuple of element reduced words); the
+    ordering is deterministic because BFS enumeration of the ambient group
+    is.  M (0 for infinity) is read on root sets in the rows of the W_I: 2
+    for containment either way, 2 when the simple reflections of I fix
+    every root of the other conjugate (those roots are orthogonal to Phi_I,
+    so it meets W_I trivially and commutes with it elementwise), else 0.
+    Conjugation by W permutes S and keeps M, so every other row s(P) is its
+    parent's row read through s: at column c, row P at column s(c).
+    Returns S, M, the index in S of each W_I, and for each simple
+    reflection s the permutation of S by conjugation with s, read off the
+    BFS edges.  The group table raises if W is infinite.
     """
-    table = system.group_table()
-    reflect, conj = system.root_table().reflect, table.conjugate_by_gen
+    table, root_table = system.group_table(), system.root_table()
+    reflect, conj = root_table.reflect, table.conjugate_by_gen
     found = {}  # root set -> its position in the BFS queue
     queue = []  # (root set, element set, its conjugated simple reflections)
     for I in family:
@@ -94,7 +101,8 @@ def build_S(system: CoxeterSystem, family: Sequence[frozenset]):
         found[roots] = len(queue)
         queue.append((roots, elems, frozenset(table.simple_index[s] for s in I)))
     edges = []  # per queue position: the position of its conjugate by each s
-    for roots, elems, genset in queue:  # a BFS queue: grows while walked
+    parents = []  # per queue position past the W_I: (its parent's position, s)
+    for p, (roots, elems, genset) in enumerate(queue):  # a BFS queue: grows while walked
         row = []
         for s in range(system.rank):
             new_roots = frozenset([reflect(s, r) for r in roots])
@@ -102,6 +110,7 @@ def build_S(system: CoxeterSystem, family: Sequence[frozenset]):
                 found[new_roots] = len(queue)
                 queue.append((new_roots, frozenset([conj(s, x) for x in elems]),
                               frozenset([conj(s, x) for x in genset])))
+                parents.append((p, s))
             row.append(found[new_roots])
         edges.append(row)
     words = [tuple(sorted(table.elements[x].word for x in elems)) for _, elems, _ in queue]
@@ -112,7 +121,17 @@ def build_S(system: CoxeterSystem, family: Sequence[frozenset]):
     conjugates = [ParabolicConjugate(*queue[p], words[p], table) for p in order]
     base_index = {I: index[p] for p, I in enumerate(family)}
     perms = [tuple(index[edges[p][s]] for p in order) for s in range(system.rank)]
-    return conjugates, base_index, perms
+    ids, sets = range(len(root_table.vectors)), [pc.roots for pc in conjugates]
+    rows = []  # per queue position: the W_I, then each conjugate after its parent
+    for p, I in enumerate(family):
+        a = queue[p][0]
+        fixed = frozenset(r for r in ids if all(reflect(s, r) == r for s in I))
+        row = [2 if a <= b or b <= a or b <= fixed else 0 for b in sets]
+        row[index[p]] = 1
+        rows.append(tuple(row))
+    for p, s in parents:
+        rows.append(tuple(map(rows[p].__getitem__, perms[s])))
+    return conjugates, tuple(rows[p] for p in order), base_index, perms
 
 
 def _checked_family(system, family) -> tuple[frozenset, ...]:
@@ -129,40 +148,6 @@ def _checked_family(system, family) -> tuple[frozenset, ...]:
     if any(J2 not in closed for _, _, J2 in presentation(system, fam).relations):
         raise InputError("family is not closed under conjugation by longest elements")
     return tuple(fam)
-
-
-def big_matrix(conjugates: Sequence[ParabolicConjugate], base_index: dict, perms) -> tuple:
-    """The right-angled Coxeter matrix on S; entry 0 encodes infinity.
-
-    Read on root sets: 2 for containment either way, 2 when the simple
-    reflections of I fix every root of the other conjugate (those roots are
-    orthogonal to Phi_I, so it meets W_I trivially and commutes with it
-    elementwise), else 0.  The rule is applied only on the rows of the W_I,
-    at their indices base_index[I].  Conjugation by W permutes S and keeps
-    M, so every other row is read off a row already built through perms,
-    the simple reflections' permutations of S: row s(P) at column c is row
-    P at column s(c).
-    """
-    n = len(conjugates)
-    if n == 0:
-        return ()
-    roots = conjugates[0].table.system.root_table()
-    ids = range(len(roots.vectors))
-    sets = [pc.roots for pc in conjugates]
-    rows = [None] * n
-    for I, k in base_index.items():
-        fixed = frozenset(r for r in ids if all(roots.reflect(s, r) == r for s in I))
-        a = sets[k]
-        row = [2 if a <= b or b <= a or b <= fixed else 0 for b in sets]
-        row[k] = 1
-        rows[k] = tuple(row)
-    queue = list(base_index.values())
-    for k in queue:  # a BFS queue: grows while walked
-        for perm in perms:
-            if rows[perm[k]] is None:
-                rows[perm[k]] = tuple(map(rows[k].__getitem__, perm))
-                queue.append(perm[k])
-    return tuple(rows)
 
 
 def _push(w: list, x: int, M) -> None:
@@ -237,7 +222,8 @@ class SemidirectElement:
     """Element (racg_part, aut_part) of the semidirect product.
 
     racg_part is stored in normal form, so componentwise equality decides
-    equality in the group: the constructor normalizes it (`normal_form`,
+    equality in the group, for two elements of contexts over one system and
+    family: the constructor normalizes it (`normal_form`,
     which rejects letters out of range), and the context's own products,
     already in normal form, skip that pass through `_of`.
     """
@@ -261,7 +247,9 @@ class SemidirectElement:
     def __eq__(self, other):
         if not isinstance(other, SemidirectElement):
             return NotImplemented
-        return self.racg_part == other.racg_part and self.aut_part == other.aut_part
+        a, b = self.context, other.context
+        return ((a is b or (a.system == b.system and a.family == b.family))
+                and self.racg_part == other.racg_part and self.aut_part == other.aut_part)
 
     def __hash__(self):
         return hash((self.racg_part, self.aut_part))
@@ -302,8 +290,7 @@ class RacgContext:
         self.system = system
         self.table = system.group_table()  # raises if W is infinite
         self.family = _checked_family(system, family)
-        self.conjugates, self.base_index, self._gen_perms = build_S(system, self.family)
-        self.M = big_matrix(self.conjugates, self.base_index, self._gen_perms)
+        self.conjugates, self.M, self.base_index, self._gen_perms = build_S(system, self.family)
         # per letter I: (the index of W_I in S, the table index of w_I)
         self._steps = {
             I: (self.base_index[I], self.table.element_index(longest_element(system, I)))

@@ -33,8 +33,8 @@ from .cactus import CactusWord
 from .coxeter import CoxeterSystem, presentation
 from .errors import DegenerateFormError, InputError, SubspaceError
 from .linalg import (
+    _IDENTITIES,
     _ONE,
-    _UNIT_COLUMN,
     _ZERO,
     _integer_reduce,
     _integer_rows,
@@ -250,14 +250,17 @@ def _images(rep: dict):
     shared unit row i, else None, and general[i] the {column: nonzero} of
     d times row i.  Over Fractions d is the lcm of their denominators, which
     makes them ints; otherwise d is None and they are the entries.  A `_Rep`
-    keeps its own while each key maps to the matrix it was built with."""
+    keeps its own while each key maps to the matrix it was built with.  The
+    shared unit rows are those of the identity of the images' size that
+    `_IDENTITIES` keeps: alive, so no other row holds their ids."""
     carried = getattr(rep, "reading", None)
     if carried and len(rep) == len(carried[2]) and all(
             k is a and m is b for k, a, m, b in zip(rep, carried[1], rep.values(), carried[2])):
         return carried[:2]
-    images = {}
+    images, n = {}, len(next(iter(rep.values()), ()))
+    column = {id(row): j for j, row in enumerate(_IDENTITIES.get(n, ()))}
     for key, mat in rep.items():
-        units = [_UNIT_COLUMN.get(id(row)) for row in mat]
+        units = [column.get(id(row)) for row in mat]
         images[key] = units, {i: dict(_nonzeros(mat[i])) for i, u in enumerate(units) if u is None}
     xs = [x for _, general in images.values() for hits in general.values() for x in hits.values()]
     if not all(type(x) is Fraction for x in xs):

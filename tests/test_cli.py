@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -25,6 +26,35 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_cli_examples() -> list:
+    """(argv, printed lines) of each `$ gencactus ...` example in the
+    README's CLI section that shows its output."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("```")[1::2]:
+        for line in block.splitlines():
+            if line.startswith("$ gencactus "):
+                examples.append([line[2:], []])
+            elif examples and examples[-1][0].endswith("\\"):
+                examples[-1][0] = examples[-1][0][:-1] + line
+            elif examples and line.strip():
+                examples[-1][1].append(line)
+    return [(shlex.split(cmd.split(" #")[0])[1:], out) for cmd, out in examples if out]
+
+
+def test_readme_cli_examples_print_what_the_readme_shows(capsys):
+    examples = readme_cli_examples()
+    assert len(examples) == 7
+    for argv, printed in examples:
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, (argv, err)
+        if "json" in argv:  # the README prints JSON compact, the CLI indents it
+            assert json.loads(out) == json.loads("\n".join(printed)), argv
+        else:
+            assert out == "\n".join(printed) + "\n", argv
 
 
 def test_fset_text(capsys):

@@ -639,6 +639,24 @@ def test_conjugate_subset(system):
         conjugate_subset(a3, frozenset({0}), frozenset({1}))
 
 
+@pytest.mark.parametrize("name", ["H3", "B3"])
+def test_presentation_letters_are_the_family_own_objects(system, name):
+    # each nested w_J(I) is the very frozenset F(S) holds, so a rep keyed by
+    # F(S) and the family check find it by identity
+    sys_ = system(name)
+    fset = connected_subsets(sys_)
+    nested = [J2 for _, _, J2 in coxeter.presentation(sys_).relations if J2 is not None]
+    assert nested and all(any(J2 is I for I in fset) for J2 in nested)
+
+
+def test_presentation_names_a_key_that_is_not_a_set_of_generators(system):
+    sys_ = system("I2(5)")
+    with pytest.raises(InputError, match="not a set of generator indices.*: 0"):
+        coxeter.presentation(sys_, [0, 1])
+    with pytest.raises(InputError, match=r"frozenset\(\{7\}\)"):
+        coxeter.presentation(sys_, [frozenset({0}), frozenset({7})])
+
+
 ENTRY_POINTS = {
     "is_finite_parabolic": lambda sys_, i: is_finite_parabolic(sys_, [0, i]),
     "longest_element": lambda sys_, i: longest_element(sys_, [i]),

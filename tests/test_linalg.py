@@ -647,16 +647,13 @@ BOUND = 600  # entries: a 24 x 24 identity fits, a 25 x 25 one is kept alone
 @pytest.fixture
 def small_identity_bound(monkeypatch):
     """The kept identities bounded at BOUND entries for one test; those kept
-    before it are kept again after it, with their rows' lookup."""
-    kept, columns = dict(linalg._IDENTITIES), dict(linalg._UNIT_COLUMN)
+    before it are kept again after it."""
+    kept = dict(linalg._IDENTITIES)
     monkeypatch.setattr(linalg, "_IDENTITY_CELLS", BOUND)
     linalg._IDENTITIES.clear()
-    linalg._UNIT_COLUMN.clear()
     yield
     linalg._IDENTITIES.clear()
     linalg._IDENTITIES.update(kept)
-    linalg._UNIT_COLUMN.clear()
-    linalg._UNIT_COLUMN.update(columns)
 
 
 def test_kept_identities_stay_within_their_bound(small_identity_bound):
@@ -668,10 +665,10 @@ def test_kept_identities_stay_within_their_bound(small_identity_bound):
         kept = linalg._IDENTITIES
         assert kept[n] is ident
         assert sum(k * k for k in kept) <= BOUND or list(kept) == [n]
-        # the lookup holds the rows of the kept identities and nothing else
-        assert linalg._UNIT_COLUMN == {
-            id(row): j for rows in kept.values() for j, row in enumerate(rows)
-        }
+        # a read finds the unit rows of every kept identity, and each one alone
+        for k, rows in kept.items():
+            units, general = rep_module._images({"e": rows})[1]["e"]
+            assert units == list(range(k)) and general == {}
     # the widest go first
     identity_matrix(25)
     for n in (5, 10, 20, 8):
@@ -704,6 +701,6 @@ def test_a_rep_reads_the_same_after_its_identity_goes(system, small_identity_bou
         plain = dict(rep)
         before = check_relations(sys_, plain), stable_lines(plain)
         identity_matrix(25)  # evicts every other identity; plain's unit rows live on
-        assert not any(id(row) in linalg._UNIT_COLUMN for m in plain.values() for row in m)
+        assert all(u is None for units, _ in rep_module._images(plain)[1].values() for u in units)
         assert (check_relations(sys_, plain), stable_lines(plain)) == before
         assert stable_lines(rep) == before[1]

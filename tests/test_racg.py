@@ -750,6 +750,37 @@ def test_semidirect_mul_context_check(context):
         semidirect_mul(a2.identity(), b2.identity())
 
 
+def test_embeddings_over_equal_matrices_and_other_labels_are_unequal(context, system):
+    # A2 and I2(3) have one Coxeter matrix, so one root numbering: the same
+    # word reads as the same racg and aut parts in both
+    a2, i23 = context("A2"), context("I2(3)")
+    u = a2.embed(parse_word(a2.system, "g{s1} g{s1,s2}"))
+    v = i23.embed(parse_word(i23.system, "g{a} g{a,b}"))
+    assert (u.racg_part, u.aut_part) == (v.racg_part, v.aut_part)
+    assert u != v
+    # another context over an equal system and family gives an equal element
+    fresh = RacgContext(system("A2"))
+    assert u == fresh.embed(parse_word(fresh.system, "g{s1} g{s1,s2}"))
+
+
+def test_conjugates_over_equal_matrices_and_other_labels_are_unequal(context, system):
+    a2, i23 = context("A2"), context("I2(3)")
+    assert a2.conjugates[0].roots == i23.conjugates[0].roots
+    assert a2.conjugates[0] != i23.conjugates[0]
+    assert a2.conjugates == RacgContext(system("A2")).conjugates
+
+
+def test_embeddings_over_other_families_are_unequal(system):
+    sys_ = system("A1*A1")
+    a = RacgContext(sys_, family=[frozenset({0})])
+    b = RacgContext(sys_, family=[frozenset({1})])
+    ga = a.embed(parse_word(sys_, "g{a}"))
+    gb = b.embed(parse_word(sys_, "g{b}"))
+    assert (ga.racg_part, ga.aut_part) == (gb.racg_part, gb.aut_part)
+    assert ga != gb
+    assert ga == RacgContext(sys_, family=[frozenset({0})]).letters[frozenset({0})]
+
+
 def test_semidirect_element_normalizes_its_racg_part(context):
     ctx = context("A2")
     e = ctx.identity().aut_part

@@ -259,6 +259,14 @@ def test_check_relations_missing_conjugate(context):
     assert any(kind == "missing-conjugate" for kind, _ in report.violations)
 
 
+def test_check_relations_names_a_key_that_is_not_a_set_of_generators(system):
+    # keys that are generator indices, not sets of them, are refused up front
+    sys_ = system("I2(5)")
+    rep = {s: sys_.reflection_matrix(s, 1) for s in range(2)}
+    with pytest.raises(InputError, match="not a set of generator indices.*: 0$"):
+        check_relations(sys_, rep)
+
+
 def test_relation_report_keeps_its_dataclass_behaviour():
     # values printed by the report when it was a dataclass
     empty = RelationReport()
@@ -564,7 +572,7 @@ def test_stable_lines_take_no_n_by_n_step(context, monkeypatch):
     # so no row is scanned for its nonzeros but the images' general rows
     Pi = Pi_rep(context("F4"), F(2))
     n = len(Pi[next(iter(Pi))])
-    general = sum(linalg._UNIT_COLUMN.get(id(row)) is None for m in Pi.values() for row in m)
+    general = sum(len(rows) for _, rows in rep_module._images(Pi)[1].values())
     kernels, scans = [], []
 
     def integer_kernel(rows, ncols):
