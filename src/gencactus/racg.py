@@ -223,9 +223,9 @@ class SemidirectElement:
 
     racg_part is stored in normal form, so componentwise equality decides
     equality in the group, for two elements of contexts over one system and
-    family: the constructor normalizes it (`normal_form`,
-    which rejects letters out of range), and the context's own products,
-    already in normal form, skip that pass through `_of`.
+    family: the constructor normalizes it (`normal_form`, which rejects
+    letters out of range) and checks that aut_part permutes the indices of
+    S; the context's own products skip both passes through `_of`.
     """
 
     __slots__ = ("context", "racg_part", "aut_part")
@@ -233,6 +233,10 @@ class SemidirectElement:
     def __init__(self, context, racg_part, aut_part):
         self.context = context
         self.racg_part = normal_form(racg_part, context.M)
+        n = len(context.conjugates)
+        if not isinstance(aut_part, InducedAutomorphism) or not all(
+                type(p) is int for p in aut_part.perm) or sorted(aut_part.perm) != list(range(n)):
+            raise InputError(f"aut part is not a permutation of range({n}): {aut_part!r}")
         self.aut_part = aut_part
 
     @classmethod

@@ -2,14 +2,14 @@
 
 A query reads an image as the column of each shared unit row of
 `identity_matrix` and the nonzeros of its general rows, as ints over one
-denominator d for rational images; relation checks and `Pi_of` multiply
-two readings in one `_compose`.  rho and Pi are built as readings, which
-their `_Rep` keeps, and `_matrix` makes every matrix returned from one; a
-hand-built or edited rep is read row by row (`_images`).  What does not
-depend on t comes from `coxeter.presentation`.  rho_I is the closed-form
-reflection 1 - 2 C G^-1 (BC)^T in the span C of R e_I + E_I, one
-fraction-free elimination of int rows per generator, once a forward
-elimination of the int rows q B (t = p/q) has shown the form
+denominator d for rational images; relation checks and `Pi_of`, of a word
+through `ctx.embed`, multiply two readings in one `_compose`.  rho and Pi
+are built as readings, which their `_Rep` keeps, and `_matrix` makes every
+matrix returned from one; a hand-built or edited rep is read row by row
+(`_images`).  What does not depend on t comes from `coxeter.presentation`.
+rho_I is the closed-form reflection 1 - 2 C G^-1 (BC)^T in the span C of
+R e_I + E_I, one fraction-free elimination of int rows per generator, once
+a forward elimination of the int rows q B (t = p/q) has shown the form
 nondegenerate; a Pi image is unit rows plus one row of a reflection of the
 big right-angled form, after a permutation.  Stable lines split the space
 generator by generator; a unit row is an equation v_j = s v_i, which gives
@@ -99,32 +99,22 @@ def Pi_rep(ctx: RacgContext, t) -> dict:
 
 
 def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
-    """Matrix of a cactus word (letterwise product) or of a semidirect
-    element (reflection product times permutation): `_compose` folds the
-    readings of its factors into the identity's, letter by letter."""
+    """Matrix of a semidirect element, or of a cactus word's `ctx.embed`:
+    `_compose` folds its reflections' readings, then its permutation's."""
     from .racg import SemidirectElement
 
     t = Fraction(t)
-    n = len(ctx.conjugates)
     if isinstance(x, CactusWord):
-        if x.system != ctx.system:
-            raise InputError("word over a different system")
-        d, images = _images(Pi_rep(ctx, t))
-        bad = [ctx.system.format_subset(I) for I in x.letters if I not in images]
-        if bad:
-            raise InputError(f"letter not in the generating family: {bad[0]}")
-        keys = x.letters
-    elif isinstance(x, SemidirectElement):
-        if x.context is not ctx:
-            raise InputError("element from a different context")
-        two_t = 2 * t
-        d, images = two_t.denominator, {i: _pi_image(ctx, i, range(n), two_t) for i in set(x.racg_part)}
-        images[None] = _pi_image(ctx, None, x.aut_part.perm, two_t)
-        keys = [*x.racg_part, None]
-    else:
+        x = ctx.embed(x)
+    elif not isinstance(x, SemidirectElement):
         raise InputError(f"cannot represent object of type {type(x).__name__}")
+    elif x.context is not ctx:
+        raise InputError("element from a different context")
+    n, two_t = len(ctx.conjugates), 2 * t
+    d, images = two_t.denominator, {i: _pi_image(ctx, i, range(n), two_t) for i in set(x.racg_part)}
+    images[None] = _pi_image(ctx, None, x.aut_part.perm, two_t)
     reading, scale = (list(range(n)), {}), 1
-    for key in keys:
+    for key in [*x.racg_part, None]:
         reading, scale = _compose(reading, scale, images[key], d), scale * d
     return _matrix(reading, scale)
 
@@ -260,6 +250,8 @@ def _images(rep: dict):
     images, n = {}, len(next(iter(rep.values()), ()))
     column = {id(row): j for j, row in enumerate(_IDENTITIES.get(n, ()))}
     for key, mat in rep.items():
+        if len(mat) != n or any(len(row) != n for row in mat):
+            raise InputError(f"image of {key!r} is not {n} rows of {n} entries")
         units = [column.get(id(row)) for row in mat]
         images[key] = units, {i: dict(_nonzeros(mat[i])) for i, u in enumerate(units) if u is None}
     xs = [x for _, general in images.values() for hits in general.values() for x in hits.values()]

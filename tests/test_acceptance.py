@@ -36,7 +36,7 @@ from gencactus.rep import (
 
 from conftest import get_context, get_system
 from oracle_linalg import mat_mul, transpose
-from oracle_rep import form_on_S, form_on_fset
+from oracle_rep import form_on_S, form_on_fset, product_Pi_of
 
 SYSTEMS = [
     "A1", "A2", "A3", "A4", "B2", "B3",
@@ -163,8 +163,8 @@ def test_c04_order_property():
 
 
 def test_c05_word_problem_vs_representation():
-    from gencactus.rep import Pi_of
-
+    # Pi at t = 1 as the letterwise product of its letter images, a path
+    # apart from the embedding (Pi_of of a word folds its embedding)
     failures = []
     for name in ("A2", "B2"):
         ctx = get_context(name)
@@ -173,7 +173,7 @@ def test_c05_word_problem_vs_representation():
         by_matrix = {}
         for idx, (word, emb) in enumerate(words):
             by_embed.setdefault((emb.racg_part, emb.aut_part.perm), set()).add(idx)
-            by_matrix.setdefault(Pi_of(ctx, word, F(1)), set()).add(idx)
+            by_matrix.setdefault(product_Pi_of(ctx, word, F(1)), set()).add(idx)
         left = {frozenset(v) for v in by_embed.values()}
         right = {frozenset(v) for v in by_matrix.values()}
         if left != right:

@@ -20,6 +20,7 @@ from gencactus.coxeter import (
 )
 from gencactus import racg
 from gencactus.errors import InputError
+from gencactus.rep import Pi_of
 from gencactus.racg import (
     InducedAutomorphism,
     RacgContext,
@@ -558,6 +559,8 @@ def test_letter_outside_the_family_is_refused_on_a_warm_memo():
             ctx.embed(word)
         with pytest.raises(InputError, match="letter not in the generating family"):
             ctx.cactus_equal(word, word)
+        with pytest.raises(InputError, match="letter not in the generating family: {s1,s2}$"):
+            Pi_of(ctx, word, 2)
     assert outside not in ctx.caches["moves"]
 
 
@@ -792,6 +795,20 @@ def test_semidirect_element_normalizes_its_racg_part(context):
     assert racg.SemidirectElement(ctx, (1, 1, 2), e).racg_part == (2,)
     with pytest.raises(InputError):
         racg.SemidirectElement(ctx, (0, len(ctx.conjugates)), e)
+
+
+def test_semidirect_element_checks_its_aut_part(context):
+    # anything but a permutation of S's indices is refused before Pi_of
+    # reads it out of range
+    ctx = context("A2")
+    assert len(ctx.conjugates) == 4
+    bad = [[0, 1], [0, 0, 1, 2], [0, 1, 2, 4], [0.0, 1, 2, 3], [True, 0, 2, 3]]
+    for aut in [InducedAutomorphism(p) for p in bad] + [(0, 1, 2, 3), None]:
+        with pytest.raises(InputError, match=r"aut part is not a permutation of range\(4\)"):
+            racg.SemidirectElement(ctx, (0,), aut)
+    for x in ctx.letters.values():
+        el = racg.SemidirectElement(ctx, x.racg_part, x.aut_part)
+        assert el == x and Pi_of(ctx, el, 2) == Pi_of(ctx, x, 2)
 
 
 def test_semidirect_json(context):

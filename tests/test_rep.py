@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -164,8 +165,11 @@ def test_pi_preserves_its_form(context):
 def test_pi_of_routes_agree(context):
     ctx = context("A2")
     w = parse_word(ctx.system, "g{s1} g{s1,s2} g{s2}")
+    # the letterwise product of the Pi_rep images is a path apart from the
+    # embedding that Pi_of takes for both
     for t in (F(1), F(2)):
-        assert Pi_of(ctx, w, t) == Pi_of(ctx, ctx.embed(w), t)
+        want = oracle_rep.product_Pi_of(ctx, w, t)
+        assert Pi_of(ctx, w, t) == want == Pi_of(ctx, ctx.embed(w), t)
     assert Pi_of(ctx, CactusWord(ctx.system), F(1)) == identity_matrix(4)
 
 
@@ -265,6 +269,29 @@ def test_check_relations_names_a_key_that_is_not_a_set_of_generators(system):
     rep = {s: sys_.reflection_matrix(s, 1) for s in range(2)}
     with pytest.raises(InputError, match="not a set of generator indices.*: 0$"):
         check_relations(sys_, rep)
+
+
+def test_reps_read_again_must_be_square_of_one_size(context):
+    # a Pi rep cut to 3 rows of 4 entries, a ragged image, and one 1 x 1
+    # image among 4 x 4 ones: each named, by every query that reads a rep
+    ctx = context("A2")
+    Pi = dict(Pi_rep(ctx, F(2)))
+    I, J = list(Pi)[:2]
+    for rep, key in (
+        ({K: m[:3] for K, m in Pi.items()}, I),
+        ({I: ((1, 0), (0,))}, I),
+        ({**Pi, J: ((F(1),),)}, J),
+    ):
+        n = len(rep[I])
+        v = [1] + [0] * (n - 1)
+        for query in (
+            lambda: check_relations(ctx.system, rep),
+            lambda: stable_lines(rep),
+            lambda: restrict_rep(rep, [v]),
+            lambda: quotient_rep(rep, [v], list(range(1, n))),
+        ):
+            with pytest.raises(InputError, match=re.escape(f"image of {key!r} is not {n} rows")):
+                query()
 
 
 def test_relation_report_keeps_its_dataclass_behaviour():
@@ -1074,7 +1101,12 @@ def test_h4_stable_lines_and_quotient_cache_only_the_quotient_width(context, mon
 
 # -- Pi_of on int rows against the letterwise product ------------------------
 
-PI_OF_TS = [F(1), F(2), F(8793, 1033)]
+PI_OF_TS = [F(1), F(2), F(8793, 1033), F(-1, 2)]
+# contexts over a family other than F(S), by test id: (system, family)
+PI_OF_FAMILIES = {
+    "A3-custom": ("A3", [frozenset({0}), frozenset({1}), frozenset({2}), frozenset({0, 1, 2})]),
+    "I2(2)-full": ("I2(2)", [frozenset({0}), frozenset({1}), frozenset({0, 1})]),
+}
 
 
 def _semidirect_elements(ctx, words):
@@ -1083,17 +1115,34 @@ def _semidirect_elements(ctx, words):
         yield ctx.embed(w)
 
 
-@pytest.mark.parametrize("name", IN_BASIS_SYSTEMS)
-def test_pi_of_matches_the_letterwise_product(context, name):
-    ctx = context(name)
+@pytest.mark.parametrize("name", IN_BASIS_SYSTEMS + list(PI_OF_FAMILIES))
+def test_pi_of_matches_the_letterwise_product(system, context, name):
+    # a word reaches Pi_of's fold only through its embedding; the oracle
+    # multiplies the letter images of Pi_rep
+    if name in PI_OF_FAMILIES:
+        base, family = PI_OF_FAMILIES[name]
+        ctx = RacgContext(system(base), family=family)
+    else:
+        ctx = context(name)
     rng = random.Random(f"pi-of-{name}")
     family = sorted(ctx.family, key=_subset_key)
     for t in PI_OF_TS:
-        words = [CactusWord(ctx.system, [rng.choice(family) for _ in range(L)]) for L in (0, 1, 8, 40)]
+        words = [CactusWord(ctx.system, [rng.choice(family) for _ in range(L)], alphabet=ctx.family)
+                 for L in (0, 1, 8, 40)]
         for x in words + list(_semidirect_elements(ctx, words)):
             got = Pi_of(ctx, x, t)
             assert_identical(got, oracle_rep.product_Pi_of(ctx, x, t))
             assert_shared(got)
+
+
+def test_pi_of_a_word_caches_no_pi_rep(system):
+    # a word is embedded, so a fresh t leaves only the embedding's moves
+    ctx = RacgContext(system("B3"))
+    rng = random.Random("pi-of-cache")
+    family = sorted(ctx.family, key=_subset_key)
+    for k in range(20):
+        Pi_of(ctx, CactusWord(ctx.system, [rng.choice(family) for _ in range(8)]), F(2 * k + 1, 7))
+    assert list(ctx.caches) == ["moves"]
 
 
 # -- the word problem against Pi at t = 1 --------------------------------------
@@ -1119,8 +1168,9 @@ def _relation_moves(word, rng, count):
 
 @pytest.mark.parametrize("name", WORD_PROBLEM_SYSTEMS)
 def test_word_problem_agrees_with_pi_at_one(context, name):
-    # cactus_equal against equality of the Pi matrices at t = 1, a linear
-    # path independent of the embedding: equal words by relation moves,
+    # cactus_equal against equality of the letterwise products of the Pi
+    # letter images at t = 1 (oracle_rep.product_Pi_of), a linear path
+    # independent of the embedding: equal words by relation moves,
     # unequal ones (mostly) by one changed letter; evaluations against the
     # product of the longest elements
     ctx = context(name)
@@ -1136,7 +1186,8 @@ def test_word_problem_agrees_with_pi_at_one(context, name):
             letters[i] = rng.choice([I for I in family if I != letters[i]])
             for v in (_relation_moves(u, rng, 3 * L), CactusWord(sys_, letters)):
                 equal = ctx.cactus_equal(u, v)
-                assert equal == (Pi_of(ctx, u, 1) == Pi_of(ctx, v, 1))
+                pi_u, pi_v = (oracle_rep.product_Pi_of(ctx, w, 1) for w in (u, v))
+                assert equal == (pi_u == pi_v)
                 answers.append(equal)
                 for w in (u, v):
                     value = GroupElement.identity(sys_)
