@@ -311,10 +311,8 @@ def _cmd_diagram(args, system) -> int:
     lines = ["graph sset {"]
     for i, pc in enumerate(ctx.conjugates):
         lines.append(f'  n{i} [label="{pc.label()}"];')
-    for i in range(len(ctx.conjugates)):
-        for j in range(i + 1, len(ctx.conjugates)):
-            if ctx.M[i][j] == 2:
-                lines.append(f"  n{i} -- n{j};")
+    for i, c in enumerate(ctx.commuting):
+        lines += [f"  n{i} -- n{j};" for j in sorted(c) if j > i]
     lines.append("}")
     text = "\n".join(lines)
     print(text)

@@ -48,6 +48,18 @@ def _bond(x) -> int:
     raise InputError(f"Coxeter matrix entries must be integers, not {x!r}")
 
 
+def exact_t(t) -> Fraction:
+    """The parameter t of a form or a representation as a Fraction: an int,
+    a rational or a string such as "5/2".  A float or a bool is refused, not
+    rounded, and so is a malformed string or a zero denominator."""
+    if not isinstance(t, (bool, float)):
+        try:
+            return Fraction(t)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"t must be an exact rational: {t!r}")
+
+
 class CoxeterSystem:
     """Immutable Coxeter system: labels plus symmetric Coxeter matrix.
 
@@ -143,18 +155,19 @@ class CoxeterSystem:
 
     def bilinear_entry(self, i: int, j: int, t) -> Scalar:
         """B_t(e_i, e_j): 1 on the diagonal, -cos(pi/m) for finite bonds, -t else."""
+        t = exact_t(t)
         if i == j:
             return self._wrap(1)
         m = self.matrix[i][j]
         if m == 0:
-            return self._wrap(-Fraction(t))
+            return self._wrap(-t)
         q = rational_cos_pi_over(m)
         if q is not None:
             return self._wrap(-q)
         return -cos_pi_over(m, self.conductor)
 
     def gram_matrix(self, t) -> tuple:
-        t = Fraction(t)
+        t = exact_t(t)
         return tuple(
             tuple(self.bilinear_entry(i, j, t) for j in range(self.rank))
             for i in range(self.rank)
@@ -162,7 +175,7 @@ class CoxeterSystem:
 
     def reflection_matrix(self, s: int, t=1) -> tuple:
         """Matrix of the simple reflection s at parameter t, columns = images."""
-        t = Fraction(t)
+        t = exact_t(t)
         n = self.rank
         zero, one = self._wrap(0), self._wrap(1)
         rows = [[one if i == j else zero for j in range(n)] for i in range(n)]

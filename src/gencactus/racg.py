@@ -1,21 +1,23 @@
 """The right-angled system on parabolic conjugates and the cactus embedding.
 
 Everything here needs W finite.  A context enumerates the set S of parabolic
-conjugates w W_I w^-1 once, each known by its roots +-w(Phi_I), in the same
-walk computes the big right-angled Coxeter matrix M on it from containment
-and fixing of those root sets, and exposes the embedding gamma_I ->
-(tau_{W_I}, g_I) into the semidirect product.  Words in the big group are
-canonicalized in one pass: letters are pushed one at a time onto a word
-kept reduced and lexicographically least among its commutation shuffles,
-each cancelling or taking its place after a back-scan over commuting
-letters (O(L) per letter).  That solves the word problem there and, through the embedding,
-equality in C_W; `embed` carries its running aut part as an element x of W
-and memoizes each (x, letter) move, so a letter costs one lookup and one
-push.
+conjugates w W_I w^-1 once, each known by its roots +-w(Phi_I), and in the
+same walk computes the big right-angled Coxeter matrix M on it from
+containment and fixing of those root sets, kept as the set of letters each
+letter commutes with (the dense M is built only if read).  It exposes the
+embedding gamma_I -> (tau_{W_I}, g_I) into the semidirect product.  Words
+in the big group are canonicalized in one pass: letters are pushed one at a
+time onto a word kept reduced and lexicographically least among its
+commutation shuffles, each cancelling or taking its place after a back-scan
+over commuting letters (O(L) per letter).  That solves the word problem
+there and, through the embedding, equality in C_W; `embed` carries its
+running aut part as an element x of W and memoizes each (x, letter) move,
+so a letter costs one lookup and one push.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .cactus import CactusWord
@@ -72,8 +74,8 @@ class ParabolicConjugate:
 
 def build_S(system: CoxeterSystem, family: Sequence[frozenset]):
     """All conjugates of the W_I, I in a family already checked by
-    `_checked_family`, and the right-angled Coxeter matrix M on them, from
-    one BFS under conjugation by the simple reflections.
+    `_checked_family`, and the right-angled Coxeter matrix M on them, as
+    commuting sets, from one BFS under conjugation by the simple reflections.
 
     The BFS is keyed by root sets: W_I's is {x(alpha_i) : x in W_I, i in I},
     read off the element keys, and s maps a root set id by id through the
@@ -81,15 +83,15 @@ def build_S(system: CoxeterSystem, family: Sequence[frozenset]):
     conjugated once, when it is first met as s(P), P its BFS parent.  S is
     ordered by (subgroup size, sorted tuple of element reduced words); the
     ordering is deterministic because BFS enumeration of the ambient group
-    is.  M (0 for infinity) is read on root sets in the rows of the W_I: 2
-    for containment either way, 2 when the simple reflections of I fix
-    every root of the other conjugate (those roots are orthogonal to Phi_I,
-    so it meets W_I trivially and commutes with it elementwise), else 0.
-    Conjugation by W permutes S and keeps M, so every other row s(P) is its
-    parent's row read through s: at column c, row P at column s(c).
-    Returns S, M, the index in S of each W_I, and for each simple
-    reflection s the permutation of S by conjugation with s, read off the
-    BFS edges.  The group table raises if W is infinite.
+    is.  M is kept as C(x), the set of the other letters x commutes with
+    (M = 2), read on root sets for the W_I: proper containment either way,
+    or the simple reflections of I fix every root of the other conjugate
+    (orthogonal to Phi_I, it meets W_I trivially and commutes with it
+    elementwise; no root of W_I is fixed).  Conjugation by W permutes S
+    and keeps M, so every other C(s(P)) is its parent's C(P) mapped through
+    s, in O(sum |C|).  Returns S, the sets C, the index in S of each W_I,
+    and for each simple reflection s the permutation of S by conjugation
+    with s, read off the BFS edges.  The group table raises if W is infinite.
     """
     table, root_table = system.group_table(), system.root_table()
     reflect, conj = root_table.reflect, table.conjugate_by_gen
@@ -122,16 +124,14 @@ def build_S(system: CoxeterSystem, family: Sequence[frozenset]):
     base_index = {I: index[p] for p, I in enumerate(family)}
     perms = [tuple(index[edges[p][s]] for p in order) for s in range(system.rank)]
     ids, sets = range(len(root_table.vectors)), [pc.roots for pc in conjugates]
-    rows = []  # per queue position: the W_I, then each conjugate after its parent
+    commuting = []  # per queue position: the W_I, then each conjugate after its parent
     for p, I in enumerate(family):
         a = queue[p][0]
         fixed = frozenset(r for r in ids if all(reflect(s, r) == r for s in I))
-        row = [2 if a <= b or b <= a or b <= fixed else 0 for b in sets]
-        row[index[p]] = 1
-        rows.append(tuple(row))
+        commuting.append(frozenset(j for j, b in enumerate(sets) if a < b or b < a or b <= fixed))
     for p, s in parents:
-        rows.append(tuple(map(rows[p].__getitem__, perms[s])))
-    return conjugates, tuple(rows[p] for p in order), base_index, perms
+        commuting.append(frozenset(map(perms[s].__getitem__, commuting[p])))
+    return conjugates, tuple(commuting[p] for p in order), base_index, perms
 
 
 def _checked_family(system, family) -> tuple[frozenset, ...]:
@@ -150,23 +150,23 @@ def _checked_family(system, family) -> tuple[frozenset, ...]:
     return tuple(fam)
 
 
-def _push(w: list, x: int, M) -> None:
+def _push(w: list, x: int, commuting) -> None:
     """Multiply the normal-form word w by the letter x, in place.
 
-    Scanning back over the letters that commute with x, x cancels the first
+    Scanning back over the letters in commuting[x], x cancels the first
     equal one (Tits' solution, right-angled case); otherwise it goes in
     before the leftmost greater one it passed, or last.  A reduced word is
     lex-least iff it has no factor b u a with a < b and a commuting with b
     and u (Anisimov-Knuth), and neither step makes one: O(|w|) per letter.
     """
-    row = M[x]
+    c = commuting[x]
     at = len(w)
     for i in range(at - 1, -1, -1):
         y = w[i]
         if y == x:
             del w[i]
             return
-        if row[y] != 2:
+        if y not in c:
             break
         if y > x:
             at = i
@@ -177,14 +177,16 @@ def normal_form(word: Sequence[int], M: Sequence[Sequence[int]]) -> tuple[int, .
     """Canonical form of a word in the big right-angled group: the
     lexicographically least reduced word equal to it, built by pushing the
     letters one at a time (`_push`, O(L) per letter).  Words are equal in the
-    group iff their normal forms coincide.
-    """
-    n = len(M)
+    group iff their normal forms coincide; M is read as commuting sets."""
+    return _normal_form(word, [frozenset(j for j, m in enumerate(row) if m == 2) for row in M])
+
+
+def _normal_form(word: Sequence[int], commuting) -> tuple[int, ...]:
     w: list[int] = []
     for x in word:
-        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
+        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < len(commuting):
             raise InputError(f"letter out of range for S: {x!r}")
-        _push(w, x, M)
+        _push(w, x, commuting)
     return tuple(w)
 
 
@@ -223,20 +225,24 @@ class SemidirectElement:
 
     racg_part is stored in normal form, so componentwise equality decides
     equality in the group, for two elements of contexts over one system and
-    family: the constructor normalizes it (`normal_form`, which rejects
-    letters out of range) and checks that aut_part permutes the indices of
-    S; the context's own products skip both passes through `_of`.
+    family: the constructor normalizes it (the loop of `normal_form`, which
+    rejects letters out of range) and checks that aut_part permutes the
+    indices of S and keeps M (C(perm(i)) = perm(C(i)), O(sum |C|)); the
+    context's own products skip both passes through `_of`.
     """
 
     __slots__ = ("context", "racg_part", "aut_part")
 
     def __init__(self, context, racg_part, aut_part):
         self.context = context
-        self.racg_part = normal_form(racg_part, context.M)
+        self.racg_part = _normal_form(racg_part, context.commuting)
         n = len(context.conjugates)
         if not isinstance(aut_part, InducedAutomorphism) or not all(
                 type(p) is int for p in aut_part.perm) or sorted(aut_part.perm) != list(range(n)):
             raise InputError(f"aut part is not a permutation of range({n}): {aut_part!r}")
+        C, perm = context.commuting, aut_part.perm
+        if any(C[perm[i]] != {perm[j] for j in c} for i, c in enumerate(C)):
+            raise InputError(f"aut part does not preserve M: {aut_part!r}")
         self.aut_part = aut_part
 
     @classmethod
@@ -277,13 +283,13 @@ def semidirect_mul(a: SemidirectElement, b: SemidirectElement) -> SemidirectElem
     w = list(a.racg_part)
     perm = a.aut_part.perm
     for i in b.racg_part:
-        _push(w, perm[i], ctx.M)
+        _push(w, perm[i], ctx.commuting)
     return SemidirectElement._of(ctx, w, a.aut_part.compose(b.aut_part))
 
 
 class RacgContext:
-    """Immutable bundle: ambient table, S, M, the letter images and the
-    caches (Pi images and the embedding's letter moves).
+    """Immutable bundle: ambient table, S, M as commuting sets, the letter
+    images and the caches (Pi images and the embedding's letter moves).
 
     family overrides the gamma alphabet (default: F(S)).  A custom family
     must be closed under nested conjugation I -> w_J(I) so that the defining
@@ -294,7 +300,7 @@ class RacgContext:
         self.system = system
         self.table = system.group_table()  # raises if W is infinite
         self.family = _checked_family(system, family)
-        self.conjugates, self.M, self.base_index, self._gen_perms = build_S(system, self.family)
+        self.conjugates, self.commuting, self.base_index, self._gen_perms = build_S(system, self.family)
         # per letter I: (the index of W_I in S, the table index of w_I)
         self._steps = {
             I: (self.base_index[I], self.table.element_index(longest_element(system, I)))
@@ -307,6 +313,12 @@ class RacgContext:
         # Pi images by ("Pi", t), filled by rep.Pi_rep, and under "moves" the
         # embedding's memoized letter moves, filled by `_walk`
         self.caches: dict = {}
+
+    @cached_property
+    def M(self) -> tuple:
+        """M itself (0 for infinity), built from `commuting` on first read."""
+        return tuple(tuple(1 if i == j else 2 * (j in c) for j in range(len(self.commuting)))
+                     for i, c in enumerate(self.commuting))
 
     def identity(self) -> SemidirectElement:
         return SemidirectElement._of(self, (), self.induced_aut(0))
@@ -332,7 +344,7 @@ class RacgContext:
         if word.system != self.system:
             raise InputError("word over a different system")
         moves = self.caches.setdefault("moves", {})
-        M = self.M
+        commuting = self.commuting
         w: list[int] = []
         x = 0
         for letter in word.letters:
@@ -340,7 +352,7 @@ class RacgContext:
                 i, x = moves[letter][x]
             except KeyError:
                 i, x = self._move(moves, letter, x)
-            _push(w, i, M)
+            _push(w, i, commuting)
         return w, x
 
     def _move(self, moves: dict, letter: frozenset, x: int) -> tuple[int, int]:

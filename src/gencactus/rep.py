@@ -30,7 +30,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .cactus import CactusWord
-from .coxeter import CoxeterSystem, presentation
+from .coxeter import CoxeterSystem, exact_t, presentation
 from .errors import DegenerateFormError, InputError, SubspaceError
 from .linalg import (
     _IDENTITIES,
@@ -74,21 +74,21 @@ def _pi_image(ctx: RacgContext, k: Optional[int], perm: Sequence[int], two_t: Fr
     """The reading over the denominator d of 2t of sigma_k P_g: x -> x -
     2 B(x, e_k) e_k in the form on S after e_j -> e_{g(j)}, or P_g alone
     when k is None.  Row i != k is the unit row at g^-1(i); row k, e_k - 2
-    (row k of the form) read through g, is -1 where g(c) = k, 2t where M is
-    infinite at g(c), else 0."""
+    (row k of the form) read through g, is -1 where g(c) = k, 2t where g(c)
+    does not commute with k, else 0."""
     units = [None] * len(perm)
     for j, p in enumerate(perm):
         units[p] = j
     if k is None:
         return units, {}
-    units[k], mrow, d, off = None, ctx.M[k], two_t.denominator, two_t.numerator
+    units[k], ck, d, off = None, ctx.commuting[k], two_t.denominator, two_t.numerator
     return units, {k: {c: -d if p == k else off
-                       for c, p in enumerate(perm) if p == k or off and mrow[p] == 0}}
+                       for c, p in enumerate(perm) if p == k or off and p not in ck}}
 
 
 def Pi_rep(ctx: RacgContext, t) -> dict:
     """Letter images gamma_I -> pi(tau_{W_I}) pi'(g_I) on the S-indexed space."""
-    t = Fraction(t)
+    t = exact_t(t)
     key = ("Pi", t)
     cached = ctx.caches.get(key)
     if cached is None:
@@ -103,7 +103,7 @@ def Pi_of(ctx: RacgContext, x: Union[CactusWord, SemidirectElement], t):
     `_compose` folds its reflections' readings, then its permutation's."""
     from .racg import SemidirectElement
 
-    t = Fraction(t)
+    t = exact_t(t)
     if isinstance(x, CactusWord):
         x = ctx.embed(x)
     elif not isinstance(x, SemidirectElement):
@@ -126,7 +126,7 @@ def rho_rep(system: CoxeterSystem, t) -> dict:
     diagonal, 0 on containment or product pairs, -t elsewhere).  A
     degenerate form, on the whole space or on that span, is an error: the
     sum is not direct there."""
-    t = Fraction(t)
+    t = exact_t(t)
     gram, pres = _nondegenerate_form(system, t), presentation(system)
     built = {I: _rho_assemble(system, I, t, gram, [(i, None), *pres.orbits[i]])
              for i, I in enumerate(pres.family)}

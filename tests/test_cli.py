@@ -153,6 +153,21 @@ def test_sset_diagram_and_normalize_outputs_are_pinned(capsys, name):
     assert tuple(digests) == SSET_DIAGRAM_NORMALIZE_DIGESTS[name]
 
 
+def test_commands_that_read_commutation_never_build_the_dense_m(capsys, monkeypatch):
+    # diagram, the word problem and Pi read the commuting sets only
+    from gencactus.racg import RacgContext
+
+    def refuse(ctx):
+        raise AssertionError("the dense M was built")
+
+    monkeypatch.setattr(RacgContext, "M", property(refuse))
+    word = "g{s1} g{s1,s2} g{s2,s3} g{s1}"
+    for argv in (["diagram"], ["equal", word, "g{s1,s2} g{s2,s3}"], ["normalize", word],
+                 ["rep", "Pi", "--t", "2"], ["check-relations", "Pi", "--t", "5/2"]):
+        code, out, err = invoke(capsys, "--system", "B3", *argv)
+        assert code == 0 and out and not err, argv
+
+
 # the first 16 hex digits of the sha256 of the exit codes, stdout and stderr
 # of `rep`, `check-relations` and `stable-lines` for rho and Pi, in text and
 # JSON, and of the rho `quotient` by the first rho stable line, at each t of

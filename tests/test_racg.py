@@ -20,7 +20,7 @@ from gencactus.coxeter import (
 )
 from gencactus import racg
 from gencactus.errors import InputError
-from gencactus.rep import Pi_of
+from gencactus.rep import Pi_of, Pi_rep
 from gencactus.racg import (
     InducedAutomorphism,
     RacgContext,
@@ -349,12 +349,14 @@ def right_angled_matrices(draw):
 @settings(max_examples=150, deadline=None)
 def test_push_keeps_the_normal_form_after_every_letter(data):
     # the invariant behind the one-pass normal form: after each `_push` the
-    # word is reduced and lexicographically least, on any right-angled M
+    # word is reduced and lexicographically least, on any right-angled M,
+    # which `_push` reads as the set of letters each letter commutes with
     M = data.draw(right_angled_matrices())
     word = data.draw(st.lists(st.integers(min_value=0, max_value=len(M) - 1), max_size=60))
+    commuting = [frozenset(j for j, m in enumerate(row) if m == 2) for row in M]
     w = []
     for k, x in enumerate(word):
-        racg._push(w, x, M)
+        racg._push(w, x, commuting)
         assert tuple(w) == oracle_racg.normal_form(word[: k + 1], M), (M, word[: k + 1])
 
 
@@ -806,9 +808,39 @@ def test_semidirect_element_checks_its_aut_part(context):
     for aut in [InducedAutomorphism(p) for p in bad] + [(0, 1, 2, 3), None]:
         with pytest.raises(InputError, match=r"aut part is not a permutation of range\(4\)"):
             racg.SemidirectElement(ctx, (0,), aut)
+    # a permutation of S that does not keep M: it swaps W (which commutes
+    # with every letter) and <s1> (which commutes only with W)
+    with pytest.raises(InputError, match=r"aut part does not preserve M"):
+        racg.SemidirectElement(ctx, (0,), InducedAutomorphism([3, 1, 2, 0]))
     for x in ctx.letters.values():
         el = racg.SemidirectElement(ctx, x.racg_part, x.aut_part)
         assert el == x and Pi_of(ctx, el, 2) == Pi_of(ctx, x, 2)
+    for w in range(len(ctx.table)):  # every g_w keeps M
+        g = ctx.induced_aut(w)
+        assert racg.SemidirectElement(ctx, (), g).aut_part == g
+
+
+@pytest.mark.parametrize("name", ["B3", "H4"])
+def test_queries_leave_the_dense_m_unbuilt(name):
+    # every query reads the commuting sets; M itself is built on first read
+    ctx = RacgContext(get_system(name))
+    fam = list(ctx.family)
+    rng = random.Random(len(fam))
+    u = CactusWord(ctx.system, [rng.choice(fam) for _ in range(30)])
+    v = CactusWord(ctx.system, [rng.choice(fam) for _ in range(30)])
+    a, b = ctx.embed(u), ctx.embed(v)
+    assert not ctx.cactus_equal(u, v) and ctx.cactus_equal(u * v, u * v)
+    ab = semidirect_mul(a, b)
+    assert racg.SemidirectElement(ctx, ab.racg_part, ab.aut_part) == ab
+    Pi_rep(ctx, 2)
+    Pi_of(ctx, u, 2)
+    Pi_of(ctx, ab, 2)
+    assert "M" not in vars(ctx)
+    M = ctx.M
+    assert "M" in vars(ctx) and ctx.M is M
+    n = len(ctx.conjugates)
+    assert all(M[i][j] == (1 if i == j else 2 if j in c else 0)
+               for i, c in enumerate(ctx.commuting) for j in range(n))
 
 
 def test_semidirect_json(context):

@@ -198,6 +198,33 @@ def test_pi_of_rejects_other_objects(context):
         Pi_of(context("A2"), "g{s1}", F(1))
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, "abc", "1/0", None])
+def test_t_must_be_an_exact_rational(context, bad):
+    # a float would be read as its binary value (0.1 as 3602879701896397 /
+    # 2**55), so it is refused along with a bool and what does not parse
+    ctx = context("A2")
+    sys_, word = ctx.system, parse_word(ctx.system, "g{s1} g{s1,s2}")
+    calls = [
+        lambda: rho_rep(sys_, bad),
+        lambda: Pi_rep(ctx, bad),
+        lambda: Pi_of(ctx, word, bad),
+        lambda: sys_.bilinear_entry(0, 1, bad),
+        lambda: sys_.gram_matrix(bad),
+        lambda: sys_.reflection_matrix(0, bad),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="t must be an exact rational"):
+            call()
+
+
+def test_t_is_read_exactly_from_ints_and_strings(context):
+    ctx = context("A2")
+    assert rho_rep(ctx.system, "5/2") == rho_rep(ctx.system, F(5, 2))
+    assert Pi_rep(ctx, "0.1") is Pi_rep(ctx, F(1, 10))
+    assert Pi_of(ctx, ctx.letters[frozenset({0})], 2) == Pi_of(ctx, ctx.letters[frozenset({0})], F(2))
+    assert ctx.system.gram_matrix("-1/2") == ctx.system.gram_matrix(F(-1, 2))
+
+
 def test_pi_of_rejects_input_from_another_system(context):
     a2, a3 = context("A2"), context("A3")
     # a one-letter A3 element reads as a 4 x 4 matrix without the check, and
