@@ -52,7 +52,7 @@ _HOME = {
 
 __all__ = list(_HOME)
 
-_SUBMODULES = ("cactus", "coxeter", "errors", "linalg", "racg", "rep", "scalar")
+_SUBMODULES = ("cactus", "coxeter", "cyclotomic", "errors", "linalg", "racg", "rep", "scalar")
 
 
 def __getattr__(name):

@@ -21,9 +21,6 @@ from .coxeter import (
 from .errors import InputError, RelationApplicationError
 
 
-_TRUSTED = object()  # sentinel: letters come from an already validated word
-
-
 class CactusWord:
     """A finite sequence of generators gamma_I.  Equality is letterwise;
     use RacgContext.cactus_equal for equality in the group.
@@ -36,19 +33,28 @@ class CactusWord:
 
     Each stored letter is the alphabet's own frozenset (F(S)'s from
     `letter_table`), found by one dict lookup, so a word of any length
-    holds at most one set object per distinct letter.
+    holds at most one set object per distinct letter.  The word keeps its
+    alphabet's table of letters, and `*`, `inverse` and `apply_relation`
+    pass it on, so their words store the same objects.
     """
 
-    __slots__ = ("system", "letters")
+    __slots__ = ("system", "letters", "_table")
 
     def __init__(self, system: CoxeterSystem, letters: Iterable[frozenset] = (), alphabet=None):
-        if alphabet is not _TRUSTED:
-            table = letter_table(system) if alphabet is None else {
-                I: I for I in map(_as_subset, alphabet)
-            }
-            letters = [_letter(system, table, l) for l in letters]
+        table = letter_table(system) if alphabet is None else {
+            I: I for I in map(_as_subset, alphabet)
+        }
+        self._fill(system, [_letter(system, table, l) for l in letters], table)
+
+    def _fill(self, system, letters, table) -> "CactusWord":
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "letters", tuple(letters))
+        object.__setattr__(self, "_table", table)
+        return self
+
+    def _with(self, letters) -> "CactusWord":
+        """A word over this word's alphabet, of letters already its own."""
+        return object.__new__(CactusWord)._fill(self.system, letters, self._table)
 
     def __setattr__(self, name, value):
         raise AttributeError("CactusWord is immutable")
@@ -73,11 +79,14 @@ class CactusWord:
     def __mul__(self, other: "CactusWord") -> "CactusWord":
         if self.system != other.system:
             raise InputError("words over different systems")
-        return CactusWord(self.system, self.letters + other.letters, alphabet=_TRUSTED)
+        right = other.letters
+        if other._table is not self._table:  # another alphabet: look its letters up in ours
+            right = [_letter(self.system, self._table, l) for l in right]
+        return self._with(self.letters + tuple(right))
 
     def inverse(self) -> "CactusWord":
         # every letter is an involution, so reversal inverts the word
-        return CactusWord(self.system, tuple(reversed(self.letters)), alphabet=_TRUSTED)
+        return self._with(reversed(self.letters))
 
     def __repr__(self):
         return f"CactusWord({format_word(self)!r})"
@@ -125,8 +134,8 @@ def apply_relation(word: CactusWord, position: int) -> CactusWord:
 
     Applies when I is contained in J, or when the parabolics commute (then
     w_J(I) = I and the pair just swaps).  Left-to-right only.  w_J(I) is
-    stored as F(S)'s own object whenever it lies in F(S), as it does when I
-    does: w_J permutes the diagram of J.
+    stored as the word's alphabet's own object whenever it lies in the
+    alphabet, as it does in F(S) when I does: w_J permutes the diagram of J.
     """
     sys_ = word.system
     if not 0 <= position <= len(word) - 2:
@@ -134,13 +143,12 @@ def apply_relation(word: CactusWord, position: int) -> CactusWord:
     I, J = word.letters[position], word.letters[position + 1]
     if I <= J:
         K = conjugate_subset(sys_, J, I)
-        new_pair = (J, letter_table(sys_).get(K, K))
+        new_pair = (J, word._table.get(K, K))
     elif commuting_subsets(sys_, I, J):
         new_pair = (J, I)
     else:
         raise RelationApplicationError("relation not applicable")
-    letters = word.letters[:position] + new_pair + word.letters[position + 2:]
-    return CactusWord(sys_, letters, alphabet=_TRUSTED)
+    return word._with(word.letters[:position] + new_pair + word.letters[position + 2:])
 
 
 def evaluate_to_coxeter(word: CactusWord) -> GroupElement:

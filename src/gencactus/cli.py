@@ -1,10 +1,12 @@
 """Command line front end.
 
 One binary, subcommand style.  Output is deterministic; rationals print as
-exact "p/q" strings and cyclotomic scalars as c(k,N) polynomials.  Exit
-codes: 0 success, 1 domain errors, 2 usage errors.  A command imports the
-layers it runs when it runs: racg for the embedding, rep and linalg for the
-representations, so a process compiles nothing else.
+exact "p/q" strings and cyclotomic scalars as c(k,N) polynomials, both by
+`str` (a CycloReal's is `format_scalar`).  Exit codes: 0 success, 1 domain
+errors, 2 usage errors.  A command imports the layers it runs when it runs:
+racg for the embedding, rep and linalg for the representations, and scalar
+only where a CycloReal is made (the matrices of an irrational system, or a
+certified sign on an infinite W), so a process compiles nothing else.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .cactus import (
 )
 from .coxeter import CoxeterSystem, connected_subsets, enumerate_group, longest_element
 from .errors import CactusError, InputError
-from .scalar import format_scalar
 
 
 def _add_common(parser, suppress: bool) -> None:
@@ -130,7 +131,7 @@ def _parse_vector(text: str, dim: int):
 
 
 def _matrix_rows(mat) -> list:
-    return [[format_scalar(x) for x in row] for row in mat]
+    return [[str(x) for x in row] for row in mat]
 
 
 def _emit(args, payload: dict, text: str) -> int:
@@ -261,7 +262,7 @@ def _cmd_stable_lines(args, system) -> int:
     payload = {
         "lines": [
             {
-                "vector": [format_scalar(x) for x in vec],
+                "vector": [str(x) for x in vec],
                 "signs": {name(k): sign for k, sign in signs.items()},
             }
             for vec, signs in lines
@@ -269,7 +270,7 @@ def _cmd_stable_lines(args, system) -> int:
     }
     text_lines = []
     for vec, signs in lines:
-        coords = ",".join(format_scalar(x) for x in vec)
+        coords = ",".join(str(x) for x in vec)
         sig = " ".join(f"{name(k)}:{'+1' if s > 0 else '-1'}" for k, s in signs.items())
         text_lines.append(f"{coords}  {sig}")
     return _emit(args, payload, "\n".join(text_lines) if text_lines else "none")

@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import weakref
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import CactusError, InfiniteGroupError, InputError
-from .scalar import (
-    CycloReal,
-    Scalar,
-    cos_pi_over,
-    rational_cos_pi_over,
-    scalar_sign,
-)
+
+if TYPE_CHECKING:
+    from .scalar import Scalar
 
 __all__ = [
     "CoxeterSystem",
@@ -146,11 +143,14 @@ class CoxeterSystem:
 
     # -- scalars ---------------------------------------------------------------
 
+    # a system whose bonds are all rational builds its forms and reflections
+    # in Fractions, so only an irrational one loads the CycloReal arithmetic
+
     def _wrap(self, value) -> Scalar:
         if self.conductor is None:
             return Fraction(value)
-        if isinstance(value, CycloReal):
-            return value.lift(self.conductor)
+        from .scalar import CycloReal
+
         return CycloReal.from_rational(Fraction(value), self.conductor)
 
     def bilinear_entry(self, i: int, j: int, t) -> Scalar:
@@ -161,9 +161,10 @@ class CoxeterSystem:
         m = self.matrix[i][j]
         if m == 0:
             return self._wrap(-t)
-        q = rational_cos_pi_over(m)
-        if q is not None:
-            return self._wrap(-q)
+        if m < 4:  # -cos(pi/2) = 0 and -cos(pi/3) = -1/2
+            return self._wrap(Fraction(2 - m, 2))
+        from .scalar import cos_pi_over
+
         return -cos_pi_over(m, self.conductor)
 
     def gram_matrix(self, t) -> tuple:
@@ -217,8 +218,16 @@ class CoxeterSystem:
 
 
 class RootTable:
-    """Exact root vectors of one Coxeter matrix, interned to integer ids, and
-    the reflection of each root in each root as a lookup on ids.
+    """Root vectors of one Coxeter matrix in integer coordinates, interned to
+    integer ids, and the reflection of each root in each root as a lookup on
+    ids.
+
+    A coordinate lives in the ring of its diagram component: an int when the
+    component has no bond of 4 or more, else its tuple of int coefficients in
+    Z[x]/Phi_N, for N the component's own conductor (2 lcm of those bonds).
+    2 B(alpha_j, alpha_b) at t = 1 is 2, -1, -2 or -(x**e + x**(N - e)), an
+    algebraic integer, so no denominator ever appears; on a coordinate in
+    Z[x]/Phi_N it acts as an int matrix.
 
     Ids 0..n-1 are the simple roots.  The simple reflection s_b changes only
     coordinate b and permutes the positive roots other than alpha_b, so a
@@ -230,22 +239,35 @@ class RootTable:
     one row of lookups in rows already filled.  For infinite W a root gets
     the next id when first met, a non-simple reflection is the exact
     rho - 2 B(rho, beta) beta, and only a root first met that way has its
-    sign certified.
+    sign certified, by a CycloReal made from its first nonzero coordinate.
     """
 
     def __init__(self, system: CoxeterSystem):
         n = system.rank
+        self._comps = [()] * n  # the coordinates of each generator's component
+        self._conductors: list[Optional[int]] = [None] * n  # None: an int coordinate
+        for comp in _diagram_components(system, range(n)):
+            comp = tuple(sorted(comp))
+            irrational = [system.m(i, j) for i in comp for j in comp if system.m(i, j) >= 4]
+            conductor = 2 * math.lcm(*irrational) if irrational else None
+            for j in comp:
+                self._comps[j], self._conductors[j] = comp, conductor
         # per simple root b, {j: 2 B(alpha_j, alpha_b)} over the nonzero entries
         self._bonds = [
-            {j: 2 * g for j, g in enumerate(row) if g != 0} for row in system.gram_matrix(1)
+            {j: _twice_bond(system.m(j, b), self._conductors[b])
+             for j in range(n) if system.m(j, b) != 2}
+            for b in range(n)
         ]
+        # an int, or as many 0s as the matrix of the bond 2 B(alpha_j, alpha_j) has rows
+        self._zero = [0 if N is None else (0,) * len(self._bonds[j][j])
+                      for j, N in enumerate(self._conductors)]
         self.vectors: list[tuple] = []
         self.negative: list[bool] = []
         self._ids: dict[tuple, int] = {}
         self._rows: list[dict[int, int]] = []  # b -> {r: s_b(r)}
-        zero, one = system._wrap(0), system._wrap(1)
         for s in range(n):
-            self._intern(tuple(one if i == s else zero for i in range(n)), False)
+            unit = 1 if self._conductors[s] is None else (1,) + self._zero[s][1:]
+            self._intern(tuple(unit if i == s else self._zero[i] for i in range(n)), False)
         self.identity = tuple(range(n))
         self.finite = is_finite_parabolic(system, self.identity)
         if self.finite:
@@ -265,7 +287,8 @@ class RootTable:
         rid = self._ids.get(vector)
         if rid is None:
             if negative is None:
-                negative = scalar_sign(next(x for x in vector if x != 0)) < 0
+                k = next(k for k, x in enumerate(vector) if x != self._zero[k])
+                negative = _is_negative(vector[k], self._conductors[k])
             rid = self._ids[vector] = len(self.vectors)
             self.vectors.append(vector)
             self.negative.append(negative)
@@ -277,12 +300,13 @@ class RootTable:
         row = self._rows[b]
         if r not in row:
             rho = self.vectors[r]
-            c = sum(g * rho[j] for j, g in self._bonds[b].items())
-            if c == 0:
+            terms = [_times(g, rho[j]) for j, g in self._bonds[b].items()]
+            c = sum(terms) if self._conductors[b] is None else tuple(map(sum, zip(*terms)))
+            if c == self._zero[b]:
                 row[r] = r
             else:
                 image = list(rho)
-                image[b] -= c
+                image[b] = _minus(rho[b], c)
                 # s_b maps -alpha_b to alpha_b, which is never new
                 row[r] = self._intern(tuple(image), self.negative[r] or r == b)
         return row[r]
@@ -301,15 +325,18 @@ class RootTable:
             return tuple([self.reflect(b, r) for r in key])
         # infinite W: 2 B(w(alpha_j), w(alpha_s)) = 2 B(alpha_j, alpha_s), as W
         # preserves B; the only place a sign is certified
+        # beta and each root with a bond to alpha_s lie in the component of s
         beta, bonds = self.vectors[b], self._bonds[s]
         for j, r in enumerate(key):
             if r not in row:
-                c = bonds.get(j, 0)
-                if c == 0:
+                g = bonds.get(j)
+                if g is None:
                     row[r] = r
                 else:
-                    image = tuple(x - c * y for x, y in zip(self.vectors[r], beta))
-                    row[r] = self._intern(image, None)
+                    image = list(self.vectors[r])
+                    for k in self._comps[s]:
+                        image[k] = _minus(image[k], _times(g, beta[k]))
+                    row[r] = self._intern(tuple(image), None)
         return tuple([row[r] for r in key])
 
     def apply(self, key: tuple, word: Iterable[int]) -> tuple:
@@ -329,6 +356,43 @@ class RootTable:
                     break
             else:
                 return tuple(reversed(rev))
+
+
+def _twice_bond(m: int, conductor: Optional[int]):
+    """2 B(alpha_j, alpha_b) at t = 1 for their bond m (1 when j = b): an int
+    when conductor is None, else the int matrix of multiplication by it on
+    Z[x]/Phi_N (`cyclotomic.multiplication_rows`)."""
+    if m < 4:
+        value = {0: {0: -2, 1: 2, 3: -1}[m]}
+        if conductor is None:
+            return value[0]
+    else:  # -2 cos(pi/m) = -(x**e + x**(N - e)) for x = exp(2 pi i / N)
+        e = conductor // (2 * m)
+        value = {e: -1, conductor - e: -1}
+    # only a component with a bond of 4 or more loads the cyclotomic polynomials
+    from .cyclotomic import multiplication_rows
+
+    return multiplication_rows(value, conductor)
+
+
+def _times(g, y):
+    """g*y for a bond g of `_twice_bond` and a coordinate y of its ring."""
+    if type(g) is int:
+        return g * y
+    return tuple([sum([a * y[k] for k, a in row]) for row in g])
+
+
+def _minus(x, y):
+    return x - y if type(x) is int else tuple(map(operator.sub, x, y))
+
+
+def _is_negative(x, conductor: Optional[int]) -> bool:
+    """Whether a nonzero coordinate is negative; certified for one in Z[x]/Phi_N."""
+    if conductor is None:
+        return x < 0
+    from .scalar import CycloReal
+
+    return CycloReal(conductor, x).sign() < 0
 
 
 # equal matrices share one table: ids are canonical even for infinite W

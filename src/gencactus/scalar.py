@@ -7,12 +7,12 @@ cyclotomic polynomial and x stands for exp(2*pi*i/N), so that
     cos(pi/m) = (x**(N/(2m)) + x**(N - N/(2m))) / 2        (2m divides N).
 
 Rationals are plain ``fractions.Fraction``.  One exact polynomial division,
-`_divmod`, builds Phi_n from x**n - 1, reduces every value modulo Phi_N and
-runs the Euclid steps of an inverse.  Zero-testing of a CycloReal is exact
-(reduce and compare coefficients); the sign of a nonzero value is certified
-by interval evaluation of the embedding x -> exp(2*pi*i/N) at increasing
-precision until the interval excludes zero.  That evaluation and `to_mpf`
-share one sum of c_k*cos(2*pi*k/N).
+`_divmod`, builds Phi_n from x**n - 1 (both live in `gencactus.cyclotomic`),
+reduces every value modulo Phi_N and runs the Euclid steps of an inverse.
+Zero-testing of a CycloReal is exact (reduce and compare coefficients); the
+sign of a nonzero value is certified by interval evaluation of the embedding
+x -> exp(2*pi*i/N) at increasing precision until the interval excludes zero.
+That evaluation and `to_mpf` share one sum of c_k*cos(2*pi*k/N).
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import math
 import re
 from fractions import Fraction
 from typing import Union
+
+from .cyclotomic import _divmod, cyclotomic_polynomial
 
 __all__ = [
     "Scalar",
@@ -36,39 +38,6 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _divmod(num, den):
-    """Exact quotient and remainder of the polynomial num by den, coefficient
-    lists lowest degree first; the remainder keeps at most deg(den) entries.
-    A monic den is never divided by, so int polynomials stay in ints."""
-    k = len(den) - 1
-    while not den[k]:
-        k -= 1
-    lead, den = den[k], den[: k + 1]
-    rem = list(num)
-    quot = [0] * (len(rem) - k)
-    for top in range(len(rem) - 1, k - 1, -1):
-        c = rem[top]
-        if c:
-            if lead != 1:
-                c = Fraction(c, lead)
-            quot[top - k] = c
-            for i, p in enumerate(den, top - k):
-                rem[i] -= c * p
-    return quot, rem[:k]
-
-
-@functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, lowest degree first.  Phi_1 = x - 1."""
-    if n < 1:
-        raise ValueError("conductor must be a positive integer")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _divmod(poly, cyclotomic_polynomial(d))[0]
-    return tuple(poly)
 
 
 def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:

@@ -295,10 +295,13 @@ class RootTable:
         Gram matrix when beta is the simple root alpha_b and c is left out."""
         row = self._rows[b]
         if r not in row:
+            # zero terms are skipped, so scalars of two components, which may
+            # have different conductors, never meet in a sum
             rho, beta = self.vectors[r], self.vectors[b]
             if c is None:
-                c = sum(g * x for g, x in zip(self._twice_gram[b], rho))
-            row[r] = r if c == 0 else self._intern(tuple(x - c * y for x, y in zip(rho, beta)))
+                c = sum(g * x for g, x in zip(self._twice_gram[b], rho) if g != 0 and x != 0)
+            row[r] = r if c == 0 else self._intern(
+                tuple(x - c * y if y != 0 else x for x, y in zip(rho, beta)))
         return row[r]
 
     def right_mul(self, key, s):

@@ -107,8 +107,19 @@ def test_a_custom_alphabet_stores_its_own_letters(system):
     family = (frozenset({0}), frozenset({1}), frozenset({0, 1}))
     w = CactusWord(a1a1, [_fresh(I) for I in family * 3], alphabet=family)
     assert _held_by(w, family) and _held_by(w * w.inverse(), family)
+    # w_J(I) of a relation is the alphabet's own letter too, {a, b} included
+    for I, J in [(family[2], family[2]), (family[0], family[2]), (family[0], family[1])]:
+        moved = apply_relation(CactusWord(a1a1, [_fresh(I), _fresh(J)], alphabet=family), 0)
+        assert moved.letters == (J, I) and _held_by(moved, family)
+        assert _held_by(moved * w, family) and _held_by(moved.inverse(), family)
+    # a word over another copy of the alphabet is read in the left one's letters
+    copy = [_fresh(I) for I in family]
+    other = CactusWord(a1a1, [_fresh(I) for I in family], alphabet=copy)
+    assert _held_by(other, copy) and _held_by(w * other, family) and _held_by(other * w, copy)
     with pytest.raises(InputError, match="outside the generating family"):
         CactusWord(a1a1, [frozenset({0, 1})])
+    with pytest.raises(InputError, match="outside the generating family"):
+        CactusWord(a1a1, [family[0]]) * CactusWord(a1a1, [family[2]], alphabet=family)
 
 
 def test_a_long_word_keeps_one_set_per_distinct_letter(system):

@@ -14,7 +14,7 @@ import pytest
 import oracle_rep
 from gencactus.cactus import CactusWord, evaluate_to_coxeter, format_word, is_pure
 from gencactus.cli import _default_keep, run
-from gencactus.coxeter import GroupTable, connected_subsets
+from gencactus.coxeter import CoxeterSystem, GroupTable, connected_subsets
 from gencactus.errors import SubspaceError
 from gencactus.linalg import identity_matrix
 from gencactus import rep as rep_module
@@ -585,24 +585,38 @@ def modules_loaded(*argv):
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
-        (["fset"], {"racg", "rep", "linalg"}),
-        (["eval", "g{s1} g{s1,s2}"], {"racg", "rep", "linalg"}),
-        (["pure", "g{s1} g{s1,s2}"], {"racg", "rep", "linalg"}),
-        (["longest", "{s1,s2}"], {"racg", "rep", "linalg"}),
-        (["rep", "pi"], {"racg", "rep", "linalg"}),
-        (["dict-a", "s_{1,2}"], {"racg", "rep", "linalg"}),
-        (["equal", "g{s1} g{s1,s2}", "g{s1,s2} g{s2}"], {"rep", "linalg"}),
-        (["sset"], {"rep", "linalg"}),
-        (["normalize", "g{s1} g{s1,s2}"], {"rep", "linalg"}),
-        (["rep", "rho"], {"racg"}),
-        (["stable-lines", "rho"], {"racg"}),
+        (["A2", "fset"], {"cyclotomic", "scalar", "racg", "rep", "linalg"}),
+        (["A2", "eval", "g{s1} g{s1,s2}"], {"cyclotomic", "scalar", "racg", "rep", "linalg"}),
+        (["A2", "pure", "g{s1} g{s1,s2}"], {"cyclotomic", "scalar", "racg", "rep", "linalg"}),
+        (["A2", "longest", "{s1,s2}"], {"cyclotomic", "scalar", "racg", "rep", "linalg"}),
+        (["A2", "rep", "pi"], {"cyclotomic", "scalar", "racg", "rep", "linalg"}),
+        (["A2", "dict-a", "s_{1,2}"], {"cyclotomic", "scalar", "racg", "rep", "linalg"}),
+        (["A2", "equal", "g{s1} g{s1,s2}", "g{s1,s2} g{s2}"],
+         {"cyclotomic", "scalar", "rep", "linalg"}),
+        (["A2", "sset"], {"cyclotomic", "scalar", "rep", "linalg"}),
+        (["A2", "normalize", "g{s1} g{s1,s2}"], {"cyclotomic", "scalar", "rep", "linalg"}),
+        (["A2", "rep", "rho"], {"cyclotomic", "scalar", "racg"}),
+        (["A2", "stable-lines", "rho"], {"cyclotomic", "scalar", "racg"}),
+        # a bond of 4 or more: root tables are ints in Z[x]/Phi_N, so only a
+        # CycloReal loads scalar
+        (["H3", "eval", "g{s1} g{s1,s2}"], {"scalar", "racg", "rep", "linalg"}),
+        (["B3", "equal", "g{s1} g{s1,s2}", "g{s1,s2} g{s2}"], {"scalar", "rep", "linalg"}),
+        (["I2(8)", "sset"], {"scalar", "rep", "linalg"}),
+        (["B3.json", "normalize", "g{s2} g{s2,s3}"], {"scalar", "rep", "linalg"}),
+        (["I2(5)", "rep", "pi"], {"racg", "rep", "linalg"}),
     ],
 )
-def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unloaded):
     # `-m` runs cli.py as __main__, so the report lists no gencactus.cli
-    loaded = modules_loaded("--system", "A2", *argv)
+    name, *argv = argv
+    if name.endswith(".json"):
+        path = tmp_path / name
+        path.write_text(json.dumps(CoxeterSystem.from_name(name[:-5]).to_json()))
+        name = str(path)
+    loaded = modules_loaded("--system", name, *argv)
     assert not loaded & unloaded, sorted(loaded & unloaded)
-    assert loaded | unloaded == {"cactus", "coxeter", "errors", "scalar", "racg", "rep", "linalg"}
+    assert loaded | unloaded == {"cactus", "coxeter", "cyclotomic", "errors", "scalar", "racg",
+                                 "rep", "linalg"}
 
 
 @pytest.mark.parametrize(

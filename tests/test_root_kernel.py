@@ -8,6 +8,8 @@ reflects every root in every root exactly and certifies every sign.
 """
 
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -20,7 +22,7 @@ from gencactus.coxeter import (
     enumerate_group,
     longest_element,
 )
-from gencactus.scalar import scalar_sign
+from gencactus.scalar import CycloReal, cos_pi_over, scalar_sign
 
 import oracle_groups as og
 from test_coxeter import affine_triangle, infinite_dihedral
@@ -90,44 +92,81 @@ def test_elements_of_equal_systems_compare_equal(builder):
     assert len({x, y}) == 1
 
 
+def components(sys_):
+    """The connected components of the diagram: bonds other than 2 join."""
+    left, comps = set(range(sys_.rank)), []
+    while left:
+        comp = [left.pop()]
+        for v in comp:
+            joined = {u for u in left if sys_.m(u, v) != 2}
+            left -= joined
+            comp += joined
+        comps.append(comp)
+    return comps
+
+
 def oracle_roots(sys_):
-    gram = sys_.gram_matrix(1)
-    finite = og.sylvester_finite(sys_.matrix, gram, range(sys_.rank), scalar_sign)
-    return og.RootTable(gram, finite, scalar_sign)
+    # B at t = 1, each -cos(pi/m) at its own conductor 2m, and finiteness by
+    # Sylvester on each component: no scalar meets another component's, so
+    # no product of conductors is ever formed
+    gram = [[-cos_pi_over(m) if m else Fraction(-1) for m in row] for row in sys_.matrix]
+    finite = all(og.sylvester_finite(sys_.matrix, gram, comp, scalar_sign)
+                 for comp in components(sys_))
+    return og.RootTable(gram, finite, scalar_sign), gram
+
+
+def exact_vectors(sys_, roots):
+    """roots.vectors with each int coordinate read as the scalar it stands
+    for: a Fraction, or in a component with a bond of 4 or more the
+    coefficients of x**k as a CycloReal at the component's own conductor,
+    2 lcm of those bonds."""
+    conductor = {}
+    for comp in components(sys_):
+        bonds = [sys_.m(i, j) for i in comp for j in comp if sys_.m(i, j) >= 4]
+        conductor.update(dict.fromkeys(comp, 2 * lcm(*bonds) if bonds else None))
+    return [tuple(Fraction(x) if conductor[k] is None else CycloReal(conductor[k], x)
+                  for k, x in enumerate(v)) for v in roots.vectors]
+
+
+def assert_same_roots(sys_, roots, oracle):
+    # equal exact vectors in the same order, and each id interned once
+    assert exact_vectors(sys_, roots) == oracle.vectors and roots.negative == oracle.negative
+    assert [roots._ids[v] for v in roots.vectors] == list(range(len(roots.vectors)))
 
 
 @pytest.mark.parametrize(
     "name",
-    ["A2", "A3", "A4", "B3", "B4", "D4", "F4", "H3", "H4", "I2(5)", "I2(8)", "I2(60)"],
+    ["A2", "A3", "A4", "B3", "B4", "D4", "F4", "H3", "H4", "I2(5)", "I2(8)", "I2(60)",
+     "B3*H3", "I2(7)*I2(9)*I2(11)"],
 )
 def test_finite_root_table_matches_certified_oracle(name):
     sys_ = CoxeterSystem.from_name(name)
     table = sys_.group_table()
-    roots, oracle = sys_.root_table(), oracle_roots(sys_)
+    roots, (oracle, _) = sys_.root_table(), oracle_roots(sys_)
     keys, right, left = og.root_group_tables(oracle)
     assert [el.key for el in table.elements] == keys
     assert table.gen_right == right and table.gen_left == left
     # the oracle reflected every root in every root; the table still holds Phi
-    assert roots.vectors == oracle.vectors and roots.negative == oracle.negative
-    assert all(roots._ids[v] == i for i, v in enumerate(oracle.vectors))
+    assert_same_roots(sys_, roots, oracle)
 
 
 @pytest.mark.parametrize(
-    "name", ["A4", "B4", "D4", "F4", "H3", "H4", "E6", "I2(7)", "A2*A2"]
+    "name", ["A4", "B4", "D4", "F4", "H3", "H4", "E6", "I2(7)", "A2*A2", "B3*H3",
+             "I2(7)*I2(9)*I2(11)"]
 )
 def test_finite_rows_are_the_reflections_in_every_root(name):
     # each row, filled from s_beta = s s_gamma s at construction, against
     # rho - 2 B(rho, beta) beta computed exactly by the oracle
     sys_ = CoxeterSystem.from_name(name)
-    roots, oracle = sys_.root_table(), oracle_roots(sys_)
-    gram = sys_.gram_matrix(1)
-    ids = range(len(roots.vectors))
+    roots, (oracle, gram) = sys_.root_table(), oracle_roots(sys_)
+    vectors = exact_vectors(sys_, roots)
+    ids = range(len(vectors))
     for b in ids:
-        beta = roots.vectors[b]
-        g_beta = [2 * sum(g * y for g, y in zip(row, beta)) for row in gram]
+        beta = vectors[b]
+        g_beta = [2 * sum(g * y for g, y in zip(row, beta) if g != 0 and y != 0) for row in gram]
         assert len(roots._rows[b]) == len(ids)
         for r in ids:
-            c = sum(x * y for x, y in zip(roots.vectors[r], g_beta) if x != 0)
+            c = sum(x * y for x, y in zip(vectors[r], g_beta) if x != 0 and y != 0)
             assert roots._rows[b][r] == oracle.reflect(b, r, c)
 
 
@@ -136,15 +175,21 @@ def mixed_bonds():
     return CoxeterSystem(("a", "b", "c"), ((1, 0, 4), (0, 1, 2), (4, 2, 1)))
 
 
-@pytest.mark.parametrize("builder", [affine_triangle, mixed_bonds])
+def mixed_bonds_by_i2_5():
+    # mixed_bonds beside I2(5): two components, with conductors 8 and 10
+    m = [[1, 0, 4, 2, 2], [0, 1, 2, 2, 2], [4, 2, 1, 2, 2], [2, 2, 2, 1, 5], [2, 2, 2, 5, 1]]
+    return CoxeterSystem(("a", "b", "c", "d", "e"), m)
+
+
+@pytest.mark.parametrize("builder", [affine_triangle, mixed_bonds, mixed_bonds_by_i2_5])
 def test_long_words_on_infinite_groups_match_certified_oracle(builder):
     sys_ = builder()
-    roots, oracle = sys_.root_table(), oracle_roots(sys_)
+    roots, (oracle, _) = sys_.root_table(), oracle_roots(sys_)
     rng = random.Random(3000)
-    word = [rng.randrange(3) for _ in range(3000)]
+    word = [rng.randrange(sys_.rank) for _ in range(3000)]
     key = roots.apply(roots.identity, word)
     assert key == oracle.apply(oracle.identity, word)
-    assert roots.vectors == oracle.vectors and roots.negative == oracle.negative
+    assert_same_roots(sys_, roots, oracle)
     el = GroupElement(sys_, key)
     assert GroupElement.from_word(sys_, el.word) == el
 

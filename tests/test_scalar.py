@@ -193,6 +193,18 @@ def test_format_parse_examples():
     assert parse_scalar(text) == c
 
 
+def test_str_is_format_scalar():
+    # the CLI prints every scalar with str
+    values = [0, 7, -3, Fraction(0), Fraction(-5, 3), Fraction(4),
+              CycloReal.from_rational(Fraction(-1, 2), 10), CycloReal.from_rational(0, 8),
+              cos_pi_over(5), -cos_pi_over(4, 24), cos_pi_over(7) + cos_pi_over(9),
+              cos_pi_over(5) * cos_pi_over(8) - Fraction(1, 3)]
+    for x in values:
+        assert str(x) == format_scalar(x)
+    assert {str(x) for x in values[6:8]} == {"-1/2", "0"}
+    assert values[-2].conductor == 126 and "c(" in str(values[-2])
+
+
 coeff = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )

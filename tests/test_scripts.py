@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["a2_walkthrough.py", "dihedral_survey.py"])
+@pytest.mark.parametrize("script", ["a2_walkthrough.py", "dihedral_survey.py", "cli_digest.py"])
 def test_script_exits_cleanly(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
