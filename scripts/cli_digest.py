@@ -8,7 +8,8 @@ CLI's output is checked by running this script on both.
 
 The list holds the README's CLI examples; every command on A2, B3, H3, D4,
 I2(8), A1*A1 and an infinite system with bonds (infinity, 4), in text and
-in JSON; and usage errors (exit 2) and domain errors (exit 1).
+in JSON; `rep pi` on systems of several components with irrational bonds,
+in text and in JSON; and usage errors (exit 2) and domain errors (exit 1).
 
 Run:  PYTHONPATH=src python3 scripts/cli_digest.py
 """
@@ -56,6 +57,13 @@ SYSTEMS = {
     "A1*A1": ("{a,b}", "g{a} g{b}", "g{b} g{a}"),
     "mixed.json": ("{a,c}", "g{a} g{a,c} g{b}", "g{b} g{a,c} g{c}"),
 }
+
+# rep pi at a large global conductor (N = 1,386) and at a non-integer t, and
+# on a product of a rational and an irrational component
+REP_PI = [
+    ["--system", "I2(7)*I2(9)*I2(11)", "rep", "pi", "--t", "5/2"],
+    ["--system", "B3*H3", "rep", "pi"],
+]
 
 ERRORS = [
     ["--system", "E7", "equal", "g{s1}", "g{s1}"],  # |W| too large: exit 1
@@ -121,6 +129,9 @@ def main():
             for fmt in ("text", "json"):
                 for argv in commands_on(name, first_line):
                     check(["--system", name, *argv, "--format", fmt])
+        for argv in REP_PI:
+            for fmt in ("text", "json"):
+                check([*argv, "--format", fmt])
         for argv in ERRORS:
             check(argv)
     print("total", hashlib.sha256("".join(digests).encode()).hexdigest())

@@ -93,11 +93,8 @@ class CoxeterSystem:
                     raise InputError("off-diagonal entries must be 0 or >= 2")
         self.labels = labels
         self.matrix = matrix
-        # conductor of the cyclotomic field holding all Gram entries: None when
-        # every finite bond is 2 or 3 (all entries rational, plain Fractions),
-        # else 2*lcm of the bonds whose cosine is irrational
-        irrational = [m for row in matrix for m in row if m >= 4]
-        self.conductor: Optional[int] = 2 * math.lcm(*irrational) if irrational else None
+        # conductor of the cyclotomic field holding all Gram entries
+        self.conductor = _conductor(m for row in matrix for m in row)
         self._cache: dict = {}
 
     # -- identity ------------------------------------------------------------
@@ -143,29 +140,21 @@ class CoxeterSystem:
 
     # -- scalars ---------------------------------------------------------------
 
-    # a system whose bonds are all rational builds its forms and reflections
-    # in Fractions, so only an irrational one loads the CycloReal arithmetic
+    # every entry is 2B_t of `_twice_form` over 2, at the system's conductor:
+    # a Fraction when every bond is rational, which loads no CycloReal
+    # arithmetic, else a CycloReal at N = 2 lcm of the bonds of 4 or more
 
-    def _wrap(self, value) -> Scalar:
+    def _scalar(self, poly: dict) -> Scalar:
+        """A polynomial {power: coefficient} in x = exp(2 pi i / N) as a Scalar."""
         if self.conductor is None:
-            return Fraction(value)
+            return Fraction(poly[0])
         from .scalar import CycloReal
 
-        return CycloReal.from_rational(Fraction(value), self.conductor)
+        return CycloReal(self.conductor, [poly.get(k, 0) for k in range(max(poly) + 1)])
 
     def bilinear_entry(self, i: int, j: int, t) -> Scalar:
         """B_t(e_i, e_j): 1 on the diagonal, -cos(pi/m) for finite bonds, -t else."""
-        t = exact_t(t)
-        if i == j:
-            return self._wrap(1)
-        m = self.matrix[i][j]
-        if m == 0:
-            return self._wrap(-t)
-        if m < 4:  # -cos(pi/2) = 0 and -cos(pi/3) = -1/2
-            return self._wrap(Fraction(2 - m, 2))
-        from .scalar import cos_pi_over
-
-        return -cos_pi_over(m, self.conductor)
+        return self._scalar(_twice_form(self.matrix[i][j], exact_t(t), self.conductor)) / 2
 
     def gram_matrix(self, t) -> tuple:
         t = exact_t(t)
@@ -178,7 +167,7 @@ class CoxeterSystem:
         """Matrix of the simple reflection s at parameter t, columns = images."""
         t = exact_t(t)
         n = self.rank
-        zero, one = self._wrap(0), self._wrap(1)
+        zero, one = self._scalar({0: 0}), self._scalar({0: 1})
         rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
         for v in range(n):
             rows[s][v] = rows[s][v] - 2 * self.bilinear_entry(v, s, t)
@@ -225,9 +214,9 @@ class RootTable:
     A coordinate lives in the ring of its diagram component: an int when the
     component has no bond of 4 or more, else its tuple of int coefficients in
     Z[x]/Phi_N, for N the component's own conductor (2 lcm of those bonds).
-    2 B(alpha_j, alpha_b) at t = 1 is 2, -1, -2 or -(x**e + x**(N - e)), an
-    algebraic integer, so no denominator ever appears; on a coordinate in
-    Z[x]/Phi_N it acts as an int matrix.
+    2 B(alpha_j, alpha_b) at t = 1 (`_twice_form`) is 2, -1, -2 or
+    -(x**e + x**(N - e)), an algebraic integer, so no denominator ever
+    appears; on a coordinate in Z[x]/Phi_N it acts as an int matrix.
 
     Ids 0..n-1 are the simple roots.  The simple reflection s_b changes only
     coordinate b and permutes the positive roots other than alpha_b, so a
@@ -248,8 +237,7 @@ class RootTable:
         self._conductors: list[Optional[int]] = [None] * n  # None: an int coordinate
         for comp in _diagram_components(system, range(n)):
             comp = tuple(sorted(comp))
-            irrational = [system.m(i, j) for i in comp for j in comp if system.m(i, j) >= 4]
-            conductor = 2 * math.lcm(*irrational) if irrational else None
+            conductor = _conductor(system.m(i, j) for i in comp for j in comp)
             for j in comp:
                 self._comps[j], self._conductors[j] = comp, conductor
         # per simple root b, {j: 2 B(alpha_j, alpha_b)} over the nonzero entries
@@ -358,18 +346,30 @@ class RootTable:
                 return tuple(reversed(rev))
 
 
-def _twice_bond(m: int, conductor: Optional[int]):
-    """2 B(alpha_j, alpha_b) at t = 1 for their bond m (1 when j = b): an int
-    when conductor is None, else the int matrix of multiplication by it on
-    Z[x]/Phi_N (`cyclotomic.multiplication_rows`)."""
+def _conductor(bonds: Iterable[int]) -> Optional[int]:
+    """2 lcm of the bonds of 4 or more, which holds each cos(pi/m); else None."""
+    irrational = [m for m in bonds if m >= 4]
+    return 2 * math.lcm(*irrational) if irrational else None
+
+
+def _twice_form(m: int, t, N: Optional[int]) -> dict:
+    """2 B_t(alpha_s, alpha_u) for the bond m of s and u (1 when s = u) as a
+    polynomial {power: coefficient} in x = exp(2 pi i / N): 2, 0, -1 and -2t
+    for m = 1, 2, 3 and infinity (0), else -2 cos(pi/m) = -(x**e + x**(N - e))
+    for e = N/2m.  Its coefficients are ints when t is."""
     if m < 4:
-        value = {0: {0: -2, 1: 2, 3: -1}[m]}
-        if conductor is None:
-            return value[0]
-    else:  # -2 cos(pi/m) = -(x**e + x**(N - e)) for x = exp(2 pi i / N)
-        e = conductor // (2 * m)
-        value = {e: -1, conductor - e: -1}
-    # only a component with a bond of 4 or more loads the cyclotomic polynomials
+        return {0: {0: -2 * t, 1: 2, 2: 0, 3: -1}[m]}
+    e = N // (2 * m)
+    return {e: -1, N - e: -1}
+
+
+def _twice_bond(m: int, conductor: Optional[int]):
+    """`_twice_form` at t = 1: an int when conductor is None, else the int
+    matrix of multiplication by it on Z[x]/Phi_N, which only a component
+    with a bond of 4 or more loads (`cyclotomic.multiplication_rows`)."""
+    value = _twice_form(m, 1, conductor)
+    if conductor is None:
+        return value[0]
     from .cyclotomic import multiplication_rows
 
     return multiplication_rows(value, conductor)
@@ -730,9 +730,10 @@ class GroupTable:
     the walk.  Elements are indexed in the order of one BFS over right
     multiplication, generators in index order, deduplicated by key.  The
     first visit of an element happens at its length, so stored words are
-    reduced.  Each ascent w < ws is one product, which also fills the
-    descent (ws)s = w, so every entry of `gen_right` (gen_right[s][i] the
-    index of w_i s) is set once the walk ends.  Left multiplication by a
+    reduced.  |W| is known before the walk, so `gen_right` (gen_right[s][i]
+    the index of w_i s) is allocated in full and filled in place: each
+    ascent w < ws is one product, which also fills the descent (ws)s = w,
+    so every entry is set once the walk ends.  Left multiplication by a
     generator is filled from it in BFS order, one lookup per entry.
     Products and conjugations cost one lookup per letter.
     """
@@ -751,9 +752,9 @@ class GroupTable:
         identity = GroupElement.identity(system)
         self.elements = elements = [identity]
         self.index = index = {identity.key: 0}
-        right = [[0] * n]  # right[i][s]: the index of w_i s
+        self.gen_right = right = [[0] * order for _ in range(n)]
         for i, el in enumerate(elements):  # a BFS queue: grows while walked
-            for s in range(n):
+            for s, row in enumerate(right):
                 if negative[el.key[s]]:
                     continue
                 key = roots.right_mul(el.key, s)
@@ -761,10 +762,8 @@ class GroupTable:
                 if j is None:
                     j = index[key] = len(elements)
                     elements.append(GroupElement(system, key, el.word + (s,)))
-                    right.append([0] * n)
-                right[i][s] = j
-                right[j][s] = i
-        self.gen_right = right = [list(col) for col in zip(*right)]
+                row[i] = j
+                row[j] = i
         self.simple_index = [right[s][0] for s in range(n)]
         # w_i = w_p t with t the last letter of w_i and p < i in BFS order,
         # so s w_i = (s w_p) t is one lookup in a row already filled

@@ -12,6 +12,12 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
+from .errors import CactusError
+
+# the largest conductor built: I2(1000)'s Phi_2000 has degree 800, and its
+# root table's 800 x 800 multiplication matrix takes about 5 s and 0.3 GB
+MAX_CONDUCTOR = 2000
+
 
 def _divmod(num, den):
     """Exact quotient and remainder of the polynomial num by den, coefficient
@@ -36,9 +42,12 @@ def _divmod(num, den):
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, lowest degree first.  Phi_1 = x - 1."""
+    """Coefficients of Phi_n, lowest degree first.  Phi_1 = x - 1.  A
+    conductor above `MAX_CONDUCTOR` is a CactusError, raised before any work."""
     if n < 1:
         raise ValueError("conductor must be a positive integer")
+    if n > MAX_CONDUCTOR:
+        raise CactusError(f"conductor too large: N = {n} exceeds the limit of {MAX_CONDUCTOR}")
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:

@@ -310,8 +310,8 @@ class RacgContext:
             I: SemidirectElement._of(self, (k,), self.induced_aut(x))
             for I, (k, x) in self._steps.items()
         }
-        # Pi images by ("Pi", t), filled by rep.Pi_rep, and under "moves" the
-        # embedding's memoized letter moves, filled by `_walk`
+        # under "Pi" the last t and its Pi images, filled by rep.Pi_rep, and
+        # under "moves" the embedding's memoized letter moves, filled by `_walk`
         self.caches: dict = {}
 
     @cached_property

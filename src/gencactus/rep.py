@@ -87,14 +87,15 @@ def _pi_image(ctx: RacgContext, k: Optional[int], perm: Sequence[int], two_t: Fr
 
 
 def Pi_rep(ctx: RacgContext, t) -> dict:
-    """Letter images gamma_I -> pi(tau_{W_I}) pi'(g_I) on the S-indexed space."""
+    """Letter images gamma_I -> pi(tau_{W_I}) pi'(g_I) on the S-indexed space;
+    ctx.caches["Pi"] keeps (t, images) for the last t only."""
     t = exact_t(t)
-    key = ("Pi", t)
-    cached = ctx.caches.get(key)
-    if cached is None:
+    cached_t, cached = ctx.caches.get("Pi", (None, None))
+    if cached_t != t:
         two_t = 2 * t
-        cached = ctx.caches[key] = _Rep(two_t.denominator, {
+        cached = _Rep(two_t.denominator, {
             I: _pi_image(ctx, *x.racg_part, x.aut_part.perm, two_t) for I, x in ctx.letters.items()})
+        ctx.caches["Pi"] = (t, cached)
     return cached
 
 

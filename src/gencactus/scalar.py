@@ -7,12 +7,15 @@ cyclotomic polynomial and x stands for exp(2*pi*i/N), so that
     cos(pi/m) = (x**(N/(2m)) + x**(N - N/(2m))) / 2        (2m divides N).
 
 Rationals are plain ``fractions.Fraction``.  One exact polynomial division,
-`_divmod`, builds Phi_n from x**n - 1 (both live in `gencactus.cyclotomic`),
-reduces every value modulo Phi_N and runs the Euclid steps of an inverse.
-Zero-testing of a CycloReal is exact (reduce and compare coefficients); the
-sign of a nonzero value is certified by interval evaluation of the embedding
-x -> exp(2*pi*i/N) at increasing precision until the interval excludes zero.
-That evaluation and `to_mpf` share one sum of c_k*cos(2*pi*k/N).
+`_divmod`, builds Phi_n from x**n - 1 (both live in `gencactus.cyclotomic`,
+which refuses a conductor above its `MAX_CONDUCTOR`), reduces every value
+modulo Phi_N and runs the Euclid steps of an inverse.  Phi_N is monic, so
+coefficients given as ints, such as those of 2cos(pi/m), are reduced in ints
+and made Fractions only after.  Zero-testing of a CycloReal is exact (reduce
+and compare coefficients); the sign of a nonzero value is certified by
+interval evaluation of the embedding x -> exp(2*pi*i/N) at increasing
+precision until the interval excludes zero.  That evaluation and `to_mpf`
+share one sum of c_k*cos(2*pi*k/N).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "CycloReal",
     "cyclotomic_polynomial",
     "cos_pi_over",
-    "rational_cos_pi_over",
     "scalar_sign",
     "format_scalar",
     "parse_scalar",
@@ -40,12 +42,12 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list modulo Phi_n to degree < deg(Phi_n)."""
+def _reduce(coeffs, n: int) -> list:
+    """A coefficient list (ints or Fractions) modulo Phi_n, padded with 0s to
+    deg(Phi_n) entries; ints stay ints, as Phi_n is monic."""
     phi = cyclotomic_polynomial(n)
     rem = _divmod(coeffs, phi)[1]
-    rem += [_ZERO] * (len(phi) - 1 - len(rem))
-    return tuple(rem)
+    return rem + [0] * (len(phi) - 1 - len(rem))
 
 
 class CycloReal:
@@ -60,9 +62,9 @@ class CycloReal:
     __slots__ = ("conductor", "coeffs", "_sign", "_hash")
 
     def __init__(self, conductor: int, coeffs) -> None:
-        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         self.conductor = conductor
-        self.coeffs = _reduce(coeffs, conductor)
+        self.coeffs = tuple([(c if isinstance(c, Fraction) else Fraction(c)) if c else _ZERO
+                             for c in _reduce(coeffs, conductor)])
         self._sign = None
         self._hash = None
 
@@ -149,11 +151,10 @@ class CycloReal:
             return NotImplemented
         a, b = self._aligned(other)
         if a.is_rational():
-            q = a.coeffs[0]
-            return CycloReal(b.conductor, [q * c for c in b.coeffs])
+            a, b = b, a
         if b.is_rational():
             q = b.coeffs[0]
-            return CycloReal(a.conductor, [q * c for c in a.coeffs])
+            return CycloReal(a.conductor, [q * c if c else c for c in a.coeffs])
         return CycloReal(a.conductor, _poly_mul(a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
@@ -312,36 +313,24 @@ def _poly_mul(a, b):
     return out
 
 
-def rational_cos_pi_over(m: int) -> Fraction | None:
-    """cos(pi/m) when it is rational (m in {1, 2, 3}), else None."""
-    if m == 1:
-        return Fraction(-1)
-    if m == 2:
-        return Fraction(0)
-    if m == 3:
-        return Fraction(1, 2)
-    return None
-
-
 def cos_pi_over(m: int, conductor: int | None = None) -> CycloReal:
-    """Exact cos(pi/m) as a CycloReal.
+    """Exact cos(pi/m) = (x**e + x**(N - e))/2 as a CycloReal, for x =
+    exp(2*pi*i/N) and e = N/2m.
 
-    The value lives at conductor 2m by default; an explicit conductor must be
-    a multiple of 2m (rational values accept any conductor).
+    The value lives at conductor 2m by default, or 1 when it is rational
+    (m <= 3); an explicit conductor must be a multiple of 2m unless the value
+    is rational.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    q = rational_cos_pi_over(m)
-    if q is not None:
-        return CycloReal.from_rational(q, conductor or 1)
-    n = conductor or 2 * m
+    n = conductor if conductor and m > 3 else 2 * m
     if n % (2 * m):
         raise ValueError(f"conductor {n} does not contain cos(pi/{m})")
     e = n // (2 * m)
-    coeffs = [_ZERO] * n
-    coeffs[e] += Fraction(1, 2)
-    coeffs[n - e] += Fraction(1, 2)
-    return CycloReal(n, coeffs)
+    twice = _reduce([(k == e) + (k == n - e) for k in range(n)], n)  # x**e + x**(N - e)
+    if m <= 3:  # then Phi_2m has degree 1 or 2, and twice is an int
+        return CycloReal.from_rational(Fraction(twice[0], 2), conductor or 1)
+    return CycloReal(n, [Fraction(c, 2) for c in twice])
 
 
 Scalar = Union[Fraction, CycloReal]

@@ -473,6 +473,26 @@ def test_oversized_group_is_refused_within_seconds(capsys):
         assert err.startswith("error: group too large: |W| = ")
 
 
+def test_oversized_ring_is_refused_within_a_second(capsys):
+    # conductors 20,014 and 200,000 are refused before Phi_N is built
+    for name in ("I2(10007)", "I2(100000)"):
+        start = time.monotonic()
+        code, out, err = invoke(capsys, "eval", "g{a} g{a,b}", "--system", name)
+        assert time.monotonic() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: conductor too large: N = {2 * int(name[3:-1])} exceeds ")
+    # fset builds no ring; a product of small dihedral groups closes its root
+    # system at each component's own conductor, and only `rep pi` needs the
+    # global one, 2 lcm(7, 9, 11, 13) = 18,018
+    code, out, _ = invoke(capsys, "fset", "--system", "I2(100000)")
+    assert code == 0 and out.split() == ["{a}", "{b}", "{a,b}"]
+    big = "I2(7)*I2(9)*I2(11)*I2(13)"
+    code, out, _ = invoke(capsys, "longest", "{d1,d2}", "--system", big)
+    assert code == 0 and out.split() == ["d1", "d2"] * 6 + ["d1"]
+    code, out, err = invoke(capsys, "rep", "pi", "--system", big)
+    assert code == 1 and out == "" and err.startswith("error: conductor too large: N = 18018 ")
+
+
 @pytest.mark.parametrize(
     "argv, want",
     [(("fset",), "{s1}"), (("longest", "{s1,s2,s3,s4,s5,s6,s7,s8}"), "s1"),

@@ -346,6 +346,38 @@ def test_gram_entries(system):
     assert a2.bilinear_entry(0, 1, 5) == Fraction(-1, 2)
 
 
+def _same_scalar(a, b):
+    return (type(a) is type(b) and getattr(a, "conductor", None) == getattr(b, "conductor", None)
+            and a == b)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "F4", "I2(5)", "I2(60)", "B3*H3",
+                                  "I2(7)*I2(9)*I2(11)", "infinity-4"])
+def test_gram_and_reflections_match_the_cosines(name):
+    # each entry against cos_pi_over(m) at the bond's own conductor, lifted to
+    # the system's, and -t for an infinite bond: value, type and conductor
+    if name == "infinity-4":
+        sys_ = CoxeterSystem(("a", "b", "c"), ((1, 0, 4), (0, 1, 2), (4, 2, 1)))
+    else:
+        sys_ = CoxeterSystem.from_name(name)
+    N, n = sys_.conductor, sys_.rank
+    cosine = {m: cos_pi_over(m) for row in sys_.matrix for m in row if m}
+    if N is None:
+        cosine = {m: c.coeffs[0] for m, c in cosine.items()}
+        scalar = Fraction
+    else:
+        cosine = {m: c.lift(N) for m, c in cosine.items()}
+        scalar = lambda q: CycloReal.from_rational(q, N)  # noqa: E731
+    for t in (1, 2, Fraction(5, 2), Fraction(-1, 3)):
+        gram = [[-cosine[m] if m else scalar(-t) for m in row] for row in sys_.matrix]
+        assert all(map(_same_scalar, sum(sys_.gram_matrix(t), ()), sum(gram, [])))
+        for s in range(n):
+            oracle = [[scalar(int(i == j)) for j in range(n)] for i in range(n)]
+            oracle[s] = [scalar(int(s == v)) - 2 * gram[v][s] for v in range(n)]
+            ours = sys_.reflection_matrix(s, t)
+            assert all(map(_same_scalar, sum(ours, ()), sum(oracle, [])))
+
+
 # -- finiteness and the connected family ------------------------------------
 
 

@@ -1372,6 +1372,17 @@ def test_stable_lines_and_quotient_read_no_matrix(system, context, build, monkey
     assert rows.intersection(seen)
 
 
+def test_pi_cache_keeps_only_the_last_t(context):
+    ctx = context("H3")
+    ctx.caches.clear()
+    reps = [Pi_rep(ctx, t) for t in (F(2), F(5, 2), F(3), F(-1, 3), F(7))]
+    assert len(reps) == len({id(r) for r in reps}) == 5
+    assert list(ctx.caches) == ["Pi"]
+    assert ctx.caches["Pi"][0] == 7 and ctx.caches["Pi"][1] is reps[-1]
+    assert Pi_rep(ctx, 7) is reps[-1]
+    ctx.caches.clear()
+
+
 def test_library_reps_do_not_outlive_their_callers(system):
     # nothing but the caller, and a context's Pi cache, keeps a rep alive
     sys_ = system("A3")

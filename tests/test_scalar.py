@@ -8,6 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gencactus.cyclotomic import MAX_CONDUCTOR
+from gencactus.errors import CactusError
 from gencactus.scalar import (
     CycloReal,
     _divmod,
@@ -15,7 +17,6 @@ from gencactus.scalar import (
     cyclotomic_polynomial,
     format_scalar,
     parse_scalar,
-    rational_cos_pi_over,
     scalar_sign,
 )
 from oracle_former_api import rational_value
@@ -28,6 +29,15 @@ def test_cyclotomic_polynomial_matches_sympy(n):
     x = sympy.Symbol("x")
     ref = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
     assert list(ours) == [int(c) for c in reversed(ref)]
+
+
+def test_conductor_above_the_limit_is_refused():
+    assert MAX_CONDUCTOR >= 1386  # I2(7)*I2(9)*I2(11)
+    for make in (lambda: cyclotomic_polynomial(MAX_CONDUCTOR + 1),
+                 lambda: CycloReal(MAX_CONDUCTOR + 1, [1]),
+                 lambda: cos_pi_over(10007)):
+        with pytest.raises(CactusError, match="conductor too large"):
+            make()
 
 
 def _trim(p):
@@ -75,11 +85,26 @@ def test_cos_value_numeric(m):
 
 
 def test_cos_rational_cases():
-    assert rational_cos_pi_over(1) == -1
-    assert rational_cos_pi_over(2) == 0
-    assert rational_cos_pi_over(3) == Fraction(1, 2)
-    assert rational_cos_pi_over(5) is None
+    # cos(pi/m) for m <= 3 is rational and lives at conductor 1, or at any
+    # conductor asked for
+    for m, value in ((1, -1), (2, 0), (3, Fraction(1, 2))):
+        c = cos_pi_over(m)
+        assert c.is_rational() and c == value and c.conductor == 1
+        assert cos_pi_over(m, 35).conductor == 35 and cos_pi_over(m, 35) == value
+    assert not cos_pi_over(5).is_rational()
     assert rational_value(cos_pi_over(3)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("n", [5, 8, 12, 126])
+def test_int_coefficients_reduce_like_fractions(n):
+    # an int list reduces in ints; the stored coefficients and the hash are
+    # those of the same values given as Fractions
+    rng = random.Random(n)
+    for _ in range(25):
+        ints = [rng.randint(-9, 9) for _ in range(rng.randint(0, 2 * n))]
+        a, b = CycloReal(n, ints), CycloReal(n, [Fraction(c) for c in ints])
+        assert a.coeffs == b.coeffs and hash(a) == hash(b)
+        assert all(type(c) is Fraction for c in a.coeffs)
 
 
 def test_cos_square_identities():
