@@ -9,7 +9,9 @@ CLI's output is checked by running this script on both.
 The list holds the README's CLI examples; every command on A2, B3, H3, D4,
 I2(8), A1*A1 and an infinite system with bonds (infinity, 4), in text and
 in JSON; `rep pi` on systems of several components with irrational bonds,
-in text and in JSON; and usage errors (exit 2) and domain errors (exit 1).
+in text and in JSON; root tables at a large conductor and with bonds of
+several shifts of x, in text and in JSON; and usage errors (exit 2) and
+domain errors (exit 1).
 
 Run:  PYTHONPATH=src python3 scripts/cli_digest.py
 """
@@ -65,6 +67,17 @@ REP_PI = [
     ["--system", "B3*H3", "rep", "pi"],
 ]
 
+# the system file of an infinite W whose one component holds bonds 4 and 5:
+# at N = 40 they are -(x**5 + x**35) and -(x**4 + x**36), several shifts each
+SHIFTS = {"labels": ["a", "b", "c"], "matrix": [[1, 4, 2], [4, 1, 5], [2, 5, 1]]}
+
+ROOTS = [
+    ["--system", "shifts.json", "eval", " ".join(["g{a} g{b,c} g{a,b} g{c} g{b}"] * 8)],
+    ["--system", "shifts.json", "longest", "{b,c}"],
+    ["--system", "shifts.json", "rep", "pi", "--t", "5/2"],
+    ["--system", "I2(250)", "longest", "{a,b}"],  # N = 500, deg Phi_N = 200
+]
+
 ERRORS = [
     ["--system", "E7", "equal", "g{s1}", "g{s1}"],  # |W| too large: exit 1
     ["--system", "mixed.json", "sset"],  # infinite W: exit 1
@@ -108,8 +121,10 @@ def commands_on(name, first_line):
 def main():
     digests = []
     with tempfile.TemporaryDirectory() as tmp:
-        files = {"mixed.json": str(Path(tmp) / "mixed.json")}
-        Path(files["mixed.json"]).write_text(json.dumps(MIXED))
+        files = {}
+        for name, data in (("mixed.json", MIXED), ("shifts.json", SHIFTS)):
+            files[name] = str(Path(tmp) / name)
+            Path(files[name]).write_text(json.dumps(data))
 
         def check(argv):
             code, out, err = invoke([files.get(a, a) for a in argv])
@@ -129,7 +144,7 @@ def main():
             for fmt in ("text", "json"):
                 for argv in commands_on(name, first_line):
                     check(["--system", name, *argv, "--format", fmt])
-        for argv in REP_PI:
+        for argv in REP_PI + ROOTS:
             for fmt in ("text", "json"):
                 check([*argv, "--format", fmt])
         for argv in ERRORS:

@@ -140,9 +140,10 @@ class CoxeterSystem:
 
     # -- scalars ---------------------------------------------------------------
 
-    # every entry is 2B_t of `_twice_form` over 2, at the system's conductor:
-    # a Fraction when every bond is rational, which loads no CycloReal
-    # arithmetic, else a CycloReal at N = 2 lcm of the bonds of 4 or more
+    # every entry is made once from 2B_t of `_twice_form`, at the system's
+    # conductor: a Fraction when every bond is rational, which loads no
+    # CycloReal arithmetic, else a CycloReal at N = 2 lcm of the bonds of 4
+    # or more
 
     def _scalar(self, poly: dict) -> Scalar:
         """A polynomial {power: coefficient} in x = exp(2 pi i / N) as a Scalar."""
@@ -169,8 +170,10 @@ class CoxeterSystem:
         n = self.rank
         zero, one = self._scalar({0: 0}), self._scalar({0: 1})
         rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        for v in range(n):
-            rows[s][v] = rows[s][v] - 2 * self.bilinear_entry(v, s, t)
+        for v in range(n):  # delta_vs - 2 B_t(alpha_v, alpha_s)
+            poly = {p: -c for p, c in _twice_form(self.matrix[v][s], t, self.conductor).items()}
+            poly[0] = poly.get(0, 0) + (v == s)
+            rows[s][v] = self._scalar(poly)
         return tuple(tuple(row) for row in rows)
 
     # -- serialized forms ------------------------------------------------------
@@ -216,7 +219,8 @@ class RootTable:
     Z[x]/Phi_N, for N the component's own conductor (2 lcm of those bonds).
     2 B(alpha_j, alpha_b) at t = 1 (`_twice_form`) is 2, -1, -2 or
     -(x**e + x**(N - e)), an algebraic integer, so no denominator ever
-    appears; on a coordinate in Z[x]/Phi_N it acts as an int matrix.
+    appears; on a coordinate in Z[x]/Phi_N each power of x is a few shifts
+    of its coefficients (`_times`).
 
     Ids 0..n-1 are the simple roots.  The simple reflection s_b changes only
     coordinate b and permutes the positive roots other than alpha_b, so a
@@ -234,27 +238,32 @@ class RootTable:
     def __init__(self, system: CoxeterSystem):
         n = system.rank
         self._comps = [()] * n  # the coordinates of each generator's component
-        self._conductors: list[Optional[int]] = [None] * n  # None: an int coordinate
+        # None for an int coordinate, else (N, Phi_N) of its Z[x]/Phi_N
+        self._rings: list[Optional[tuple]] = [None] * n
         for comp in _diagram_components(system, range(n)):
             comp = tuple(sorted(comp))
-            conductor = _conductor(system.m(i, j) for i in comp for j in comp)
+            N, ring = _conductor(system.m(i, j) for i in comp for j in comp), None
+            if N is not None:
+                from .cyclotomic import cyclotomic_polynomial
+
+                ring = (N, cyclotomic_polynomial(N))
             for j in comp:
-                self._comps[j], self._conductors[j] = comp, conductor
-        # per simple root b, {j: 2 B(alpha_j, alpha_b)} over the nonzero entries
-        self._bonds = [
-            {j: _twice_bond(system.m(j, b), self._conductors[b])
-             for j in range(n) if system.m(j, b) != 2}
-            for b in range(n)
-        ]
-        # an int, or as many 0s as the matrix of the bond 2 B(alpha_j, alpha_j) has rows
-        self._zero = [0 if N is None else (0,) * len(self._bonds[j][j])
-                      for j, N in enumerate(self._conductors)]
+                self._comps[j], self._rings[j] = comp, ring
+        # per simple root b, {j: 2 B(alpha_j, alpha_b)} over the nonzero
+        # entries: an int, or the polynomial of `_twice_form` in Z[x]/Phi_N
+        self._bonds = []
+        for b, ring in enumerate(self._rings):
+            forms = {j: _twice_form(system.m(j, b), 1, ring and ring[0])
+                     for j in range(n) if system.m(j, b) != 2}
+            self._bonds.append({j: g[0] for j, g in forms.items()} if ring is None else forms)
+        # an int, or deg(Phi_N) 0s
+        self._zero = [0 if ring is None else (0,) * (len(ring[1]) - 1) for ring in self._rings]
         self.vectors: list[tuple] = []
         self.negative: list[bool] = []
         self._ids: dict[tuple, int] = {}
         self._rows: list[dict[int, int]] = []  # b -> {r: s_b(r)}
         for s in range(n):
-            unit = 1 if self._conductors[s] is None else (1,) + self._zero[s][1:]
+            unit = 1 if self._rings[s] is None else (1,) + self._zero[s][1:]
             self._intern(tuple(unit if i == s else self._zero[i] for i in range(n)), False)
         self.identity = tuple(range(n))
         self.finite = is_finite_parabolic(system, self.identity)
@@ -276,7 +285,7 @@ class RootTable:
         if rid is None:
             if negative is None:
                 k = next(k for k, x in enumerate(vector) if x != self._zero[k])
-                negative = _is_negative(vector[k], self._conductors[k])
+                negative = _is_negative(vector[k], self._rings[k])
             rid = self._ids[vector] = len(self.vectors)
             self.vectors.append(vector)
             self.negative.append(negative)
@@ -287,9 +296,9 @@ class RootTable:
         """Id of s_b(rho) for the simple root alpha_b and the root id r."""
         row = self._rows[b]
         if r not in row:
-            rho = self.vectors[r]
-            terms = [_times(g, rho[j]) for j, g in self._bonds[b].items()]
-            c = sum(terms) if self._conductors[b] is None else tuple(map(sum, zip(*terms)))
+            rho, ring = self.vectors[r], self._rings[b]
+            terms = [_times(g, rho[j], ring) for j, g in self._bonds[b].items()]
+            c = sum(terms) if ring is None else tuple(map(sum, zip(*terms)))
             if c == self._zero[b]:
                 row[r] = r
             else:
@@ -314,7 +323,7 @@ class RootTable:
         # infinite W: 2 B(w(alpha_j), w(alpha_s)) = 2 B(alpha_j, alpha_s), as W
         # preserves B; the only place a sign is certified
         # beta and each root with a bond to alpha_s lie in the component of s
-        beta, bonds = self.vectors[b], self._bonds[s]
+        beta, bonds, ring = self.vectors[b], self._bonds[s], self._rings[s]
         for j, r in enumerate(key):
             if r not in row:
                 g = bonds.get(j)
@@ -323,7 +332,7 @@ class RootTable:
                 else:
                     image = list(self.vectors[r])
                     for k in self._comps[s]:
-                        image[k] = _minus(image[k], _times(g, beta[k]))
+                        image[k] = _minus(image[k], _times(g, beta[k], ring))
                     row[r] = self._intern(tuple(image), None)
         return tuple([row[r] for r in key])
 
@@ -363,36 +372,49 @@ def _twice_form(m: int, t, N: Optional[int]) -> dict:
     return {e: -1, N - e: -1}
 
 
-def _twice_bond(m: int, conductor: Optional[int]):
-    """`_twice_form` at t = 1: an int when conductor is None, else the int
-    matrix of multiplication by it on Z[x]/Phi_N, which only a component
-    with a bond of 4 or more loads (`cyclotomic.multiplication_rows`)."""
-    value = _twice_form(m, 1, conductor)
-    if conductor is None:
-        return value[0]
-    from .cyclotomic import multiplication_rows
-
-    return multiplication_rows(value, conductor)
-
-
-def _times(g, y):
-    """g*y for a bond g of `_twice_bond` and a coordinate y of its ring."""
-    if type(g) is int:
+def _times(g, y, ring: Optional[tuple]):
+    """g*y for a bond g and a coordinate y of its ring: an int when ring is
+    None, else the coefficient list in Z[x]/Phi_N for ring = (N, Phi_N),
+    where each term c*x**p of g is p steps of x, or N - p steps of 1/x when
+    2p > N (x**N = 1)."""
+    if ring is None:
         return g * y
-    return tuple([sum([a * y[k] for k, a in row]) for row in g])
+    N, phi = ring
+    out = None
+    for p, c in g.items():
+        z = y
+        step, k = (_times_x, p) if 2 * p <= N else (_over_x, N - p)
+        for _ in range(k):
+            z = step(z, phi)
+        out = [c * a for a in z] if out is None else [o + c * a for o, a in zip(out, z)]
+    return out
+
+
+def _times_x(y: tuple, phi: tuple) -> tuple:
+    """x*y: every coefficient one power up, and the x**d term folded back
+    through the monic Phi_N of degree d."""
+    top = y[-1]
+    return tuple([a - top * p for a, p in zip((0,) + y[:-1], phi)])
+
+
+def _over_x(y: tuple, phi: tuple) -> tuple:
+    """y/x: y - y_0 Phi_N, exact as Phi_N(0) = 1 for N >= 2, with every
+    coefficient one power down."""
+    low = y[0]
+    return tuple([a - low * p for a, p in zip(y[1:] + (0,), phi[1:])])
 
 
 def _minus(x, y):
     return x - y if type(x) is int else tuple(map(operator.sub, x, y))
 
 
-def _is_negative(x, conductor: Optional[int]) -> bool:
+def _is_negative(x, ring: Optional[tuple]) -> bool:
     """Whether a nonzero coordinate is negative; certified for one in Z[x]/Phi_N."""
-    if conductor is None:
+    if ring is None:
         return x < 0
     from .scalar import CycloReal
 
-    return CycloReal(conductor, x).sign() < 0
+    return CycloReal(ring[0], x).sign() < 0
 
 
 # equal matrices share one table: ids are canonical even for infinite W
@@ -811,53 +833,34 @@ class GroupTable:
 # -- named systems -------------------------------------------------------------
 
 
-def _chain_matrix(n: int, bonds: dict[tuple[int, int], int]) -> list[list[int]]:
-    mat = [[2] * n for _ in range(n)]
-    for i in range(n):
-        mat[i][i] = 1
-    for (i, j), m in bonds.items():
-        mat[i][j] = m
-        mat[j][i] = m
-    return mat
-
-
-def _named_matrix(family: str, n: int) -> list[list[int]]:
-    if family == "A":
-        if n < 1:
-            raise InputError("A<n> needs n >= 1")
-        return _chain_matrix(n, {(i, i + 1): 3 for i in range(n - 1)})
+def _named_bonds(family: str, n: int) -> dict[tuple[int, int], int]:
+    """The bonds other than 2 of a named diagram as {(i, j): m}, after the
+    size check: a path of 3s, where B's last bond and F4's middle one are 4
+    and H's first is 5, D's last node hangs off node n - 3 and E's off node
+    2, and D2 has no bond."""
+    allowed, error = {
+        "A": (n >= 1, "A<n> needs n >= 1"),
+        "B": (n >= 2, "B<n> needs n >= 2"),
+        "D": (n >= 2, "D<n> needs n >= 2"),
+        "E": (n in (6, 7, 8), "E<n> needs n in {6, 7, 8}"),
+        "F": (n == 4, "only F4 exists"),
+        "H": (n in (3, 4), "H<n> needs n in {3, 4}"),
+    }[family]
+    if not allowed:
+        raise InputError(error)
+    if family == "D" and n == 2:
+        return {}
+    bonds = {(i, i + 1): 3 for i in range(n - 1)}
     if family == "B":
-        if n < 2:
-            raise InputError("B<n> needs n >= 2")
-        bonds = {(i, i + 1): 3 for i in range(n - 2)}
-        bonds[(n - 2, n - 1)] = 4
-        return _chain_matrix(n, bonds)
-    if family == "D":
-        if n < 2:
-            raise InputError("D<n> needs n >= 2")
-        if n == 2:
-            return _chain_matrix(2, {})
-        bonds = {(i, i + 1): 3 for i in range(n - 2)}
-        bonds[(n - 3, n - 1)] = 3
-        return _chain_matrix(n, bonds)
-    if family == "E":
-        if n not in (6, 7, 8):
-            raise InputError("E<n> needs n in {6, 7, 8}")
-        bonds = {(i, i + 1): 3 for i in range(n - 2)}
-        bonds[(2, n - 1)] = 3
-        return _chain_matrix(n, bonds)
-    if family == "F":
-        if n != 4:
-            raise InputError("only F4 exists")
-        return _chain_matrix(4, {(0, 1): 3, (1, 2): 4, (2, 3): 3})
-    if family == "H":
-        if n not in (3, 4):
-            raise InputError("H<n> needs n in {3, 4}")
-        bonds = {(0, 1): 5}
-        for i in range(1, n - 1):
-            bonds[(i, i + 1)] = 3
-        return _chain_matrix(n, bonds)
-    raise InputError(f"unknown family {family!r}")
+        bonds[n - 2, n - 1] = 4
+    elif family == "F":
+        bonds[1, 2] = 4
+    elif family == "H":
+        bonds[0, 1] = 5
+    elif family in "DE":
+        del bonds[n - 2, n - 1]
+        bonds[n - 3 if family == "D" else 2, n - 1] = 3
+    return bonds
 
 
 _NAME_RE = re.compile(r"^([ABDEFH])(\d+)$|^I2\((\d+)\)$")
@@ -865,8 +868,9 @@ _NAME_RE = re.compile(r"^([ABDEFH])(\d+)$|^I2\((\d+)\)$")
 
 def _system_from_name(name: str) -> CoxeterSystem:
     factors = [f.strip() for f in name.strip().split("*")]
-    parsed = []
-    for f in factors:
+    labels: list[str] = []
+    bonds: dict[tuple[int, int], int] = {}
+    for k, f in enumerate(factors):
         match = _NAME_RE.match(f)
         if not match:
             raise InputError(f"unknown system name {f!r}")
@@ -874,25 +878,17 @@ def _system_from_name(name: str) -> CoxeterSystem:
             m = int(match.group(3))
             if m < 2:
                 raise InputError("I2(m) needs m >= 2")
-            parsed.append([[1, m], [m, 1]])
+            r, names, factor = 2, ["a", "b"], {(0, 1): m}
         else:
-            parsed.append(_named_matrix(match.group(1), int(match.group(2))))
-    total = sum(len(mat) for mat in parsed)
-    big = [[2] * total for _ in range(total)]
-    labels: list[str] = []
-    offset = 0
-    for k, mat in enumerate(parsed):
-        r = len(mat)
-        for i in range(r):
-            for j in range(r):
-                big[offset + i][offset + j] = mat[i][j]
-        if len(parsed) == 1:
-            if factors[k].startswith("I2"):  # matched _NAME_RE, so I2(m)
-                labels += ["a", "b"]
-            else:
-                labels += [f"s{i + 1}" for i in range(r)]
-        else:
+            r = int(match.group(2))
+            factor = _named_bonds(match.group(1), r)
+            names = [f"s{i + 1}" for i in range(r)]
+        if len(factors) > 1:
             prefix = chr(ord("a") + k)
-            labels += [prefix] if r == 1 else [f"{prefix}{i + 1}" for i in range(r)]
-        offset += r
-    return CoxeterSystem(labels, big)
+            names = [prefix] if r == 1 else [f"{prefix}{i + 1}" for i in range(r)]
+        offset = len(labels)
+        bonds.update({(i + offset, j + offset): m for (i, j), m in factor.items()})
+        labels += names
+    n = len(labels)
+    return CoxeterSystem(labels, [[1 if i == j else bonds.get((min(i, j), max(i, j)), 2)
+                                   for j in range(n)] for i in range(n)])

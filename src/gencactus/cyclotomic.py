@@ -1,10 +1,10 @@
 """Cyclotomic polynomials in integers.
 
-Phi_n, built from x**n - 1 by one exact polynomial division, `_divmod`,
-and the int matrices of multiplication on Z[x]/Phi_n.  The root table of a
-Coxeter system computes in Z[x]/Phi_N with these alone, so it compiles
-none of the CycloReal arithmetic in `gencactus.scalar`, which imports
-`_divmod` and Phi_n from here.
+Phi_n, built from x**n - 1 by one exact polynomial division, `_divmod`.
+The root table of a Coxeter system computes in Z[x]/Phi_N with Phi_N
+alone, multiplying by x or 1/x as shifts of coefficients folded through
+the monic Phi_N, so it compiles none of the CycloReal arithmetic in
+`gencactus.scalar`, which imports `_divmod` and Phi_n from here.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from fractions import Fraction
 from .errors import CactusError
 
 # the largest conductor built: I2(1000)'s Phi_2000 has degree 800, and its
-# root table's 800 x 800 multiplication matrix takes about 5 s and 0.3 GB
+# root table takes about 2-3 s and 0.3 GB, nearly all of it the 2,000 x 2,000
+# reflection rows of its 2,000 roots
 MAX_CONDUCTOR = 2000
 
 
@@ -53,20 +54,3 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _divmod(poly, cyclotomic_polynomial(d))[0]
     return tuple(poly)
-
-
-def multiplication_rows(poly: dict[int, int], n: int) -> tuple:
-    """The int matrix of multiplication by the polynomial poly ({power:
-    coefficient}) on Z[x]/Phi_n, in the basis 1, x, ..., x**(d-1) for
-    d = deg(Phi_n): row i as the (column, entry) pairs of its nonzero
-    entries."""
-    phi = cyclotomic_polynomial(n)
-    d = len(phi) - 1
-    columns = []
-    for k in range(d):  # x**k times poly, reduced
-        product = [0] * (k + max(poly) + 1)
-        for p, c in poly.items():
-            product[k + p] = c
-        rem = _divmod(product, phi)[1]
-        columns.append(rem + [0] * (d - len(rem)))
-    return tuple(tuple((k, col[i]) for k, col in enumerate(columns) if col[i]) for i in range(d))

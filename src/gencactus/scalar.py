@@ -377,7 +377,8 @@ _TERM = re.compile(r"([+-]?)(?:(?:(\d+(?:/\d+)?)\*)?c\((\d+),(\d+)\)|(\d+(?:/\d+
 
 def parse_scalar(text: str) -> Scalar:
     """Inverse of format_scalar: terms as `_TERM`, each after the first signed,
-    all c(k,N) at one conductor N with 0 <= k < N."""
+    all c(k,N) at one conductor N with 0 <= k < N, else ValueError.  An N
+    above `MAX_CONDUCTOR` is a CactusError, raised before N zeros are built."""
     text = text.strip().replace(" ", "")
     if "c(" not in text:
         return Fraction(text)
@@ -393,9 +394,11 @@ def parse_scalar(text: str) -> Scalar:
     if len(conductors) != 1:
         raise ValueError("mixed conductors in scalar string")
     conductor = conductors.pop()
-    coeffs = [_ZERO] * conductor
-    for value, k, _ in terms:
+    for _, k, _ in terms:
         if k >= conductor:
             raise ValueError(f"c({k},{conductor}) is out of range")
+    cyclotomic_polynomial(conductor)  # refuses N above MAX_CONDUCTOR before N zeros
+    coeffs = [_ZERO] * conductor
+    for value, k, _ in terms:
         coeffs[k] += value
     return CycloReal(conductor, coeffs)

@@ -78,6 +78,69 @@ def test_bad_names():
             CoxeterSystem.from_name(name)
 
 
+def _path(n, offset=0):
+    return {(offset + i, offset + i + 1): 3 for i in range(n - 1)}
+
+
+# name -> (labels, {(i, j): m} for the bonds other than 2 with i < j), or the
+# exact InputError text; sizes at the edges of each family's range
+NAMES = {
+    "A0": "A<n> needs n >= 1",
+    "A1": (["s1"], {}),
+    "B1": "B<n> needs n >= 2",
+    "B2": (["s1", "s2"], {(0, 1): 4}),
+    "D2": (["s1", "s2"], {}),
+    "D3": (["s1", "s2", "s3"], {(0, 1): 3, (0, 2): 3}),
+    "D4": ([f"s{i}" for i in range(1, 5)], {(0, 1): 3, (1, 2): 3, (1, 3): 3}),
+    "E5": "E<n> needs n in {6, 7, 8}",
+    "E6": ([f"s{i}" for i in range(1, 7)], {**_path(5), (2, 5): 3}),
+    "E7": ([f"s{i}" for i in range(1, 8)], {**_path(6), (2, 6): 3}),
+    "E8": ([f"s{i}" for i in range(1, 9)], {**_path(7), (2, 7): 3}),
+    "E9": "E<n> needs n in {6, 7, 8}",
+    "F3": "only F4 exists",
+    "F4": ([f"s{i}" for i in range(1, 5)], {(0, 1): 3, (1, 2): 4, (2, 3): 3}),
+    "F5": "only F4 exists",
+    "H2": "H<n> needs n in {3, 4}",
+    "H3": (["s1", "s2", "s3"], {(0, 1): 5, (1, 2): 3}),
+    "H4": ([f"s{i}" for i in range(1, 5)], {(0, 1): 5, (1, 2): 3, (2, 3): 3}),
+    "H5": "H<n> needs n in {3, 4}",
+    "I2(1)": "I2(m) needs m >= 2",
+    "I2(2)": (["a", "b"], {}),
+    "I2(5)": (["a", "b"], {(0, 1): 5}),
+    "A1*A1": (["a", "b"], {}),
+    "D2*A1": (["a1", "a2", "b"], {}),
+    "A1*I2(5)*B2": (["a", "b1", "b2", "c1", "c2"], {(1, 2): 5, (3, 4): 4}),
+    "B3*H3": (["a1", "a2", "a3", "b1", "b2", "b3"],
+              {(0, 1): 3, (1, 2): 4, (3, 4): 5, (4, 5): 3}),
+    "A2*D4*E6": (["a1", "a2", "b1", "b2", "b3", "b4", *[f"c{i}" for i in range(1, 7)]],
+                 {(0, 1): 3, (2, 3): 3, (3, 4): 3, (3, 5): 3, **_path(5, 6), (8, 11): 3}),
+    "A3*": "unknown system name ''",
+    "X3": "unknown system name 'X3'",
+    "I2(1)*A2": "I2(m) needs m >= 2",
+    "E9*A2": "E<n> needs n in {6, 7, 8}",
+    "A2*E9": "E<n> needs n in {6, 7, 8}",
+    # the first bad factor names the error
+    "E9*X3": "E<n> needs n in {6, 7, 8}",
+    "X3*E9": "unknown system name 'X3'",
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_named_systems_labels_matrices_and_errors(name):
+    want = NAMES[name]
+    if isinstance(want, str):
+        with pytest.raises(InputError) as err:
+            CoxeterSystem.from_name(name)
+        assert str(err.value) == want
+        return
+    labels, bonds = want
+    n = len(labels)
+    matrix = tuple(tuple(1 if i == j else bonds.get((min(i, j), max(i, j)), 2)
+                         for j in range(n)) for i in range(n))
+    sys_ = CoxeterSystem.from_name(name)
+    assert sys_.labels == tuple(labels) and sys_.matrix == matrix
+
+
 def test_json_roundtrip(system):
     b3 = system("B3")
     again = CoxeterSystem.from_json(b3.to_json())

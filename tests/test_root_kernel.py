@@ -194,6 +194,24 @@ def test_long_words_on_infinite_groups_match_certified_oracle(builder):
     assert GroupElement.from_word(sys_, el.word) == el
 
 
+@pytest.mark.parametrize("matrix", [
+    # N = 40: x**5 and x**4 for the bonds 4 and 5
+    [[1, 4, 2], [4, 1, 5], [2, 5, 1]],
+    # N = 24: x**3 and x**2 for the bonds 4 and 6
+    [[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 6], [2, 2, 6, 1]],
+])
+def test_bonds_of_several_shifts_match_certified_oracle(matrix):
+    # every other irrational component here has e = N/2m = 1, so a bond of
+    # 2B = -(x**e + x**(N - e)) is one shift each way; these need several
+    sys_ = CoxeterSystem("abcd"[:len(matrix)], matrix)
+    roots, (oracle, _) = sys_.root_table(), oracle_roots(sys_)
+    rng = random.Random(1000)
+    word = [rng.randrange(sys_.rank) for _ in range(1000)]
+    key = roots.apply(roots.identity, word)
+    assert key == oracle.apply(oracle.identity, word)
+    assert_same_roots(sys_, roots, oracle)
+
+
 def fold_evaluation(word):
     # the left fold of element products that evaluation made before it
     # mapped root ids through each letter's longest element

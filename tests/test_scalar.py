@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -38,6 +39,18 @@ def test_conductor_above_the_limit_is_refused():
                  lambda: cos_pi_over(10007)):
         with pytest.raises(CactusError, match="conductor too large"):
             make()
+
+
+@pytest.mark.parametrize("text", ["c(1,1000000)", "c(999999,1000000)"])
+def test_parse_refuses_a_large_conductor_before_allocating(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CactusError, match="^conductor too large: N = 1000000 exceeds "):
+            parse_scalar(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _trim(p):
